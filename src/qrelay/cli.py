@@ -4,7 +4,7 @@
 config, runs one experiment, writes CSV outputs plus a manifest with
 content digests, and prints a plain-text summary. Exit codes: 0 success,
 2 config error, 3 runtime error. Identical config and seed reproduce
-byte-identical CSV payloads at any parallelism (env var QRELAY_THREADS).
+byte-identical CSV payloads.
 """
 
 from __future__ import annotations
@@ -128,6 +128,17 @@ _REQUIRED = {
 }
 
 
+_RELAY_HOPS = ("e1e2", "e2d", "e1d")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_config(path, command: Optional[str] = None,
                 seed: Optional[int] = None,
                 output_dir: Optional[str] = None) -> ExperimentConfig:
@@ -179,30 +190,43 @@ def load_config(path, command: Optional[str] = None,
         if getattr(cfg, name) is None:
             violations.append(f"{cmd} requires field {name!r}")
 
-    if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2 ** 64:
+    if not _is_int(cfg.seed) or not 0 <= cfg.seed < 2 ** 64:
         violations.append(f"seed must be a 64-bit unsigned integer, got {cfg.seed!r}")
-    if cfg.k is not None and (not isinstance(cfg.k, int) or not 1 <= cfg.k <= 20):
+    if cfg.k is not None and (not _is_int(cfg.k) or not 1 <= cfg.k <= 20):
         violations.append(f"k must be an integer in [1, 20], got {cfg.k!r}")
-    if cfg.beta is not None and not 0.0 < cfg.beta < 0.5:
-        violations.append(
-            f"beta must lie strictly inside (0, 0.5), got {cfg.beta}")
-    if not isinstance(cfg.trials, int) or cfg.trials < 1:
-        violations.append(f"trials must be >= 1, got {cfg.trials!r}")
-    if cfg.p_e2 is not None and not 0.0 < cfg.p_e2 < 1.0:
-        violations.append(f"p_e2 must lie strictly inside (0, 1), got {cfg.p_e2}")
-    if cfg.p is not None and not 0.0 < cfg.p < 1.0:
-        violations.append(f"p must lie strictly inside (0, 1), got {cfg.p}")
+    if not _is_int(cfg.trials) or cfg.trials < 1:
+        violations.append(f"trials must be an integer >= 1, got {cfg.trials!r}")
+    for name, upper in (("beta", 0.5), ("p_e2", 1.0), ("p", 1.0)):
+        val = getattr(cfg, name)
+        if val is not None and not (_is_number(val) and 0.0 < val < upper):
+            violations.append(f"{name} must be a number strictly inside "
+                              f"(0, {upper:g}), got {val!r}")
 
-    for name, builder in (("channel", build_classical_channel),
-                          ("amp_channel", build_classical_channel),
-                          ("phase_channel", build_classical_channel),
-                          ("main_channel", build_quantum_channel)):
-        spec = getattr(cfg, name)
-        if spec is not None:
-            try:
-                builder(spec)
-            except Exception as exc:
-                violations.append(f"{name} invalid: {exc}")
+    channels = [("channel", cfg.channel, build_classical_channel),
+                ("amp_channel", cfg.amp_channel, build_classical_channel),
+                ("phase_channel", cfg.phase_channel, build_classical_channel),
+                ("main_channel", cfg.main_channel, build_quantum_channel)]
+    channels = [c for c in channels if c[1] is not None]
+    hops = cfg.relay_channels
+    if hops is not None and not isinstance(hops, dict):
+        violations.append(
+            f"relay_channels must be a JSON object, got {type(hops).__name__}")
+        hops = None
+    for hop, spec in (hops or {}).items():
+        if hop in _RELAY_HOPS:
+            channels.append((f"relay_channels.{hop}", spec,
+                             build_classical_channel))
+        else:
+            violations.append(f"relay_channels has unknown hop {hop!r}, "
+                              f"expected one of {_RELAY_HOPS}")
+    for name, spec, builder in channels:
+        try:
+            builder(spec)
+        except Exception as exc:
+            violations.append(f"{name} invalid: {exc}")
+    if cfg.input_state is not None and not isinstance(cfg.input_state, dict):
+        violations.append("input_state must be a JSON object, got "
+                          f"{type(cfg.input_state).__name__}")
 
     if violations:
         raise ConfigError(violations)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polar_core import BDMC, PolarizationResult, select_sets
+from .polar_core import BDMC, PolarizationResult, _threshold, select_sets
 
 
 @dataclass(frozen=True)
@@ -232,10 +232,7 @@ def codeword_threshold_sets(z_bob, z_eve, beta: float):
     ze = np.asarray(z_eve, dtype=float)
     if zb.shape != ze.shape or zb.ndim != 1:
         raise ValueError("Bhattacharyya vectors must be equal-length 1-D")
-    if not 0.0 < beta < 0.5:
-        raise ValueError(f"beta must lie strictly inside (0, 0.5), got {beta}")
-    n = len(zb)
-    threshold = (1.0 / n) * 2.0 ** (-(n ** beta))
+    threshold = _threshold(len(zb), beta)
     s_bob = frozenset(int(i) for i in np.flatnonzero(zb < threshold))
     s_eve = frozenset(int(i) for i in np.flatnonzero(ze >= 1.0 - threshold))
     return s_bob, s_eve

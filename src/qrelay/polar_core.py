@@ -17,7 +17,6 @@ split.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
@@ -27,14 +26,6 @@ ROW_SUM_TOL = 1e-12
 LLR_CLIP = 700.0
 
 KERNEL = np.array([[1, 1], [0, 1]], dtype=np.uint8)
-
-
-def thread_count() -> int:
-    """Worker cap for trial-parallel loops, from env var QRELAY_THREADS."""
-    try:
-        return max(1, int(os.environ.get("QRELAY_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class BDMC:
@@ -118,22 +109,6 @@ class PartialDistanceReport:
     """Partial distances d_i of the generator rows and the derived exponent."""
     d: tuple
     beta_hat: float
-
-
-@dataclass
-class DecoderState:
-    """Assembled successive-cancellation decoder input.
-
-    Log-domain likelihoods are clipped to +/-700 so high-confidence values
-    stay finite through the recursions.
-    """
-    log_likelihoods: np.ndarray      # (batch, n)
-    frozen_mask: np.ndarray          # (n,) bool
-    frozen_values: np.ndarray        # (n,) uint8
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.log_likelihoods)):
-            raise ValueError("log-likelihoods must be finite after clipping")
 
 
 @dataclass(frozen=True)
@@ -315,11 +290,16 @@ def polarize(w: BDMC, k: int, alphabet_cap: int = 4096,
     return PolarizationResult(n=2 ** k, z=np.clip(z, 0.0, 1.0))
 
 
-def select_sets(pr: PolarizationResult, beta: float) -> GoodBadSets:
-    """Split indices at the threshold (1/n) 2^(-n^beta); ties go to bad."""
+def _threshold(n: int, beta: float) -> float:
+    """Good-set threshold (1/n) 2^(-n^beta); beta must lie in (0, 0.5)."""
     if not 0.0 < beta < 0.5:
         raise ValueError(f"beta must lie strictly inside (0, 0.5), got {beta}")
-    threshold = (1.0 / pr.n) * 2.0 ** (-(pr.n ** beta))
+    return (1.0 / n) * 2.0 ** (-(n ** beta))
+
+
+def select_sets(pr: PolarizationResult, beta: float) -> GoodBadSets:
+    """Split indices at the threshold (1/n) 2^(-n^beta); ties go to bad."""
+    threshold = _threshold(pr.n, beta)
     good = frozenset(int(i) for i in np.flatnonzero(pr.z < threshold))
     bad = frozenset(range(pr.n)) - good
     return GoodBadSets(good=good, bad=bad, beta=beta, threshold=threshold, n=pr.n)
@@ -418,11 +398,8 @@ def sc_decode(likelihoods, sets: GoodBadSets, frozen_values=None) -> np.ndarray:
         log_lam = np.clip(np.log(lam), -LLR_CLIP, LLR_CLIP)
     frozen_mask = np.zeros(sets.n, dtype=bool)
     frozen_mask[sorted(sets.bad)] = True
-    state = DecoderState(log_likelihoods=log_lam, frozen_mask=frozen_mask,
-                         frozen_values=_resolve_frozen(sets.n, sets.bad,
-                                                       frozen_values))
-    bits, _ = _sc_decode_block(state.log_likelihoods, state.frozen_mask,
-                               state.frozen_values)
+    bits, _ = _sc_decode_block(log_lam, frozen_mask,
+                               _resolve_frozen(sets.n, sets.bad, frozen_values))
     return bits[0] if single else bits
 
 
@@ -451,8 +428,8 @@ def _sample_outputs(w: BDMC, codeword: np.ndarray, rng) -> np.ndarray:
 
 
 def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
-                            frozen_values=None, batch_size: int = 2048,
-                            first_trial: int = 0) -> MonteCarloResult:
+                            frozen_values=None,
+                            batch_size: int = 2048) -> MonteCarloResult:
     """Estimate the average block error rate over uniform messages.
 
     Each trial draws from its own (seed, trial_index) stream, so estimates
@@ -482,7 +459,7 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
         messages = np.tile(frozen, (count, 1))
         lam = np.empty((count, n))
         for j in range(count):
-            rng = trial_rng(seed, first_trial + done + j)
+            rng = trial_rng(seed, done + j)
             if info:
                 messages[j, info] = rng.integers(0, 2, size=len(info))
             y = _sample_outputs(w, _encode_block(messages[j][None, :])[0], rng)

@@ -4,24 +4,22 @@ The relay topology has three hops: sender to relay (e1e2), relay to
 receiver (e2d), and the direct sender-to-receiver path (e1d). The relay
 encoder adds the amplitude layer to a phase-encoded block only with
 success probability p_e2; on failure the receiver cannot decode the block.
-Trials draw from per-trial derived random streams, so simulations are
-reproducible under any batching or thread count.
+Each trial draws from its own counter-based stream keyed by (seed, trial
+index), so a simulation depends only on its seed and trial count.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from .codeword_sets import IndexSetPartition
 from .density_ops import (KrausChannel, compose_channels, cq_from_kraus,
                           symmetric_cq_capacity)
-from .polar_core import BDMC, symmetric_capacity, thread_count, trial_rng
+from .polar_core import BDMC, symmetric_capacity, trial_rng
 
 ChannelLike = Union[KrausChannel, BDMC]
 
@@ -268,38 +266,19 @@ def relay_private_capacity(part: IndexSetPartition) -> float:
 # Relay encoder simulation
 # ---------------------------------------------------------------------------
 
-def _count_successes(spec: RelayChannelSpec, seed: int, start: int,
-                     count: int) -> int:
-    hits = 0
-    for t in range(start, start + count):
-        if trial_rng(seed, t).random() < spec.p_e2:
-            hits += 1
-    return hits
-
-
-def simulate_relay(spec: RelayChannelSpec, trials: int, seed: int,
-                   threads: Optional[int] = None) -> RelayTrialResult:
+def simulate_relay(spec: RelayChannelSpec, trials: int,
+                   seed: int) -> RelayTrialResult:
     """Monte Carlo run of the probabilistic relay encoder.
 
     Each trial succeeds with probability p_e2, delivering the private
     index set s_in; a failed trial delivers the undecodable phase-only
-    block and contributes nothing. Per-trial streams keyed by
-    (seed, trial index) make the result independent of threading.
+    block and contributes nothing. Trial t succeeds when the first
+    uniform of ``trial_rng(seed, t)`` falls below p_e2.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    workers = thread_count() if threads is None else max(1, threads)
-    chunk = max(1, math.ceil(trials / max(workers * 4, 1)))
-    starts = list(range(0, trials, chunk))
-    if workers == 1 or len(starts) == 1:
-        successes = sum(
-            _count_successes(spec, seed, s, min(chunk, trials - s))
-            for s in starts)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_count_successes, spec, seed, s,
-                                   min(chunk, trials - s)) for s in starts]
-            successes = sum(f.result() for f in futures)
+    successes = sum(trial_rng(seed, t).random() < spec.p_e2
+                    for t in range(trials))
     size = float(len(spec.partition.s_in))
     return RelayTrialResult(
         trials=trials,

@@ -1,7 +1,6 @@
 """Tests for config loading, the experiment runner, and reproducibility."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -156,18 +155,14 @@ def test_run_relay_sim_deterministic(tmp_path):
     assert "rate = " in report and "expected_throughput" in report
 
 
-def test_run_reproducible_under_parallelism(tmp_path):
+def test_run_relay_sim_reproducible_across_runs(tmp_path):
     path = dual_config(tmp_path, p_e2=0.4, trials=10000, seed=12)
-    digests = {}
-    for threads in ("1", "4"):
-        os.environ["QRELAY_THREADS"] = threads
-        try:
-            cfg = load_config(path, command="relay-sim",
-                              output_dir=str(tmp_path / f"t{threads}"))
-            digests[threads] = run(cfg).outputs[0]["sha256"]
-        finally:
-            del os.environ["QRELAY_THREADS"]
-    assert digests["1"] == digests["4"]
+    digests = []
+    for tag in ("r1", "r2"):
+        cfg = load_config(path, command="relay-sim",
+                          output_dir=str(tmp_path / tag))
+        digests.append(run(cfg).outputs[0]["sha256"])
+    assert digests[0] == digests[1]
 
 
 def test_run_sweep_advantage_flip(tmp_path):
@@ -239,6 +234,36 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     rc = main(["polarize", "--config", path])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", True), ("trials", True), ("seed", False),
+    ("beta", "0.3"), ("beta", True), ("p_e2", "0.4"), ("p_e2", True),
+    ("p", "0.5"), ("p", False)])
+def test_main_rejects_mistyped_scalars(tmp_path, capsys, field, value):
+    overrides = {"p_e2": 0.3, "trials": 100, field: value}
+    path = dual_config(tmp_path, name="typed.json", **overrides)
+    rc = main(["relay-sim", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"config error: {field} must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, fragment", [
+    ({"relay_channels": {"e1e2": {"kind": "nope"}}},
+     "relay_channels.e1e2 invalid"),
+    ({"relay_channels": {"e2d": None}}, "relay_channels.e2d invalid"),
+    ({"relay_channels": {"relay": {"kind": "bsc", "p": 0.1}}},
+     "relay_channels has unknown hop 'relay'"),
+    ({"relay_channels": [{"kind": "bsc", "p": 0.1}]},
+     "relay_channels must be a JSON object"),
+    ({"input_state": "bell"}, "input_state must be a JSON object")])
+def test_main_rejects_bad_relay_channels_and_input_state(
+        tmp_path, capsys, overrides, fragment):
+    path = dual_config(tmp_path, name="hops.json", p_e2=0.3, trials=100,
+                       **overrides)
+    rc = main(["relay-sim", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert fragment in capsys.readouterr().err
 
 
 def test_main_missing_config_exit_code(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from qrelay.codeword_sets import DualPolarization, build_partition
 from qrelay.density_ops import dephasing_channel, identity_channel
-from qrelay.polar_core import BDMC, bhattacharyya
+from qrelay.polar_core import BDMC, bhattacharyya, trial_rng
 from qrelay.relay import (ClassicalRelayModel, JointDistribution,
                           RelayChannelSpec, RelayTrialResult,
                           channel_symmetric_capacity, compose_bdmc,
@@ -264,11 +264,19 @@ def test_simulate_relay_reproducible():
     assert a != c
 
 
-def test_simulate_relay_thread_count_invariant():
+def test_simulate_relay_counter_stream_contract():
+    # trial t succeeds iff the first uniform of stream (seed, t) is below
+    # p_e2, and stream (seed, t) is Philox keyed by seed, advanced t << 64
     spec = make_spec(p_e2=0.42)
-    serial = simulate_relay(spec, trials=5000, seed=5, threads=1)
-    threaded = simulate_relay(spec, trials=5000, seed=5, threads=4)
-    assert serial == threaded
+    trials, seed = 5000, 5
+    expected = sum(trial_rng(seed, t).random() < spec.p_e2
+                   for t in range(trials))
+    assert simulate_relay(spec, trials, seed).successes == expected
+    for key, t in ((5, 0), (5, 1), (5, 4999), (2 ** 64 - 1, 2 ** 40)):
+        ref = np.random.Philox(key=key)
+        ref.advance(t << 64)
+        want = np.random.Generator(ref).random(8)
+        assert np.array_equal(trial_rng(key, t).random(8), want)
 
 
 def test_simulate_relay_convergence_trend():
