@@ -77,30 +77,60 @@ class RunManifest:
 # Channel spec parsing
 # ---------------------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_spec(spec) -> None:
+    if not isinstance(spec, dict):
+        raise ValueError("channel spec must be a JSON object, got "
+                         f"{type(spec).__name__}")
+
+
+def _number_field(spec: dict, name: str) -> float:
+    value = spec.get(name)
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _dim_field(spec: dict, name: str) -> int:
+    value = spec.get(name, 2)
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def build_classical_channel(spec: dict) -> BDMC:
+    _check_spec(spec)
     kind = spec.get("kind")
     if kind == "bec":
-        return BDMC.bec(float(spec["epsilon"]))
+        return BDMC.bec(_number_field(spec, "epsilon"))
     if kind == "bsc":
-        return BDMC.bsc(float(spec["p"]))
+        return BDMC.bsc(_number_field(spec, "p"))
     if kind == "table":
         return BDMC(spec["w"])
     raise ValueError(f"unknown classical channel kind {kind!r}")
 
 
 def build_quantum_channel(spec: dict) -> KrausChannel:
+    _check_spec(spec)
     kind = spec.get("kind")
     if kind == "identity":
-        return identity_channel(int(spec.get("dim", 2)))
+        return identity_channel(_dim_field(spec, "dim"))
     if kind == "dephasing":
-        return dephasing_channel(float(spec["q"]))
+        return dephasing_channel(_number_field(spec, "q"))
     if kind == "bit_flip":
-        return bit_flip_channel(float(spec["q"]))
+        return bit_flip_channel(_number_field(spec, "q"))
     if kind == "depolarizing":
-        return depolarizing_channel(float(spec["q"]))
+        return depolarizing_channel(_number_field(spec, "q"))
     if kind == "erasure":
-        return erasure_channel(float(spec["epsilon"]),
-                               int(spec.get("in_dim", 2)))
+        return erasure_channel(_number_field(spec, "epsilon"),
+                               _dim_field(spec, "in_dim"))
     if kind == "compose":
         stages = [build_quantum_channel(s) for s in spec["stages"]]
         if not stages:
@@ -110,6 +140,18 @@ def build_quantum_channel(spec: dict) -> KrausChannel:
             out = compose_channels(out, stage)
         return out
     raise ValueError(f"unknown quantum channel kind {kind!r}")
+
+
+_INPUT_MODES = ("bell", "entangled_flagged", "phase_set_state")
+_FLAG_VARIANTS = ("literal", "alternating")
+_MODE_IN_DIM = {"bell": 2, "entangled_flagged": 4}
+
+
+def _input_mode(state_spec: dict, main_in_dim: int) -> str:
+    """The configured joint-input mode, defaulting by the main channel's
+    input dimension."""
+    return state_spec.get("mode", "bell" if main_in_dim == 2
+                          else "entangled_flagged")
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +171,6 @@ _REQUIRED = {
 
 
 _RELAY_HOPS = ("e1e2", "e2d", "e1d")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_config(path, command: Optional[str] = None,
@@ -219,18 +253,45 @@ def load_config(path, command: Optional[str] = None,
         else:
             violations.append(f"relay_channels has unknown hop {hop!r}, "
                               f"expected one of {_RELAY_HOPS}")
+    built = {}
     for name, spec, builder in channels:
         try:
-            builder(spec)
+            built[name] = builder(spec)
         except Exception as exc:
             violations.append(f"{name} invalid: {exc}")
-    if cfg.input_state is not None and not isinstance(cfg.input_state, dict):
+    state = cfg.input_state
+    if state is not None and not isinstance(state, dict):
         violations.append("input_state must be a JSON object, got "
-                          f"{type(cfg.input_state).__name__}")
+                          f"{type(state).__name__}")
+    elif cmd in ("superactivate", "sweep"):
+        violations += _input_state_violations(state or {},
+                                              built.get("main_channel"))
 
     if violations:
         raise ConfigError(violations)
     return cfg
+
+
+def _input_state_violations(state: dict,
+                            main: Optional[KrausChannel]) -> list:
+    """Mode and variant names, and the main channel input dimension the
+    mode needs; ``phase_set_state`` is left to fail at run time."""
+    violations = []
+    if "mode" in state and state["mode"] not in _INPUT_MODES:
+        violations.append(f"input_state.mode must be one of {_INPUT_MODES}, "
+                          f"got {state['mode']!r}")
+    elif main is not None:
+        mode = _input_mode(state, main.in_dim)
+        need = _MODE_IN_DIM.get(mode, main.in_dim)
+        if need != main.in_dim:
+            violations.append(
+                f"input_state.mode {mode!r} needs a main_channel with in_dim "
+                f"{need}, got {main.in_dim}")
+    variant = state.get("variant", "alternating")
+    if variant not in _FLAG_VARIANTS:
+        violations.append(f"input_state.variant must be one of "
+                          f"{_FLAG_VARIANTS}, got {variant!r}")
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +382,8 @@ def _switch_sweep(cfg: ExperimentConfig, p_values):
     main = build_quantum_channel(cfg.main_channel)
     part = _partition_from_config(cfg)
     state_spec = cfg.input_state or {}
-    mode = state_spec.get("mode", "bell" if main.in_dim == 2
-                          else "entangled_flagged")
-    state = make_rho_ac(mode, variant=state_spec.get("variant", "alternating"))
+    state = make_rho_ac(_input_mode(state_spec, main.in_dim),
+                        variant=state_spec.get("variant", "alternating"))
     reports = [joint_coherent_info(build_switch_channel(p, main), state)
                for p in p_values]
     comparisons = [compare_assisted(p, part) for p in p_values]

@@ -6,8 +6,10 @@ from qrelay.density_ops import BinaryCqChannel, DensityMatrix, KrausChannel
 from qrelay.polar_core import BDMC
 
 
-def random_density_matrix(dim, rng):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_density_matrix(dim, rng, rank=None):
+    """Random state of the given rank (full rank by default)."""
+    rank = dim if rank is None else rank
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m))
 
@@ -31,3 +33,25 @@ def random_bdmc(m, rng):
     table = rng.random((2, m)) + 1e-3
     table /= table.sum(axis=1, keepdims=True)
     return BDMC(table)
+
+
+def coherent_info_oracle(kraus_ops, rho):
+    """Independent dilation-based computation: stack the Kraus operators
+    into an isometry by hand and take entropies of the two marginals of
+    the dense (out * env)^2 state U rho U^dag."""
+    out_dim = kraus_ops[0].shape[0]
+    env = len(kraus_ops)
+    u = np.zeros((out_dim * env, kraus_ops[0].shape[1]), dtype=complex)
+    for e, op in enumerate(kraus_ops):
+        for b in range(out_dim):
+            u[b * env + e, :] = op[b, :]
+    joint = u @ rho @ u.conj().T
+    t = joint.reshape(out_dim, env, out_dim, env)
+    s_out = np.linalg.eigvalsh(np.trace(t, axis1=1, axis2=3))
+    s_env = np.linalg.eigvalsh(np.trace(t, axis1=0, axis2=2))
+
+    def ent(e):
+        e = e[e > 1e-15]
+        return float(-np.sum(e * np.log2(e)))
+
+    return ent(s_out) - ent(s_env)

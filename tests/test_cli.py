@@ -266,6 +266,74 @@ def test_main_rejects_bad_relay_channels_and_input_state(
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, fragment", [
+    ({"relay_channels": {"e1e2": None}},
+     "relay_channels.e1e2 invalid: channel spec must be a JSON object"),
+    ({"main_channel": {"kind": "compose",
+                       "stages": [{"kind": "dephasing", "q": 0.1}, None]}},
+     "main_channel invalid: channel spec must be a JSON object"),
+    ({"main_channel": {"kind": "identity", "dim": 2.5}},
+     "main_channel invalid: dim must be an integer >= 1"),
+    ({"main_channel": {"kind": "identity", "dim": True}},
+     "main_channel invalid: dim must be an integer >= 1"),
+    ({"main_channel": {"kind": "identity", "dim": 0}},
+     "main_channel invalid: dim must be an integer >= 1"),
+    ({"main_channel": {"kind": "erasure", "epsilon": 0.5, "in_dim": 2.0}},
+     "main_channel invalid: in_dim must be an integer >= 1"),
+    ({"amp_channel": {"kind": "bec", "epsilon": "0.3"}},
+     "amp_channel invalid: epsilon must be a number"),
+    ({"phase_channel": {"kind": "bsc", "p": True}},
+     "phase_channel invalid: p must be a number"),
+    ({"main_channel": {"kind": "depolarizing", "q": "0.1"}},
+     "main_channel invalid: q must be a number")])
+def test_main_rejects_malformed_channel_specs(tmp_path, capsys, overrides,
+                                              fragment):
+    payload = {"k": 4, "p": 0.5, "main_channel": {"kind": "identity"}}
+    payload.update(overrides)
+    path = dual_config(tmp_path, name="specs.json", **payload)
+    rc = main(["superactivate", "--config", path,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("main_channel, input_state, fragment", [
+    ({"kind": "identity", "dim": 4}, {"mode": "bogus"},
+     "input_state.mode must be one of"),
+    ({"kind": "identity", "dim": 4},
+     {"mode": "entangled_flagged", "variant": "x"},
+     "input_state.variant must be one of"),
+    ({"kind": "identity", "dim": 4}, {"mode": "bell"},
+     "input_state.mode 'bell' needs a main_channel with in_dim 2, got 4"),
+    ({"kind": "dephasing", "q": 0.1}, {"mode": "entangled_flagged"},
+     "'entangled_flagged' needs a main_channel with in_dim 4, got 2"),
+    ({"kind": "identity", "dim": 3}, {},
+     "'entangled_flagged' needs a main_channel with in_dim 4, got 3")])
+def test_main_rejects_bad_input_state(tmp_path, capsys, main_channel,
+                                      input_state, fragment):
+    path = dual_config(tmp_path, name="state.json", k=4,
+                       main_channel=main_channel, input_state=input_state)
+    rc = main(["sweep", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("main_channel, input_state", [
+    ({"kind": "identity"}, None),
+    ({"kind": "depolarizing", "q": 0.1}, {"mode": "bell"}),
+    ({"kind": "identity", "dim": 4}, None),
+    ({"kind": "identity", "dim": 4},
+     {"mode": "entangled_flagged", "variant": "literal"})])
+def test_load_config_accepts_matching_input_state(tmp_path, main_channel,
+                                                  input_state):
+    overrides = {"main_channel": main_channel}
+    if input_state is not None:
+        overrides["input_state"] = input_state
+    cfg = load_config(dual_config(tmp_path, name="ok.json", **overrides),
+                      command="sweep")
+    assert cfg.main_channel == main_channel
+
+
 def test_main_missing_config_exit_code(tmp_path, capsys):
     rc = main(["polarize", "--config", str(tmp_path / "nope.json")])
     assert rc == 2

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers_quantum import (random_cq_channel, random_density_matrix,
-                             random_kraus_channel)
+from helpers_quantum import (coherent_info_oracle, random_cq_channel,
+                             random_density_matrix, random_kraus_channel)
 from qrelay.density_ops import (BinaryCqChannel, CapacityReport, DensityMatrix,
                                 Isometry, KrausChannel, apply_kraus, bell_pair,
                                 bit_flip_channel, coherent_information,
@@ -311,6 +311,27 @@ def test_coherent_information_identity_equals_entropy():
         assert abs(got - von_neumann_entropy(rho)) < 1e-10
 
 
+def test_coherent_information_matches_dilation_oracle():
+    rng = np.random.default_rng(20240607)
+    cases = rank_deficient = more_ops_than_out = 0
+    while cases < 50:
+        in_dim = int(rng.integers(1, 5))
+        out_dim = int(rng.integers(1, 5))
+        n_ops = int(rng.integers(1, 7))
+        if out_dim * n_ops < in_dim:  # no channel has this Kraus shape
+            continue
+        rank = int(rng.integers(1, in_dim + 1))
+        ch = random_kraus_channel(in_dim, out_dim, n_ops, rng)
+        rho = random_density_matrix(in_dim, rng, rank=rank)
+        got = coherent_information(ch, rho)
+        want = coherent_info_oracle(ch.kraus_ops, rho.entries)
+        assert abs(got - want) < 1e-10, (in_dim, out_dim, n_ops, rank)
+        cases += 1
+        rank_deficient += rank < in_dim
+        more_ops_than_out += n_ops > out_dim
+    assert rank_deficient >= 10 and more_ops_than_out >= 10
+
+
 # ---------------------------------------------------------------------------
 # Channel constructors and serialization
 # ---------------------------------------------------------------------------
@@ -325,6 +346,17 @@ def test_compose_channels_dims():
 def test_tensor_channels_dims():
     joint = tensor_channels(erasure_channel(0.5), identity_channel(2))
     assert joint.in_dim == 4 and joint.out_dim == 6
+
+
+def test_tensor_channels_matches_kron_list():
+    rng = np.random.default_rng(5)
+    pairs = [(erasure_channel(0.5), depolarizing_channel(0.3)),
+             (random_kraus_channel(2, 3, 3, rng),
+              random_kraus_channel(3, 2, 4, rng)),
+             (random_kraus_channel(4, 1, 5, rng), identity_channel(3))]
+    for a, b in pairs:
+        want = [np.kron(x, y) for x in a.kraus_ops for y in b.kraus_ops]
+        np.testing.assert_array_equal(tensor_channels(a, b).kraus_ops, want)
 
 
 def test_depolarizing_channel_action():

@@ -2,16 +2,17 @@
 assisted-vs-probabilistic relay comparison."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers_quantum import random_density_matrix
+from helpers_quantum import coherent_info_oracle, random_density_matrix
 from qrelay.codeword_sets import DualPolarization, build_partition
 from qrelay.density_ops import (BinaryCqChannel, DensityMatrix, apply_kraus,
-                                bit_flip_channel, compose_channels,
-                                dephasing_channel, identity_channel,
-                                trace_out)
+                                bit_flip_channel, coherent_information,
+                                compose_channels, dephasing_channel,
+                                identity_channel, tensor_channels, trace_out)
 from qrelay.superactivation import (build_switch_channel, compare_assisted,
                                     joint_coherent_info, make_rho_ac,
                                     superactivated_bound, sweep_rows,
@@ -26,27 +27,6 @@ PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
 def make_partition(n, good_amp, good_phase):
     return build_partition(DualPolarization(
         n=n, good_amp=frozenset(good_amp), good_phase=frozenset(good_phase)))
-
-
-def coherent_info_oracle(kraus_ops, rho):
-    """Independent dilation-based computation: stack the Kraus operators
-    into an isometry by hand and take entropies of the two marginals."""
-    out_dim = kraus_ops[0].shape[0]
-    env = len(kraus_ops)
-    u = np.zeros((out_dim * env, kraus_ops[0].shape[1]), dtype=complex)
-    for e, op in enumerate(kraus_ops):
-        for b in range(out_dim):
-            u[b * env + e, :] = op[b, :]
-    joint = u @ rho @ u.conj().T
-    t = joint.reshape(out_dim, env, out_dim, env)
-    s_out = np.linalg.eigvalsh(np.trace(t, axis1=1, axis2=3))
-    s_env = np.linalg.eigvalsh(np.trace(t, axis1=0, axis2=2))
-
-    def ent(e):
-        e = e[e > 1e-15]
-        return float(-np.sum(e * np.log2(e)))
-
-    return ent(s_out) - ent(s_env)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +150,21 @@ def test_joint_coherent_info_identity_main_matches_oracle():
     want = coherent_info_oracle(joint_ops, state.rho_ac.entries)
     assert abs(report.i_coh_joint - want) < 1e-9
     assert abs(report.i_coh_joint - report.decomposition_sum) < 1e-9
+
+
+def test_coherent_information_memory_on_sweep_joint_channel():
+    # The two-qubit sweep's joint channel: 36 Kraus operators, 100 x 16.
+    # Its dense dilation U rho U^dag alone would take 3600^2 * 16 B = 207 MB.
+    sc = build_switch_channel(0.5, identity_channel(4))
+    joint = tensor_channels(sc.channel, sc.channel)
+    rho = make_rho_ac("entangled_flagged").rho_ac
+    tracemalloc.start()
+    try:
+        coherent_information(joint, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_joint_coherent_info_degenerate_probabilities():
