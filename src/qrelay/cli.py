@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -18,9 +19,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .codeword_sets import (build_partition, eve_capacity, from_polarizations,
-                            partition_rows, rate_report)
+                            partition_rows, rate_report, set_size)
 from .density_ops import (KrausChannel, bit_flip_channel, compose_channels,
                           dephasing_channel, depolarizing_channel,
                           erasure_channel, identity_channel)
@@ -34,6 +37,7 @@ COMMANDS = ("polarize", "sets", "capacity", "relay-sim", "superactivate",
             "sweep")
 
 SIGNIFICANT_DIGITS = 12
+CSV_BLOCK_ROWS = 2 ** 16
 
 
 class ConfigError(Exception):
@@ -71,6 +75,7 @@ class RunManifest:
     duration_seconds: float
     outputs: list
     output_dir: str
+    counters: dict
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +311,49 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_format_value(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _column_cells(column):
+    """A %-conversion and the values it formats for one column. Int, float
+    and str arrays are converted from their Python values (``tolist()``),
+    which the conversion formats as ``_format_value`` would; any other
+    column goes through ``_format_value`` cell by cell."""
+    if isinstance(column, np.ndarray):
+        values = column.tolist()
+        kind = column.dtype.kind
+        if kind in "iu":
+            return "%d", values
+        if kind == "f":
+            return f"%.{SIGNIFICANT_DIGITS}g", values
+        if kind == "U":
+            return "%s", values
+        column = values
+    return "%s", [_format_value(v) for v in column]
+
+
+def _csv_blocks(header, columns, rows: int):
+    """The CSV text: the header line, then CSV_BLOCK_ROWS rows at a time,
+    each block formatted by one %-operation over its row-major cells."""
+    yield ",".join(header) + "\n"
+    for start in range(0, rows, CSV_BLOCK_ROWS):
+        codes, values = zip(*(_column_cells(c[start:start + CSV_BLOCK_ROWS])
+                               for c in columns))
+        count = len(values[0])
+        yield (",".join(codes) + "\n") * count % tuple(
+            itertools.chain.from_iterable(zip(*values)))
+
+
+def _write_csv(path: Path, header, columns) -> str:
+    """Write a CSV from equal-length columns, one block of rows at a time,
+    and return the SHA-256 of the bytes written."""
+    rows = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(len(c) != rows for c in columns):
+        raise ValueError("need one equal-length column per header field")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in _csv_blocks(header, columns, rows):
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
 def _partition_from_config(cfg: ExperimentConfig):
@@ -318,38 +362,48 @@ def _partition_from_config(cfg: ExperimentConfig):
     return build_partition(from_polarizations(pr_amp, pr_phase, cfg.beta))
 
 
+def _class_sizes(part) -> dict:
+    return {"n": part.n, "size_s_in": set_size(part.s_in),
+            "size_p1": set_size(part.p1), "size_p2": set_size(part.p2),
+            "size_b": set_size(part.b)}
+
+
 def _cmd_polarize(cfg: ExperimentConfig):
     pr = polarize(build_classical_channel(cfg.channel), cfg.k)
     sets = select_sets(pr, cfg.beta)
-    return [("polarization.csv", ("index", "z", "set"),
-             polarization_rows(pr, sets))]
+    good = set_size(sets.good)
+    return ([("polarization.csv", ("index", "z", "set"),
+              polarization_rows(pr, sets))],
+            {"n": pr.n, "size_good": good, "size_bad": pr.n - good})
 
 
 def _cmd_sets(cfg: ExperimentConfig):
     part = _partition_from_config(cfg)
-    return [("partition.csv", ("index", "set"), partition_rows(part))]
+    return ([("partition.csv", ("index", "set"), partition_rows(part))],
+            _class_sizes(part))
 
 
 def _cmd_capacity(cfg: ExperimentConfig):
     part = _partition_from_config(cfg)
     rates = rate_report(part)
     eve = eve_capacity(part)
+    sizes = _class_sizes(part)
     n = part.n
-    c_12 = len(part.good_phase) / n
-    c_1d = len(part.p2) / n
+    c_12 = set_size(part.good_phase) / n
+    c_1d = set_size(part.p2) / n
     c_2d = relay_private_capacity(part)
     header = ("n", "size_s_in", "size_p1", "size_p2", "size_b",
               "p_sym_degraded", "p_sym_nondegraded", "r_sym", "c_bob",
               "c_eve_total", "c_eve_p1", "eve_section_e1e2",
               "eve_section_e2d", "relay_private_capacity",
               "relay_capacity_min")
-    row = (n, len(part.s_in), len(part.p1), len(part.p2), len(part.b),
+    row = (*sizes.values(),  # n and the class sizes, in header order
            rates.p_sym_degraded, rates.p_sym_nondegraded, rates.r_sym,
            rates.c_bob, eve.c_eve_total, eve.c_eve_p1,
            eve.eve_section_e1e2, eve.eve_section_e2d,
            relay_private_capacity(part),
            relay_capacity_min(c_12, c_1d, c_2d))
-    return [("capacity.csv", header, [row])]
+    return [("capacity.csv", header, list(zip(*[row])))], sizes
 
 
 def _relay_spec(cfg: ExperimentConfig, part) -> RelayChannelSpec:
@@ -371,7 +425,8 @@ def _cmd_relay_sim(cfg: ExperimentConfig):
     result = simulate_relay(spec, cfg.trials, cfg.seed)
     header = ("p_e2", "trials", "successes", "rate", "expected_throughput",
               "b_star_throughput")
-    return [("relay_sim.csv", header, simulation_rows(spec, result))]
+    columns = list(zip(*simulation_rows(spec, result)))
+    return [("relay_sim.csv", header, columns)], {}
 
 
 SWEEP_HEADER = ("p", "i_coh_joint", "term_mm", "term_me", "term_em",
@@ -391,12 +446,14 @@ def _switch_sweep(cfg: ExperimentConfig, p_values):
 
 
 def _cmd_superactivate(cfg: ExperimentConfig):
-    return [("superactivate.csv", SWEEP_HEADER, _switch_sweep(cfg, [cfg.p]))]
+    columns = list(zip(*_switch_sweep(cfg, [cfg.p])))
+    return [("superactivate.csv", SWEEP_HEADER, columns)], {}
 
 
 def _cmd_sweep(cfg: ExperimentConfig):
     grid = [i / 100.0 for i in range(1, 100)]
-    return [("sweep.csv", SWEEP_HEADER, _switch_sweep(cfg, grid))]
+    columns = list(zip(*_switch_sweep(cfg, grid)))
+    return [("sweep.csv", SWEEP_HEADER, columns)], {}
 
 
 _DISPATCH = {
@@ -415,10 +472,10 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for name, header, rows in _DISPATCH[cfg.command](cfg):
+    tables, counters = _DISPATCH[cfg.command](cfg)
+    for name, header, columns in tables:
         path = outdir / name
-        _write_csv(path, header, rows)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest = _write_csv(path, header, columns)
         outputs.append({"path": str(path), "sha256": digest})
     manifest = RunManifest(
         command=cfg.command,
@@ -427,6 +484,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         duration_seconds=time.perf_counter() - start,
         outputs=outputs,
         output_dir=str(outdir),
+        counters=counters,
     )
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest.__dict__, fh, indent=2, sort_keys=True)
@@ -456,28 +514,22 @@ def render_report(manifest: RunManifest) -> str:
         path = Path(entry["path"])
         if not path.exists():
             raise ValueError(f"missing output file {path}")
-    first = Path(manifest.outputs[0]["path"])
-    header, rows = _read_csv(first)
+    counts = manifest.counters
     if manifest.command == "polarize":
-        labels = [r[2] for r in rows]
-        n = len(rows)
-        good = labels.count("good")
-        lines.append(f"  n = {n}, |good| = {good}, |bad| = {n - good}, "
+        n, good = counts["n"], counts["size_good"]
+        lines.append(f"  n = {n}, |good| = {good}, "
+                     f"|bad| = {counts['size_bad']}, "
                      f"capacity estimate = {good / n:.6g}")
-    elif manifest.command in ("sets", "capacity"):
-        if manifest.command == "sets":
-            counts = {}
-            for r in rows:
-                counts[r[1]] = counts.get(r[1], 0) + 1
-            lines.append("  " + ", ".join(
-                f"|{k}| = {counts.get(k, 0)}" for k in ("S_in", "P1", "P2", "B")))
-        else:
-            for key, val in zip(header, rows[0]):
-                lines.append(f"  {key} = {val}")
-    elif manifest.command == "relay-sim":
+    elif manifest.command == "sets":
+        lines.append("  " + ", ".join(
+            f"|{name}| = {counts['size_' + name.lower()]}"
+            for name in ("S_in", "P1", "P2", "B")))
+    elif manifest.command in ("capacity", "relay-sim"):
+        header, rows = _read_csv(Path(manifest.outputs[0]["path"]))
         for key, val in zip(header, rows[0]):
             lines.append(f"  {key} = {val}")
     elif manifest.command in ("superactivate", "sweep"):
+        header, rows = _read_csv(Path(manifest.outputs[0]["path"]))
         mid = None
         for r in rows:
             if abs(float(r[0]) - 0.5) < 1e-12:

@@ -21,67 +21,66 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polar_core import BDMC, PolarizationResult, _threshold, select_sets
+from .polar_core import (BDMC, PolarizationResult, _is_mask, _threshold,
+                         select_sets)
 
 
 @dataclass(frozen=True)
 class DualPolarization:
-    """Good index sets of the amplitude and phase polarizations."""
+    """Good index masks of the amplitude and phase polarizations."""
     n: int
-    good_amp: frozenset
-    good_phase: frozenset
+    good_amp: np.ndarray
+    good_phase: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        full = frozenset(range(self.n))
-        if not (self.good_amp <= full and self.good_phase <= full):
-            raise ValueError("good sets must be subsets of range(n)")
+        if not (_is_mask(self.good_amp, self.n)
+                and _is_mask(self.good_phase, self.n)):
+            raise ValueError("good sets must be bool masks of length n")
 
     @property
-    def bad_amp(self) -> frozenset:
-        return frozenset(range(self.n)) - self.good_amp
+    def bad_amp(self) -> np.ndarray:
+        return ~self.good_amp
 
     @property
-    def bad_phase(self) -> frozenset:
-        return frozenset(range(self.n)) - self.good_phase
+    def bad_phase(self) -> np.ndarray:
+        return ~self.good_phase
 
 
 @dataclass(frozen=True)
 class IndexSetPartition:
-    """The four disjoint codeword classes covering range(n)."""
+    """The four disjoint codeword classes covering range(n), as bool masks."""
     n: int
-    s_in: frozenset
-    p1: frozenset
-    p2: frozenset
-    b: frozenset
+    s_in: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        sets = [self.s_in, self.p1, self.p2, self.b]
-        total = 0
-        union = frozenset()
-        for s in sets:
-            total += len(s)
-            union |= s
-        if total != len(union) or union != frozenset(range(self.n)):
-            raise ValueError("classes must be disjoint and cover range(n)")
+        masks = (self.s_in, self.p1, self.p2, self.b)
+        if not (all(_is_mask(m, self.n) for m in masks)
+                and sum(map(np.count_nonzero, masks)) == self.n
+                and (self.s_in | self.p1 | self.p2 | self.b).all()):
+            raise ValueError("classes must be disjoint bool masks covering "
+                             "range(n)")
 
     @property
-    def good_amp(self) -> frozenset:
+    def good_amp(self) -> np.ndarray:
         return self.s_in | self.p1
 
     @property
-    def good_phase(self) -> frozenset:
+    def good_phase(self) -> np.ndarray:
         return self.s_in | self.p2
 
     @property
-    def bad_amp(self) -> frozenset:
+    def bad_amp(self) -> np.ndarray:
         return self.p2 | self.b
 
     @property
-    def bad_phase(self) -> frozenset:
+    def bad_phase(self) -> np.ndarray:
         return self.p1 | self.b
 
 
@@ -118,15 +117,16 @@ class EveCapacityReport:
     eve_section_e2d: float
 
 
+def set_size(mask: np.ndarray) -> int:
+    """Cardinality of an index mask, as a Python int."""
+    return int(np.count_nonzero(mask))
+
+
 def build_partition(dp: DualPolarization) -> IndexSetPartition:
     """Intersect the amplitude and phase good/bad splits."""
-    return IndexSetPartition(
-        n=dp.n,
-        s_in=dp.good_amp & dp.good_phase,
-        p1=dp.good_amp - dp.good_phase,
-        p2=dp.good_phase - dp.good_amp,
-        b=frozenset(range(dp.n)) - (dp.good_amp | dp.good_phase),
-    )
+    amp, phase = dp.good_amp, dp.good_phase
+    return IndexSetPartition(n=dp.n, s_in=amp & phase, p1=amp & ~phase,
+                             p2=phase & ~amp, b=~(amp | phase))
 
 
 def from_polarizations(pr_amp: PolarizationResult, pr_phase: PolarizationResult,
@@ -159,7 +159,7 @@ def _warn_if_negative(name: str, value: float) -> float:
 
 def p_sym_degraded(part: IndexSetPartition) -> float:
     """Private rate against a degraded eavesdropper: |s_in|/n."""
-    return len(part.s_in) / part.n
+    return set_size(part.s_in) / part.n
 
 
 def p_sym_nondegraded(part: IndexSetPartition) -> float:
@@ -168,8 +168,8 @@ def p_sym_nondegraded(part: IndexSetPartition) -> float:
     Cross-checked against the equivalent inclusion-exclusion form
     (|good_amp| + |good_phase| - n)/n, which must agree exactly.
     """
-    direct = len(part.s_in) - len(part.b)
-    expanded = len(part.good_amp) + len(part.good_phase) - part.n
+    direct = set_size(part.s_in) - set_size(part.b)
+    expanded = set_size(part.good_amp) + set_size(part.good_phase) - part.n
     if direct != expanded:
         raise AssertionError("set-cardinality identity violated")
     return _warn_if_negative("p_sym_nondegraded", direct / part.n)
@@ -181,7 +181,8 @@ def r_sym_nondegraded(part: IndexSetPartition) -> float:
     Since bad_amp is the disjoint union of p2 and b, this always reduces
     to |s_in|/n; the expression is evaluated literally.
     """
-    val = (len(part.s_in) + len(part.b) - len(part.bad_amp) + len(part.p2))
+    val = (set_size(part.s_in) + set_size(part.b)
+           - set_size(part.bad_amp) + set_size(part.p2))
     return val / part.n
 
 
@@ -190,22 +191,22 @@ def nondegraded_phase_margin(part: IndexSetPartition) -> float:
     positions are discounted. May be negative."""
     return _warn_if_negative(
         "nondegraded_phase_margin",
-        (len(part.s_in) - len(part.bad_phase)) / part.n)
+        (set_size(part.s_in) - set_size(part.bad_phase)) / part.n)
 
 
 def eve_capacity(part: IndexSetPartition) -> EveCapacityReport:
     """Eavesdropper fractions and the two Bob-side complement forms."""
     n = part.n
-    c_bob = 1.0 - len(part.p1) / n
-    c_bob_sp2 = len(part.s_in | part.p2) / n
+    c_bob = 1.0 - set_size(part.p1) / n
+    c_bob_sp2 = set_size(part.s_in | part.p2) / n
     return EveCapacityReport(
-        c_eve_total=(len(part.p1) + len(part.p2)) / n,
-        c_eve_p1=len(part.p1) / n,
+        c_eve_total=(set_size(part.p1) + set_size(part.p2)) / n,
+        c_eve_p1=set_size(part.p1) / n,
         c_bob=c_bob,
         c_bob_sp2=c_bob_sp2,
-        forms_agree=len(part.b) == 0,
-        eve_section_e1e2=len(part.p2 | part.s_in) / n,
-        eve_section_e2d=len(part.s_in) / n,
+        forms_agree=set_size(part.b) == 0,
+        eve_section_e1e2=set_size(part.p2 | part.s_in) / n,
+        eve_section_e2d=set_size(part.s_in) / n,
     )
 
 
@@ -226,23 +227,20 @@ def codeword_threshold_sets(z_bob, z_eve, beta: float):
 
     Bob keeps indices with z below (1/n) 2^(-n^beta); Eve's set collects
     indices she sees almost uselessly, z >= 1 - threshold. Returns
-    (s_bob, s_eve) as frozensets.
+    (s_bob, s_eve) as bool masks.
     """
     zb = np.asarray(z_bob, dtype=float)
     ze = np.asarray(z_eve, dtype=float)
     if zb.shape != ze.shape or zb.ndim != 1:
         raise ValueError("Bhattacharyya vectors must be equal-length 1-D")
     threshold = _threshold(len(zb), beta)
-    s_bob = frozenset(int(i) for i in np.flatnonzero(zb < threshold))
-    s_eve = frozenset(int(i) for i in np.flatnonzero(ze >= 1.0 - threshold))
-    return s_bob, s_eve
+    return zb < threshold, ze >= 1.0 - threshold
 
 
 def partition_rows(part: IndexSetPartition):
-    """Rows (index, class-label) for CSV export."""
-    labels = {}
-    for name, members in (("S_in", part.s_in), ("P1", part.p1),
-                          ("P2", part.p2), ("B", part.b)):
-        for i in members:
-            labels[i] = name
-    return [(i, labels[i]) for i in range(part.n)]
+    """Columns (index, class-label) for CSV export."""
+    labels = np.full(part.n, "B", dtype="<U4")
+    labels[part.s_in] = "S_in"
+    labels[part.p1] = "P1"
+    labels[part.p2] = "P2"
+    return np.arange(part.n), labels

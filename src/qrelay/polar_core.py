@@ -90,17 +90,23 @@ class PolarizationResult:
             raise ValueError("Bhattacharyya values must lie in [0, 1]")
 
 
+def _is_mask(a, n: int) -> bool:
+    """True when ``a`` is an index set of a length-n block: a bool array."""
+    return isinstance(a, np.ndarray) and a.dtype == bool and a.shape == (n,)
+
+
 @dataclass(frozen=True)
 class GoodBadSets:
-    """Disjoint good/bad index partition under the threshold (1/n) 2^(-n^beta)."""
-    good: frozenset
-    bad: frozenset
+    """Good/bad bool masks split at the threshold (1/n) 2^(-n^beta)."""
+    good: np.ndarray
+    bad: np.ndarray
     beta: float
     threshold: float
     n: int
 
     def __post_init__(self):
-        if self.good & self.bad or self.good | self.bad != frozenset(range(self.n)):
+        if not (_is_mask(self.good, self.n) and _is_mask(self.bad, self.n)
+                and np.array_equal(self.good, ~self.bad)):
             raise ValueError("good and bad must partition the index range")
 
 
@@ -300,9 +306,8 @@ def _threshold(n: int, beta: float) -> float:
 def select_sets(pr: PolarizationResult, beta: float) -> GoodBadSets:
     """Split indices at the threshold (1/n) 2^(-n^beta); ties go to bad."""
     threshold = _threshold(pr.n, beta)
-    good = frozenset(int(i) for i in np.flatnonzero(pr.z < threshold))
-    bad = frozenset(range(pr.n)) - good
-    return GoodBadSets(good=good, bad=bad, beta=beta, threshold=threshold, n=pr.n)
+    good = pr.z < threshold
+    return GoodBadSets(good, ~good, beta, threshold, pr.n)
 
 
 def error_bound(n: int, beta: float) -> float:
@@ -351,12 +356,12 @@ def _sc_decode_block(lam, frozen_mask, frozen_values):
     return np.concatenate([u_first, u_second], axis=1), x
 
 
-def _resolve_frozen(n: int, bad: frozenset, frozen_values) -> np.ndarray:
+def _resolve_frozen(n: int, bad: np.ndarray, frozen_values) -> np.ndarray:
     values = np.zeros(n, dtype=np.uint8)
     if frozen_values is None:
         return values
     if isinstance(frozen_values, dict):
-        missing = bad - set(frozen_values)
+        missing = set(np.flatnonzero(bad).tolist()) - set(frozen_values)
         if missing:
             raise ValueError(f"missing frozen values for indices {sorted(missing)}")
         for idx, bit in frozen_values.items():
@@ -377,7 +382,7 @@ def sc_decode(likelihoods, sets: GoodBadSets, frozen_values=None) -> np.ndarray:
         Per-position ratios P(y|0)/P(y|1); np.inf marks certainty of bit 0,
         0 certainty of bit 1, and 1 a complete erasure. NaN is rejected.
     sets : GoodBadSets
-        Good (information) and bad (frozen) index sets.
+        Good (information) and bad (frozen) index masks.
     frozen_values : None | dict | array, optional
         Bits forced at the bad indices; defaults to all zero.
 
@@ -396,9 +401,7 @@ def sc_decode(likelihoods, sets: GoodBadSets, frozen_values=None) -> np.ndarray:
         raise ValueError("likelihood ratios must be nonnegative and not NaN")
     with np.errstate(divide="ignore"):
         log_lam = np.clip(np.log(lam), -LLR_CLIP, LLR_CLIP)
-    frozen_mask = np.zeros(sets.n, dtype=bool)
-    frozen_mask[sorted(sets.bad)] = True
-    bits, _ = _sc_decode_block(log_lam, frozen_mask,
+    bits, _ = _sc_decode_block(log_lam, sets.bad,
                                _resolve_frozen(sets.n, sets.bad, frozen_values))
     return bits[0] if single else bits
 
@@ -432,21 +435,22 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
                             batch_size: int = 2048) -> MonteCarloResult:
     """Estimate the average block error rate over uniform messages.
 
-    Each trial draws from its own (seed, trial_index) stream, so estimates
-    are reproducible and independent of batching or execution order.
+    ``info_set`` is a bool mask of length n or an array of indices. Each
+    trial draws from its own (seed, trial_index) stream, so estimates are
+    reproducible and independent of batching or execution order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     k = int(math.log2(n))
     if 2 ** k != n:
         raise ValueError(f"block length must be a power of 2, got {n}")
-    info = sorted(int(i) for i in info_set)
-    if any(i < 0 or i >= n for i in info):
+    sel = np.asarray(info_set)
+    if sel.dtype != bool and np.any((sel < 0) | (sel >= n)):
         raise ValueError("info set indices out of range")
-    bad = frozenset(range(n)) - frozenset(info)
-    frozen = _resolve_frozen(n, bad, frozen_values)
-    frozen_mask = np.zeros(n, dtype=bool)
-    frozen_mask[sorted(bad)] = True
+    info = np.zeros(n, dtype=bool)
+    info[sel] = True
+    info_size = np.count_nonzero(info)
+    frozen = _resolve_frozen(n, ~info, frozen_values)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = w.w[0] / w.w[1]
@@ -460,17 +464,15 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
         lam = np.empty((count, n))
         for j in range(count):
             rng = trial_rng(seed, done + j)
-            if info:
-                messages[j, info] = rng.integers(0, 2, size=len(info))
+            messages[j, info] = rng.integers(0, 2, size=info_size)
             y = _sample_outputs(w, _encode_block(messages[j][None, :])[0], rng)
             lam[j] = ratio[y]
         log_lam = np.clip(np.log(lam, where=lam > 0,
                                  out=np.full_like(lam, -np.inf)),
                           -LLR_CLIP, LLR_CLIP)
-        decoded, _ = _sc_decode_block(log_lam, frozen_mask, frozen)
-        if info:
-            errors += int(np.sum(np.any(decoded[:, info] != messages[:, info],
-                                        axis=1)))
+        decoded, _ = _sc_decode_block(log_lam, ~info, frozen)
+        errors += int(np.sum(np.any(decoded[:, info] != messages[:, info],
+                                    axis=1)))
         done += count
     return MonteCarloResult(trials=trials, errors=errors,
                             block_error_rate=errors / trials)
@@ -524,8 +526,7 @@ def beta_from_partial_distances(k: int) -> PartialDistanceReport:
 # ---------------------------------------------------------------------------
 
 def polarization_rows(pr: PolarizationResult, sets: GoodBadSets):
-    """Rows (index, z, set-label) for CSV export."""
+    """Columns (index, z, set-label) for CSV export."""
     if sets.n != pr.n:
         raise ValueError("sets and polarization result disagree on n")
-    return [(i, float(pr.z[i]), "good" if i in sets.good else "bad")
-            for i in range(pr.n)]
+    return np.arange(pr.n), pr.z, np.where(sets.good, "good", "bad")

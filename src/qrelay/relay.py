@@ -16,7 +16,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .codeword_sets import IndexSetPartition
+from .codeword_sets import IndexSetPartition, set_size
 from .density_ops import (KrausChannel, compose_channels, cq_from_kraus,
                           symmetric_cq_capacity)
 from .polar_core import BDMC, symmetric_capacity, trial_rng
@@ -256,8 +256,8 @@ def relay_private_capacity(part: IndexSetPartition) -> float:
     Because good_phase is the disjoint union of p2 and s_in, this always
     equals |s_in|/n; both forms are evaluated and must agree exactly.
     """
-    via_phase = len(part.good_phase) - len(part.p2)
-    if via_phase != len(part.s_in):
+    via_phase = set_size(part.good_phase) - set_size(part.p2)
+    if via_phase != set_size(part.s_in):
         raise AssertionError("good_phase decomposition violated")
     return via_phase / part.n
 
@@ -279,7 +279,7 @@ def simulate_relay(spec: RelayChannelSpec, trials: int,
         raise ValueError(f"trials must be >= 1, got {trials}")
     successes = sum(trial_rng(seed, t).random() < spec.p_e2
                     for t in range(trials))
-    size = float(len(spec.partition.s_in))
+    size = float(set_size(spec.partition.s_in))
     return RelayTrialResult(
         trials=trials,
         successes=successes,
@@ -290,12 +290,12 @@ def simulate_relay(spec: RelayChannelSpec, trials: int,
 
 def expected_throughput(spec: RelayChannelSpec) -> float:
     """Expected decodable private indices per block: p_e2 * |s_in|."""
-    return spec.p_e2 * len(spec.partition.s_in)
+    return spec.p_e2 * set_size(spec.partition.s_in)
 
 
 def simulation_rows(spec: RelayChannelSpec, result: RelayTrialResult):
     """Single CSV row matching the simulation export schema."""
-    s_in = len(spec.partition.s_in)
+    s_in = set_size(spec.partition.s_in)
     return [(spec.p_e2, result.trials, result.successes,
              result.empirical_success_rate, expected_throughput(spec),
              0.5 * s_in)]

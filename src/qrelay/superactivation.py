@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .codeword_sets import IndexSetPartition
+from .codeword_sets import IndexSetPartition, set_size
 from .density_ops import (DensityMatrix, KrausChannel, bell_pair,
                           coherent_information, cq_joint_state,
                           erasure_channel, mutual_information,
@@ -249,7 +249,7 @@ def compare_assisted(p_e2: float, part: IndexSetPartition) -> AssistedComparison
     """
     if not 0.0 < p_e2 < 1.0:
         raise ValueError(f"p_e2 must lie strictly inside (0, 1), got {p_e2}")
-    size = len(part.s_in)
+    size = set_size(part.s_in)
     b_star = 0.5 * size
     b = p_e2 * size
     return AssistedComparison(p_e2=p_e2, s_in_size=size, b=b, b_star=b_star,

@@ -1,0 +1,26 @@
+"""Reference CSV row writer: the byte-identity oracle for the CLI's
+column writer. Every cell goes through ``format_cell`` and every row
+through ``",".join``."""
+
+import numpy as np
+
+
+def format_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return f"{v:.12g}"
+    return str(v)
+
+
+def csv_bytes_from_rows(header, rows) -> bytes:
+    lines = [",".join(header)]
+    lines += [",".join(format_cell(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def csv_bytes_from_columns(header, columns) -> bytes:
+    """The oracle applied to columns: arrays give their Python values."""
+    values = [c.tolist() if isinstance(c, np.ndarray) else list(c)
+              for c in columns]
+    return csv_bytes_from_rows(header, list(zip(*values)))

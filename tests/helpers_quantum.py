@@ -1,9 +1,25 @@
-"""Seeded random states, channels, and tables shared across test modules."""
+"""Seeded random states, channels, and tables, and index-mask builders,
+shared across test modules."""
 
 import numpy as np
 
+from qrelay.codeword_sets import DualPolarization, build_partition
 from qrelay.density_ops import BinaryCqChannel, DensityMatrix, KrausChannel
 from qrelay.polar_core import BDMC
+
+
+def index_mask(n, indices):
+    """Bool mask of length n with the given indices set."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(indices)] = True
+    return mask
+
+
+def make_partition(n, good_amp, good_phase):
+    """Partition of range(n) from two iterables of good indices."""
+    return build_partition(DualPolarization(
+        n=n, good_amp=index_mask(n, good_amp),
+        good_phase=index_mask(n, good_phase)))
 
 
 def random_density_matrix(dim, rng, rank=None):

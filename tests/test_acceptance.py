@@ -11,11 +11,10 @@ import sys
 
 import numpy as np
 
-from helpers_quantum import random_bdmc, random_cq_channel, random_density_matrix, \
-    random_kraus_channel
+from helpers_quantum import make_partition, random_bdmc, random_cq_channel, \
+    random_density_matrix, random_kraus_channel
 from qrelay.cli import load_config, run
-from qrelay.codeword_sets import (DualPolarization, build_partition,
-                                  eve_capacity, r_sym_nondegraded)
+from qrelay.codeword_sets import eve_capacity, r_sym_nondegraded, set_size
 from qrelay.density_ops import (BinaryCqChannel, DensityMatrix, apply_kraus,
                                 bit_flip_channel, compose_channels,
                                 cq_joint_state, dephasing_channel,
@@ -34,11 +33,6 @@ from qrelay.superactivation import (build_switch_channel, compare_assisted,
 
 def report(criterion, detail):
     print(f"criterion {criterion}: PASS ({detail})")
-
-
-def make_partition(n, good_amp, good_phase):
-    return build_partition(DualPolarization(
-        n=n, good_amp=frozenset(good_amp), good_phase=frozenset(good_phase)))
 
 
 def test_c01_bec_conservation_and_recursion_oracle():
@@ -93,14 +87,15 @@ def test_c03_sc_decoder_block_error_bound():
 def test_c04_set_algebra_identities_exact():
     def check(part):
         classes = (part.s_in, part.p1, part.p2, part.b)
-        assert sum(map(len, classes)) == part.n
-        assert frozenset().union(*classes) == frozenset(range(part.n))
-        assert (len(part.s_in) - len(part.b)
-                == len(part.good_amp) + len(part.good_phase) - part.n)
-        assert r_sym_nondegraded(part) == len(part.s_in) / part.n
-        assert relay_private_capacity(part) == len(part.s_in) / part.n
-        assert part.good_phase == part.p2 | part.s_in
-        assert not (part.p2 & part.s_in)
+        assert sum(map(set_size, classes)) == part.n
+        assert np.logical_or.reduce(classes).all()
+        assert (set_size(part.s_in) - set_size(part.b)
+                == set_size(part.good_amp) + set_size(part.good_phase)
+                - part.n)
+        assert r_sym_nondegraded(part) == set_size(part.s_in) / part.n
+        assert relay_private_capacity(part) == set_size(part.s_in) / part.n
+        assert np.array_equal(part.good_phase, part.p2 | part.s_in)
+        assert not (part.p2 & part.s_in).any()
         eve_capacity(part)  # must never raise
 
     # exhaustive over every good-set pair for small blocks
@@ -124,8 +119,8 @@ def test_c04_set_algebra_identities_exact():
                     amp = set(range(a))
                     phase = set(range(i)) | set(range(a, a + g - i))
                     part = make_partition(n, amp, phase)
-                    assert (len(part.s_in), len(part.good_amp & part.good_phase)) \
-                        == (i, i)
+                    both = part.good_amp & part.good_phase
+                    assert (set_size(part.s_in), set_size(both)) == (i, i)
                     check(part)
                     triples += 1
 
@@ -175,7 +170,7 @@ def test_c06_bound_shape_on_grid():
 
 def test_c07_advantage_threshold_and_throughput():
     part = make_partition(1024, range(640), range(128, 768))
-    s_in = len(part.s_in)
+    s_in = set_size(part.s_in)
     assert s_in == 512
     for i in range(1, 100):
         p = i / 100.0

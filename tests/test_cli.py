@@ -1,14 +1,25 @@
 """Tests for config loading, the experiment runner, and reproducibility."""
 
+import hashlib
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from qrelay.cli import (ConfigError, build_classical_channel,
-                        build_quantum_channel, load_config, main,
-                        render_report, run)
+from helpers_csv import csv_bytes_from_columns
+from qrelay.cli import (CSV_BLOCK_ROWS, ConfigError, _write_csv,
+                        build_classical_channel, build_quantum_channel,
+                        load_config, main, render_report, run)
+
+# SHA-256 of the k = 20 outputs of polarize on BEC(0.3) and of sets on
+# BEC(0.3)/BEC(0.4), both at beta = 0.35.
+POLARIZATION_K20_SHA256 = (
+    "0cad72e4d89d1eef6ee87e70c7ea547589356b1577b75b353453e7a471e6b8ea")
+PARTITION_K20_SHA256 = (
+    "f9b9c2b282f435c068d9a55092b55499ab51841b97a7ce32e3ccc251a7896659")
 
 
 def write_config(tmp_path, name, payload):
@@ -193,7 +204,8 @@ def test_run_superactivate_bound_report(tmp_path):
 def test_render_report_empty_manifest():
     from qrelay.cli import RunManifest
     manifest = RunManifest(command="polarize", config={}, version="0",
-                           duration_seconds=0.0, outputs=[], output_dir=".")
+                           duration_seconds=0.0, outputs=[], output_dir=".",
+                           counters={})
     assert "no outputs" in render_report(manifest)
 
 
@@ -203,7 +215,7 @@ def test_render_report_missing_file(tmp_path):
                            duration_seconds=0.0,
                            outputs=[{"path": str(tmp_path / "gone.csv"),
                                      "sha256": "0"}],
-                           output_dir=str(tmp_path))
+                           output_dir=str(tmp_path), counters={})
     with pytest.raises(ValueError, match="missing output"):
         render_report(manifest)
 
@@ -216,6 +228,97 @@ def test_manifest_written(tmp_path):
     assert on_disk["command"] == "polarize"
     assert on_disk["outputs"] == manifest.outputs
     assert on_disk["version"] == manifest.version
+    assert on_disk["counters"] == manifest.counters
+
+
+def _csv_counts(path, column):
+    labels = [line.split(",")[column] for line in
+              open(path, encoding="utf-8").read().strip().split("\n")[1:]]
+    return {label: labels.count(label) for label in set(labels)}
+
+
+def test_manifest_counters_match_outputs(tmp_path):
+    # the report renders from these counts instead of re-reading the CSV
+    cfg = load_config(polarize_config(tmp_path, k=8), command="polarize",
+                      output_dir=str(tmp_path / "p"))
+    manifest = run(cfg)
+    counts = _csv_counts(manifest.outputs[0]["path"], 2)
+    assert manifest.counters == {"n": 256, "size_good": counts["good"],
+                                 "size_bad": counts["bad"]}
+    assert (f"n = 256, |good| = {counts['good']}, |bad| = {counts['bad']}, "
+            f"capacity estimate = {counts['good'] / 256:.6g}"
+            in render_report(manifest))
+
+    cfg = load_config(dual_config(tmp_path, k=8), command="sets",
+                      output_dir=str(tmp_path / "s"))
+    manifest = run(cfg)
+    counts = _csv_counts(manifest.outputs[0]["path"], 1)
+    sizes = {f"size_{name.lower()}": counts.get(name, 0)
+             for name in ("S_in", "P1", "P2", "B")}
+    assert manifest.counters == {"n": 256, **sizes}
+    assert ", ".join(f"|{name}| = {counts.get(name, 0)}"
+                     for name in ("S_in", "P1", "P2", "B")) \
+        in render_report(manifest)
+
+    cfg = load_config(dual_config(tmp_path, name="cap.json", k=8),
+                      command="capacity", output_dir=str(tmp_path / "c"))
+    manifest = run(cfg)
+    assert manifest.counters == {"n": 256, **sizes}
+
+
+def test_run_k20_outputs_match_pinned_digests(tmp_path):
+    cases = (("polarize", polarize_config(
+                 tmp_path, channel={"kind": "bec", "epsilon": 0.3}, k=20,
+                 beta=0.35), POLARIZATION_K20_SHA256),
+             ("sets", dual_config(tmp_path, k=20, beta=0.35),
+              PARTITION_K20_SHA256))
+    for command, path, want in cases:
+        cfg = load_config(path, command=command,
+                          output_dir=str(tmp_path / command))
+        (entry,) = run(cfg).outputs
+        with open(entry["path"], "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == want
+        assert entry["sha256"] == want
+
+
+# ---------------------------------------------------------------------------
+# CSV writer
+# ---------------------------------------------------------------------------
+
+SPECIAL_FLOATS = [0.0, 1.0, 5e-324, 1e-300, 0.1 + 0.2, 1.0 - 2.0 ** -53,
+                  -0.0, -1.5e300, 123456789012.5, 1e16, math.inf, -math.inf,
+                  math.nan]
+
+
+def _writer_columns(rows, rng):
+    floats = rng.random(rows) * 10.0 ** rng.integers(-320, 300, size=rows)
+    floats[:min(rows, len(SPECIAL_FLOATS))] = SPECIAL_FLOATS[:rows]
+    mixed = [(True, 7, 0.25, "x", None)[i % 5] for i in range(rows)]
+    return (np.arange(rows), rng.integers(-2 ** 62, 2 ** 62, size=rows),
+            np.arange(rows, dtype=np.uint8), floats, rng.random(rows),
+            rng.random(rows).astype(np.float32), rng.random(rows) < 0.5,
+            np.where(rng.random(rows) < 0.5, "good", "bad"),
+            [float(v) for v in rng.random(rows)], mixed)
+
+
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                  CSV_BLOCK_ROWS + 1])
+def test_write_csv_matches_row_oracle(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    columns = _writer_columns(rows, rng)
+    header = tuple(f"c{i}" for i in range(len(columns)))
+    path = tmp_path / "out.csv"
+    digest = _write_csv(path, header, columns)
+    want = csv_bytes_from_columns(header, columns)
+    assert path.read_bytes() == want
+    assert digest == hashlib.sha256(want).hexdigest()
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="equal-length"):
+        _write_csv(tmp_path / "r.csv", ("a", "b"), (np.arange(3), [1, 2]))
+    with pytest.raises(ValueError, match="equal-length"):
+        _write_csv(tmp_path / "r.csv", ("a", "b"), (np.arange(3),))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_quantum import index_mask, make_partition
 from qrelay.codeword_sets import (DualPolarization, IndexSetPartition,
                                   build_partition, codeword_threshold_sets,
                                   eve_capacity, from_polarizations,
                                   nondegraded_phase_margin, partition_rows,
                                   pauli_induced_channels, p_sym_degraded,
                                   p_sym_nondegraded, rate_report,
-                                  r_sym_nondegraded)
+                                  r_sym_nondegraded, set_size)
 from qrelay.polar_core import BDMC, polarize
 
 
@@ -20,9 +21,16 @@ def subset_pair(n=16):
     return st.tuples(st.just(n), indices, indices)
 
 
-def make_partition(n, good_amp, good_phase):
-    return build_partition(DualPolarization(
-        n=n, good_amp=frozenset(good_amp), good_phase=frozenset(good_phase)))
+def indices(mask):
+    return set(np.flatnonzero(mask).tolist())
+
+
+def partition_oracle(n, good_amp, good_phase):
+    """Frozenset set algebra for the four classes."""
+    amp, phase, full = frozenset(good_amp), frozenset(good_phase), \
+        frozenset(range(n))
+    return {"s_in": amp & phase, "p1": amp - phase, "p2": phase - amp,
+            "b": full - (amp | phase)}
 
 
 # ---------------------------------------------------------------------------
@@ -31,16 +39,30 @@ def make_partition(n, good_amp, good_phase):
 
 def test_partition_all_good():
     part = make_partition(8, range(8), range(8))
-    assert part.s_in == frozenset(range(8))
-    assert not part.p1 and not part.p2 and not part.b
+    assert indices(part.s_in) == set(range(8))
+    assert not (part.p1.any() or part.p2.any() or part.b.any())
 
 
 def test_partition_disjoint_goods():
     part = make_partition(8, {0, 1, 2}, {5, 6})
-    assert not part.s_in
-    assert part.p1 == frozenset({0, 1, 2})
-    assert part.p2 == frozenset({5, 6})
-    assert part.b == frozenset({3, 4, 7})
+    assert not part.s_in.any()
+    assert indices(part.p1) == {0, 1, 2}
+    assert indices(part.p2) == {5, 6}
+    assert indices(part.b) == {3, 4, 7}
+
+
+def test_build_partition_matches_frozenset_oracle():
+    rng = np.random.default_rng(20)
+    for _ in range(50):
+        n = int(rng.integers(1, 300))
+        amp = np.flatnonzero(rng.random(n) < rng.random()).tolist()
+        phase = np.flatnonzero(rng.random(n) < rng.random()).tolist()
+        part = make_partition(n, amp, phase)
+        for name, want in partition_oracle(n, amp, phase).items():
+            got = getattr(part, name)
+            assert got.dtype == bool and got.shape == (n,)
+            assert indices(got) == want
+            assert set_size(got) == len(want)
 
 
 @settings(max_examples=300)
@@ -49,17 +71,16 @@ def test_partition_invariants_random(args):
     n, good_amp, good_phase = args
     part = make_partition(n, good_amp, good_phase)
     classes = [part.s_in, part.p1, part.p2, part.b]
-    assert sum(len(c) for c in classes) == n
-    union = frozenset().union(*classes)
-    assert union == frozenset(range(n))
+    assert sum(set_size(c) for c in classes) == n
+    assert np.logical_or.reduce(classes).all()
     for i, a in enumerate(classes):
         for b in classes[i + 1:]:
-            assert not (a & b)
+            assert not (a & b).any()
     # reconstruction of the originating splits
-    assert part.good_amp == frozenset(good_amp)
-    assert part.good_phase == frozenset(good_phase)
-    assert part.good_phase == part.p2 | part.s_in
-    assert not (part.p2 & part.s_in)
+    assert indices(part.good_amp) == good_amp
+    assert indices(part.good_phase) == good_phase
+    assert np.array_equal(part.good_phase, part.p2 | part.s_in)
+    assert not (part.p2 & part.s_in).any()
 
 
 @settings(max_examples=200)
@@ -68,12 +89,12 @@ def test_rate_identities_random(args):
     n, good_amp, good_phase = args
     part = make_partition(n, good_amp, good_phase)
     # inclusion-exclusion form agrees exactly
-    direct = len(part.s_in) - len(part.b)
+    direct = set_size(part.s_in) - set_size(part.b)
     assert direct == len(good_amp) + len(good_phase) - n
     # the four-term rate always collapses to the private fraction
-    assert r_sym_nondegraded(part) == len(part.s_in) / n
+    assert r_sym_nondegraded(part) == set_size(part.s_in) / n
     # the relay-hop difference form equals the private fraction
-    assert (len(part.good_phase) - len(part.p2)) == len(part.s_in)
+    assert set_size(part.good_phase) - set_size(part.p2) == set_size(part.s_in)
 
 
 @settings(max_examples=200)
@@ -82,18 +103,31 @@ def test_monotonicity_in_good_amp(args, extra):
     n, good_amp, good_phase = args
     small = make_partition(n, good_amp, good_phase)
     large = make_partition(n, set(good_amp) | set(extra), good_phase)
-    assert small.s_in <= large.s_in
+    assert not (small.s_in & ~large.s_in).any()
 
 
 def test_partition_validation():
+    with pytest.raises(ValueError):  # overlap
+        IndexSetPartition(n=2, s_in=index_mask(2, {0}), p1=index_mask(2, {0}),
+                          p2=index_mask(2, ()), b=index_mask(2, {1}))
+    with pytest.raises(ValueError):  # gap
+        IndexSetPartition(n=3, s_in=index_mask(3, {0}), p1=index_mask(3, {1}),
+                          p2=index_mask(3, ()), b=index_mask(3, ()))
+    with pytest.raises(ValueError):  # overlap hiding a gap: sizes sum to n
+        IndexSetPartition(n=2, s_in=index_mask(2, {0}), p1=index_mask(2, {0}),
+                          p2=index_mask(2, ()), b=index_mask(2, ()))
+    with pytest.raises(ValueError):  # wrong length
+        IndexSetPartition(n=2, s_in=index_mask(3, {0}), p1=index_mask(3, {1}),
+                          p2=index_mask(3, ()), b=index_mask(3, {2}))
+    with pytest.raises(ValueError):  # not a bool mask
+        IndexSetPartition(n=2, s_in=np.array([1, 0]), p1=np.array([0, 1]),
+                          p2=index_mask(2, ()), b=index_mask(2, ()))
     with pytest.raises(ValueError):
-        IndexSetPartition(n=2, s_in=frozenset({0}), p1=frozenset({0}),
-                          p2=frozenset(), b=frozenset({1}))
+        DualPolarization(n=4, good_amp=index_mask(8, {7}),
+                         good_phase=index_mask(4, ()))
     with pytest.raises(ValueError):
-        IndexSetPartition(n=3, s_in=frozenset({0}), p1=frozenset({1}),
-                          p2=frozenset(), b=frozenset())
-    with pytest.raises(ValueError):
-        DualPolarization(n=4, good_amp=frozenset({7}), good_phase=frozenset())
+        DualPolarization(n=4, good_amp=frozenset({1}),
+                         good_phase=index_mask(4, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +165,7 @@ def test_dual_bec_partition_matches_recursion_oracle():
     good_amp = set(np.flatnonzero(bec_z(0.3, k) < threshold))
     good_phase = set(np.flatnonzero(bec_z(0.4, k) < threshold))
     assert p_sym_degraded(part) == len(good_amp & good_phase) / n
+    assert indices(part.s_in) == good_amp & good_phase
 
 
 def test_phase_margin():
@@ -170,7 +205,7 @@ def test_eve_capacity_forms_agree_iff_b_empty():
     assert exact.forms_agree and exact.c_bob == exact.c_bob_sp2
     loose = eve_capacity(make_partition(8, range(4), range(2, 6)))
     assert not loose.forms_agree
-    assert loose.c_bob - loose.c_bob_sp2 == len(
+    assert loose.c_bob - loose.c_bob_sp2 == set_size(
         make_partition(8, range(4), range(2, 6)).b) / 8
 
 
@@ -184,8 +219,8 @@ def test_eve_capacity_exhaustive_small_blocks():
                 part = make_partition(n, amp, phase)
                 inter = bin(amp_mask & phase_mask).count("1")
                 union = bin(amp_mask | phase_mask).count("1")
-                assert len(part.s_in) == inter
-                assert len(part.b) == n - union
+                assert set_size(part.s_in) == inter
+                assert set_size(part.b) == n - union
                 report = eve_capacity(part)
                 assert report.eve_section_e2d == inter / n
                 assert report.eve_section_e1e2 == bin(phase_mask).count("1") / n
@@ -198,9 +233,9 @@ def test_eve_capacity_exhaustive_small_blocks():
 def test_threshold_sets_extremes():
     n = 8
     s_bob, s_eve = codeword_threshold_sets(np.zeros(n), np.ones(n), 0.3)
-    assert s_bob == frozenset(range(n)) and s_eve == frozenset(range(n))
+    assert indices(s_bob) == set(range(n)) and indices(s_eve) == set(range(n))
     s_bob, _ = codeword_threshold_sets(np.full(n, 0.5), np.zeros(n), 0.3)
-    assert not s_bob
+    assert s_bob.dtype == bool and s_bob.shape == (n,) and not s_bob.any()
 
 
 def test_threshold_sets_degraded_pair():
@@ -211,7 +246,7 @@ def test_threshold_sets_degraded_pair():
     threshold = (1.0 / 64) * 2.0 ** (-(64 ** 0.4))
     want_bob = {int(i) for i in np.flatnonzero(z_bob < threshold)}
     want_eve = {int(i) for i in np.flatnonzero(z_eve >= 1 - threshold)}
-    assert s_bob == want_bob and s_eve == want_eve
+    assert indices(s_bob) == want_bob and indices(s_eve) == want_eve
 
 
 def test_threshold_sets_validation():
@@ -239,7 +274,6 @@ def test_pauli_induced_channels():
 
 def test_partition_rows_cover_block():
     part = make_partition(6, {0, 1}, {1, 2})
-    rows = partition_rows(part)
-    assert [r[0] for r in rows] == list(range(6))
-    assert rows[1][1] == "S_in" and rows[0][1] == "P1"
-    assert rows[2][1] == "P2" and rows[5][1] == "B"
+    index, labels = partition_rows(part)
+    assert index.tolist() == list(range(6))
+    assert labels.tolist() == ["P1", "S_in", "P2", "B", "B", "B"]

@@ -1,12 +1,13 @@
 """Tests for generator matrices, combining, polarization, and SC decoding."""
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from helpers_quantum import random_bdmc
+from helpers_quantum import index_mask, random_bdmc
 from qrelay.polar_core import (BDMC, GoodBadSets, PolarizationResult,
                                beta_from_partial_distances, bhattacharyya,
                                combine_bad, combine_good, error_bound,
@@ -306,10 +307,11 @@ def test_polarization_result_validation():
 def test_select_sets_extremes():
     all_zero = PolarizationResult(n=8, z=np.zeros(8))
     sets = select_sets(all_zero, 0.4)
-    assert sets.good == frozenset(range(8)) and not sets.bad
+    assert sets.good.dtype == bool and sets.good.shape == (8,)
+    assert sets.good.all() and not sets.bad.any()
     all_one = PolarizationResult(n=8, z=np.ones(8))
     sets = select_sets(all_one, 0.4)
-    assert sets.bad == frozenset(range(8)) and not sets.good
+    assert sets.bad.all() and not sets.good.any()
 
 
 def test_select_sets_beta_validation():
@@ -323,7 +325,8 @@ def test_select_sets_tie_goes_to_bad():
     threshold = 0.5 * 2.0 ** (-(2 ** 0.4))
     pr = PolarizationResult(n=2, z=np.array([threshold, threshold / 2]))
     sets = select_sets(pr, 0.4)
-    assert 0 in sets.bad and 1 in sets.good
+    assert sets.bad.tolist() == [True, False]
+    assert sets.good.tolist() == [False, True]
 
 
 def test_select_sets_bec_half_large_block():
@@ -332,14 +335,23 @@ def test_select_sets_bec_half_large_block():
     # independent recursion oracle
     z = bec_recursion_oracle(0.5, 12)
     threshold = (1.0 / 4096) * 2.0 ** (-(4096 ** 0.45))
-    assert len(sets.good) == int(np.sum(z < threshold))
-    assert len(sets.good) / 4096 <= 0.5  # capacity ceiling
+    assert np.array_equal(sets.good, z < threshold)
+    assert np.count_nonzero(sets.good) / 4096 <= 0.5  # capacity ceiling
 
 
 def test_good_bad_sets_partition_enforced():
-    with pytest.raises(ValueError):
-        GoodBadSets(good=frozenset({0}), bad=frozenset({0, 1}), beta=0.4,
-                    threshold=0.1, n=2)
+    with pytest.raises(ValueError):  # overlap
+        GoodBadSets(good=index_mask(2, {0}), bad=index_mask(2, {0, 1}),
+                    beta=0.4, threshold=0.1, n=2)
+    with pytest.raises(ValueError):  # gap
+        GoodBadSets(good=index_mask(2, {0}), bad=index_mask(2, ()),
+                    beta=0.4, threshold=0.1, n=2)
+    with pytest.raises(ValueError):  # wrong length
+        GoodBadSets(good=index_mask(3, {0}), bad=index_mask(3, {1, 2}),
+                    beta=0.4, threshold=0.1, n=2)
+    with pytest.raises(ValueError):  # not bool masks
+        GoodBadSets(good=np.array([1, 0]), bad=np.array([0, 1]),
+                    beta=0.4, threshold=0.1, n=2)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +385,8 @@ def _noiseless_likelihoods(codeword):
 
 
 def _sets_from_info(n, info):
-    good = frozenset(info)
-    return GoodBadSets(good=good, bad=frozenset(range(n)) - good, beta=0.25,
-                       threshold=0.0, n=n)
+    good = index_mask(n, info)
+    return GoodBadSets(good=good, bad=~good, beta=0.25, threshold=0.0, n=n)
 
 
 def test_sc_decode_noiseless_recovery():
@@ -453,28 +464,68 @@ def test_sc_decode_batched_matches_single():
 
 def test_monte_carlo_noiseless_channel():
     w = BDMC([[1.0, 0.0], [0.0, 1.0]])
-    res = monte_carlo_block_error(w, 64, range(64), trials=200, seed=1)
+    res = monte_carlo_block_error(w, 64, np.ones(64, dtype=bool), trials=200,
+                                  seed=1)
     assert res.errors == 0 and res.block_error_rate == 0.0
 
 
 def test_monte_carlo_single_message():
-    res = monte_carlo_block_error(BDMC.bec(0.9), 16, [], trials=100, seed=2)
+    res = monte_carlo_block_error(BDMC.bec(0.9), 16, np.zeros(16, dtype=bool),
+                                  trials=100, seed=2)
     assert res.errors == 0
 
 
 def test_monte_carlo_is_deterministic():
     w = BDMC.bec(0.3)
     pr = polarize(w, 6)
-    info = [int(i) for i in np.argsort(pr.z)[:20]]
+    info = index_mask(64, np.argsort(pr.z)[:20])
     a = monte_carlo_block_error(w, 64, info, trials=500, seed=99)
     b = monte_carlo_block_error(w, 64, info, trials=500, seed=99)
     assert a == b
 
 
+# Pinned from the frozenset implementation of the index sets: the SHA-256
+# of every decoded block below, and the error count of the MC run.
+SC_DECODE_DIGEST = (
+    "b15a7a26eed9bea6f5a40ce72a37fd80fa49206962af7f20cb9e37eeb390961c")
+MC_ERRORS_PINNED = 11
+
+
+def test_sc_decode_masks_reproduce_frozenset_results():
+    rng = np.random.default_rng(97)
+    n = 64
+    digest = hashlib.sha256()
+    for _ in range(10):
+        info = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        sets = _sets_from_info(n, info)
+        frozen = rng.integers(0, 2, size=n)
+        lam = rng.random((8, n)) * 3.0
+        as_dict = {int(i): int(frozen[i]) for i in np.flatnonzero(sets.bad)}
+        for values in (None, frozen, as_dict):
+            digest.update(sc_decode(lam, sets, frozen_values=values).tobytes())
+    assert digest.hexdigest() == SC_DECODE_DIGEST
+
+
+def test_monte_carlo_mask_matches_index_array():
+    # the information set as a mask or as an index array of the same
+    # positions, in any order, gives the pinned error count
+    w = BDMC.bec(0.4)
+    pr = polarize(w, 7)
+    order = np.argsort(pr.z, kind="stable")[:48]
+    for info in (index_mask(128, order), order, sorted(order.tolist())):
+        res = monte_carlo_block_error(w, 128, info, trials=400, seed=31)
+        assert res.errors == MC_ERRORS_PINNED
+    with pytest.raises(ValueError, match="out of range"):
+        monte_carlo_block_error(w, 128, [-1, 3], trials=1, seed=0)
+    with pytest.raises(IndexError):
+        monte_carlo_block_error(w, 128, index_mask(64, order[:4]), trials=1,
+                                seed=0)
+
+
 def test_monte_carlo_independent_of_batching():
     w = BDMC.bec(0.4)
     pr = polarize(w, 5)
-    info = [int(i) for i in np.argsort(pr.z)[:8]]
+    info = index_mask(32, np.argsort(pr.z)[:8])
     small = monte_carlo_block_error(w, 32, info, trials=300, seed=4,
                                     batch_size=7)
     large = monte_carlo_block_error(w, 32, info, trials=300, seed=4,
@@ -546,7 +597,8 @@ def test_partial_distances_level_cap():
 def test_polarization_rows_labels():
     pr = polarize(BDMC.bec(0.5), 2)
     sets = select_sets(pr, 0.4)
-    rows = polarization_rows(pr, sets)
-    assert len(rows) == 4
-    assert all(label in ("good", "bad") for _, _, label in rows)
-    assert [r[0] for r in rows] == list(range(4))
+    index, z, labels = polarization_rows(pr, sets)
+    assert index.tolist() == list(range(4))
+    assert np.array_equal(z, pr.z)
+    assert labels.tolist() == ["good" if g else "bad" for g in sets.good]
+    assert set(labels.tolist()) == {"good", "bad"}

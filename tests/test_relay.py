@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from qrelay.codeword_sets import DualPolarization, build_partition
+from helpers_quantum import make_partition
+from qrelay.codeword_sets import set_size
 from qrelay.density_ops import dephasing_channel, identity_channel
 from qrelay.polar_core import BDMC, bhattacharyya, trial_rng
 from qrelay.relay import (ClassicalRelayModel, JointDistribution,
@@ -17,11 +18,6 @@ from qrelay.relay import (ClassicalRelayModel, JointDistribution,
                           relay_capacity_min, relay_mutual_info,
                           relay_private_capacity, simulate_relay,
                           simulation_rows)
-
-
-def make_partition(n, good_amp, good_phase):
-    return build_partition(DualPolarization(
-        n=n, good_amp=frozenset(good_amp), good_phase=frozenset(good_phase)))
 
 
 def make_spec(p_e2=0.3, n=16, amp=range(8), phase=range(4, 12)):
@@ -123,8 +119,8 @@ def test_relay_capacity_min_monotone():
 def test_relay_capacity_min_from_set_fractions():
     part = make_partition(16, range(10), range(6, 16))
     n = part.n
-    c_12 = len(part.good_phase) / n
-    c_1d = len(part.p2) / n
+    c_12 = set_size(part.good_phase) / n
+    c_1d = set_size(part.p2) / n
     c_2d = relay_private_capacity(part)
     assert relay_capacity_min(c_12, c_1d, c_2d) == min(c_12, c_1d + c_2d)
     assert c_1d + c_2d == c_12  # p2 and s_in tile good_phase
@@ -133,14 +129,14 @@ def test_relay_capacity_min_from_set_fractions():
 def test_relay_private_capacity_forms():
     assert relay_private_capacity(make_partition(8, (), range(8))) == 0.0
     part = make_partition(8, range(8), range(3))
-    assert relay_private_capacity(part) == len(part.good_phase) / 8
+    assert relay_private_capacity(part) == set_size(part.good_phase) / 8
     rng = np.random.default_rng(101)
     for _ in range(1000):
         n = 12
         amp = {int(i) for i in np.flatnonzero(rng.random(n) < 0.5)}
         phase = {int(i) for i in np.flatnonzero(rng.random(n) < 0.5)}
         part = make_partition(n, amp, phase)
-        assert relay_private_capacity(part) == len(part.s_in) / n
+        assert relay_private_capacity(part) == set_size(part.s_in) / n
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +234,7 @@ def test_simulate_relay_near_certain_success():
     spec = make_spec(p_e2=1.0 - 1e-15)
     result = simulate_relay(spec, trials=500, seed=3)
     assert result.successes == 500
-    assert result.mean_codeword_size_b == len(spec.partition.s_in)
+    assert result.mean_codeword_size_b == set_size(spec.partition.s_in)
 
 
 def test_simulate_relay_near_certain_failure():
@@ -293,7 +289,7 @@ def test_simulate_relay_convergence_trend():
 
 def test_expected_throughput():
     part = make_partition(1024, range(640), range(128, 768))
-    assert len(part.s_in) == 512
+    assert set_size(part.s_in) == 512
     spec = RelayChannelSpec(n_e1e2=BDMC.bec(0.2), n_e2d=BDMC.bec(0.3),
                             n_e1d=BDMC.bec(0.6), p_e2=0.4, partition=part)
     assert expected_throughput(spec) == pytest.approx(204.8)
@@ -303,7 +299,7 @@ def test_expected_throughput():
 
 def test_expected_throughput_matches_monte_carlo():
     spec = make_spec(p_e2=0.4, n=16, amp=range(10), phase=range(4, 14))
-    s_in = len(spec.partition.s_in)
+    s_in = set_size(spec.partition.s_in)
     trials = 20000
     result = simulate_relay(spec, trials=trials, seed=21)
     empirical = result.empirical_success_rate * s_in
@@ -334,4 +330,4 @@ def test_simulation_rows_schema():
     assert p_e2 == 0.25 and trials == 100
     assert successes == result.successes and rate == result.empirical_success_rate
     assert throughput == expected_throughput(spec)
-    assert b_star == 0.5 * len(spec.partition.s_in)
+    assert b_star == 0.5 * set_size(spec.partition.s_in)

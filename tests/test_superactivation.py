@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers_quantum import coherent_info_oracle, random_density_matrix
-from qrelay.codeword_sets import DualPolarization, build_partition
+from helpers_quantum import (coherent_info_oracle, make_partition,
+                             random_density_matrix)
+from qrelay.codeword_sets import set_size
 from qrelay.density_ops import (BinaryCqChannel, DensityMatrix, apply_kraus,
                                 bit_flip_channel, coherent_information,
                                 compose_channels, dephasing_channel,
@@ -22,11 +23,6 @@ from qrelay.superactivation import (build_switch_channel, compare_assisted,
 CQ_CAPACITY_ZERO_PLUS = 0.6008760366928562  # eigendecomposition oracle value
 
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
-
-
-def make_partition(n, good_amp, good_phase):
-    return build_partition(DualPolarization(
-        n=n, good_amp=frozenset(good_amp), good_phase=frozenset(good_phase)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +288,7 @@ def test_assisted_single_use_capacity_cases():
 
 def test_compare_assisted_cases():
     part = make_partition(128, range(100), range(100))
-    assert len(part.s_in) == 100
+    assert set_size(part.s_in) == 100
     low = compare_assisted(0.3, part)
     assert low.b_star == 50.0 and low.b == pytest.approx(30.0)
     assert low.advantage
@@ -309,7 +305,7 @@ def test_compare_assisted_threshold_grid():
         cmp_ = compare_assisted(p, part)
         assert cmp_.advantage == (p < 0.5)
         # half-block form never undercuts half the private fraction
-        assert cmp_.b_star >= 0.5 * len(part.s_in)
+        assert cmp_.b_star >= 0.5 * set_size(part.s_in)
 
 
 def test_compare_assisted_validation():
