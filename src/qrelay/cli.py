@@ -426,7 +426,9 @@ def _cmd_relay_sim(cfg: ExperimentConfig):
     header = ("p_e2", "trials", "successes", "rate", "expected_throughput",
               "b_star_throughput")
     columns = list(zip(*simulation_rows(spec, result)))
-    return [("relay_sim.csv", header, columns)], {}
+    return ([("relay_sim.csv", header, columns)],
+            {**_class_sizes(part), "trials": result.trials,
+             "successes": result.successes})
 
 
 SWEEP_HEADER = ("p", "i_coh_joint", "term_mm", "term_me", "term_em",

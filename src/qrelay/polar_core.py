@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -225,20 +225,19 @@ def symmetric_capacity(w: BDMC) -> float:
 
 def merge_equal_likelihood_outputs(w: BDMC) -> BDMC:
     """Lossless alphabet reduction: pool output symbols with exactly equal
-    likelihood ratios and drop zero-probability symbols."""
+    likelihood ratios and drop zero-probability symbols.
+
+    Pooled columns appear in increasing ratio order (np.inf for outputs
+    that rule out input 1), each summed in output order.
+    """
     w0, w1 = w.w[0], w.w[1]
-    groups: Dict[float, np.ndarray] = {}
-    for y in range(w.output_alphabet_size):
-        p0, p1 = w0[y], w1[y]
-        if p0 == 0.0 and p1 == 0.0:
-            continue
-        ratio = np.inf if p1 == 0.0 else p0 / p1
-        if ratio in groups:
-            groups[ratio] = groups[ratio] + np.array([p0, p1])
-        else:
-            groups[ratio] = np.array([p0, p1])
-    cols = [groups[r] for r in sorted(groups)]
-    table = np.stack(cols, axis=1)
+    seen = (w0 != 0.0) | (w1 != 0.0)
+    p0, p1 = w0[seen], w1[seen]
+    ratio = np.full_like(p0, np.inf)
+    np.divide(p0, p1, out=ratio, where=p1 != 0.0)
+    keys, group = np.unique(ratio, return_inverse=True)
+    table = np.vstack([np.bincount(group, weights=p0, minlength=len(keys)),
+                       np.bincount(group, weights=p1, minlength=len(keys))])
     table /= table.sum(axis=1, keepdims=True)
     return BDMC(table)
 
@@ -412,22 +411,111 @@ def sc_decode(likelihoods, sets: GoodBadSets, frozen_values=None) -> np.ndarray:
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Independent counter-based stream for one trial: a Philox generator
-    keyed by the run seed, advanced to a trial-specific counter block."""
+    keyed by the run seed, advanced to a trial-specific counter block.
+
+    This defines the stream contract; ``trial_words`` evaluates the same
+    raw words for many trials at once.
+    """
     bg = np.random.Philox(key=np.uint64(seed))
     bg.advance(int(trial_index) << 64)
     return np.random.Generator(bg)
 
 
-def _sample_outputs(w: BDMC, codeword: np.ndarray, rng) -> np.ndarray:
-    """Sample one output symbol per codeword bit from the transition table."""
+# Philox4x64-10 as in numpy's Philox bit generator (Salmon et al., SC'11)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_PHILOX_SLICE = 2 ** 14  # counter blocks evaluated per numpy pass
+_U64 = 2 ** 64
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray):
+    """High and low 64-bit words of the 128-bit products m * x."""
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    ll = x_lo * m_lo
+    hl = x_hi * m_lo
+    cross = (ll >> _SHIFT32) + (hl & _LOW32) + x_lo * m_hi  # < 2^64
+    hi = x_hi * m_hi + (hl >> _SHIFT32) + (cross >> _SHIFT32)
+    return hi, x * m
+
+
+def _philox_blocks(key: int, c0: np.ndarray, c1: np.ndarray):
+    """The four output words of Philox4x64-10 at counters (c0, c1, 0, 0)."""
+    x0, x1 = c0, c1
+    x2 = x3 = np.zeros_like(c0)
+    k0, k1 = int(key), 0
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) % _U64
+            k1 = (k1 + _PHILOX_W[1]) % _U64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = (hi1 ^ x1 ^ np.uint64(k0), lo1,
+                          hi0 ^ x3 ^ np.uint64(k1), lo0)
+    return x0, x1, x2, x3
+
+
+def trial_words(seed: int, first: int, count: int, words: int) -> np.ndarray:
+    """Raw outputs 0..words-1 of ``trial_rng(seed, t)`` for the trials
+    t = first, ..., first + count - 1, as a (count, words) uint64 array.
+
+    Stream t is keyed by (seed, 0); ``advance(t << 64)`` puts t in counter
+    word 1, and each refill of four outputs first increments word 0, so
+    outputs 4(b-1)..4b-1 come from counter (b, t, 0, 0), b = 1, 2, ....
+    Counters are evaluated in bounded slices.
+    """
+    if not 0 <= seed < _U64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    if first < 0 or count < 0 or first + count > _U64:
+        raise ValueError(f"trials [{first}, {first + count}) out of range")
+    blocks = -(-words // 4)
+    out = np.empty((count * blocks, 4), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for start in range(0, count * blocks, _PHILOX_SLICE):
+            flat = np.arange(start, min(start + _PHILOX_SLICE, count * blocks),
+                             dtype=np.uint64)
+            c0 = flat % np.uint64(blocks) + np.uint64(1)
+            c1 = flat // np.uint64(blocks) + np.uint64(first)
+            for j, word in enumerate(_philox_blocks(seed, c0, c1)):
+                out[start:start + len(flat), j] = word
+    return out.reshape(count, 4 * blocks)[:, :words]
+
+
+def uniforms(raw: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from raw words, as ``Generator.random()``."""
+    return (raw >> np.uint64(11)) * 2.0 ** -53
+
+
+def _mc_batch(w: BDMC, info: np.ndarray, frozen: np.ndarray,
+              ratio: np.ndarray, seed: int, first: int, count: int):
+    """Messages and channel likelihood ratios of trials first..first+count-1.
+
+    Each trial draws its message bits as ``Generator.integers(0, 2, m)``
+    does on Philox (the top bit of each 32-bit half, low half first) and
+    then n uniforms for the channel outputs, from its own stream.
+    """
+    n = len(info)
+    m = int(np.count_nonzero(info))
+    half = -(-m // 2)
+    raw = trial_words(seed, first, count, half + n)
+    halves = np.empty((count, 2 * half), dtype=np.uint8)
+    halves[:, 0::2] = (raw[:, :half] >> np.uint64(31)) & np.uint64(1)
+    halves[:, 1::2] = raw[:, :half] >> np.uint64(63)
+    messages = np.tile(frozen, (count, 1))
+    messages[:, info] = halves[:, :m]
+    u = uniforms(raw[:, half:])
+    del raw, halves  # the raw words would set the batch's peak memory
+    x = _encode_block(messages)
     cdf = np.cumsum(w.w, axis=1)
-    r = rng.random(len(codeword))
-    y = np.empty(len(codeword), dtype=np.int64)
+    y = np.empty((count, n), dtype=np.int64)
     for bit in (0, 1):
-        mask = codeword == bit
-        if np.any(mask):
-            y[mask] = np.searchsorted(cdf[bit], r[mask], side="right")
-    return np.minimum(y, w.output_alphabet_size - 1)
+        sent = x == bit
+        y[sent] = np.searchsorted(cdf[bit], u[sent], side="right")
+    np.minimum(y, w.output_alphabet_size - 1, out=y)
+    return messages, ratio[y]
 
 
 def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
@@ -449,7 +537,6 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
         raise ValueError("info set indices out of range")
     info = np.zeros(n, dtype=bool)
     info[sel] = True
-    info_size = np.count_nonzero(info)
     frozen = _resolve_frozen(n, ~info, frozen_values)
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -457,23 +544,16 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
     ratio[np.isnan(ratio)] = 1.0  # zero-probability outputs, never sampled
 
     errors = 0
-    done = 0
-    while done < trials:
-        count = min(batch_size, trials - done)
-        messages = np.tile(frozen, (count, 1))
-        lam = np.empty((count, n))
-        for j in range(count):
-            rng = trial_rng(seed, done + j)
-            messages[j, info] = rng.integers(0, 2, size=info_size)
-            y = _sample_outputs(w, _encode_block(messages[j][None, :])[0], rng)
-            lam[j] = ratio[y]
+    for first in range(0, trials, batch_size):
+        count = min(batch_size, trials - first)
+        messages, lam = _mc_batch(w, info, frozen, ratio, seed, first, count)
         log_lam = np.clip(np.log(lam, where=lam > 0,
                                  out=np.full_like(lam, -np.inf)),
                           -LLR_CLIP, LLR_CLIP)
+        del lam
         decoded, _ = _sc_decode_block(log_lam, ~info, frozen)
         errors += int(np.sum(np.any(decoded[:, info] != messages[:, info],
                                     axis=1)))
-        done += count
     return MonteCarloResult(trials=trials, errors=errors,
                             block_error_rate=errors / trials)
 

@@ -19,9 +19,12 @@ import numpy as np
 from .codeword_sets import IndexSetPartition, set_size
 from .density_ops import (KrausChannel, compose_channels, cq_from_kraus,
                           symmetric_cq_capacity)
-from .polar_core import BDMC, symmetric_capacity, trial_rng
+from .polar_core import BDMC, symmetric_capacity, trial_words, uniforms
+from .polar_core import trial_rng  # noqa: F401  the stream contract, re-exported
 
 ChannelLike = Union[KrausChannel, BDMC]
+
+RELAY_CHUNK = 2 ** 15  # trials per vectorized pass of simulate_relay
 
 
 @dataclass
@@ -273,12 +276,17 @@ def simulate_relay(spec: RelayChannelSpec, trials: int,
     Each trial succeeds with probability p_e2, delivering the private
     index set s_in; a failed trial delivers the undecodable phase-only
     block and contributes nothing. Trial t succeeds when the first
-    uniform of ``trial_rng(seed, t)`` falls below p_e2.
+    uniform of ``trial_rng(seed, t)`` falls below p_e2. Trials are
+    evaluated ``RELAY_CHUNK`` at a time, so memory does not grow with
+    their number.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    successes = sum(trial_rng(seed, t).random() < spec.p_e2
-                    for t in range(trials))
+    successes = 0
+    for first in range(0, trials, RELAY_CHUNK):
+        count = min(RELAY_CHUNK, trials - first)
+        draws = uniforms(trial_words(seed, first, count, 1)[:, 0])
+        successes += int(np.count_nonzero(draws < spec.p_e2))
     size = float(set_size(spec.partition.s_in))
     return RelayTrialResult(
         trials=trials,

@@ -265,6 +265,15 @@ def test_manifest_counters_match_outputs(tmp_path):
     manifest = run(cfg)
     assert manifest.counters == {"n": 256, **sizes}
 
+    cfg = load_config(dual_config(tmp_path, name="sim.json", k=8, p_e2=0.3,
+                                  trials=5000, seed=4),
+                      command="relay-sim", output_dir=str(tmp_path / "r"))
+    manifest = run(cfg)
+    with open(manifest.outputs[0]["path"], encoding="utf-8") as fh:
+        row = fh.read().split("\n")[1].split(",")
+    assert manifest.counters == {"n": 256, **sizes, "trials": 5000,
+                                 "successes": int(row[2])}
+
 
 def test_run_k20_outputs_match_pinned_digests(tmp_path):
     cases = (("polarize", polarize_config(

@@ -7,14 +7,16 @@ import math
 import numpy as np
 import pytest
 
+import qrelay.polar_core
 from helpers_quantum import index_mask, random_bdmc
+from helpers_rng import merge_oracle, monte_carlo_oracle
 from qrelay.polar_core import (BDMC, GoodBadSets, PolarizationResult,
                                beta_from_partial_distances, bhattacharyya,
                                combine_bad, combine_good, error_bound,
                                generator_matrix, merge_equal_likelihood_outputs,
                                monte_carlo_block_error, polar_encode,
                                polarization_rows, polarize, sc_decode,
-                               select_sets, symmetric_capacity)
+                               select_sets, symmetric_capacity, trial_words)
 
 # Hand-expanded one level of the generator recursion (even/odd interleave
 # between half-size codes, kernel pairs on the outside).
@@ -221,6 +223,41 @@ def test_merge_pools_equal_ratios():
     assert merged.output_alphabet_size == 3
     assert abs(bhattacharyya(merged) - bhattacharyya(w)) < 1e-15
     assert abs(symmetric_capacity(merged) - symmetric_capacity(w)) < 1e-12
+
+
+
+def _sparse_table(m, rng):
+    """Random 2 x m table with repeated columns (equal ratios), revealing
+    outputs and outputs of probability zero."""
+    base = rng.random((2, 3)) + 0.05
+    table = base[:, rng.integers(0, 3, size=m)]
+    table[rng.random((2, m)) < 0.25] = 0.0
+    table[:, 0] = (0.3, 0.0)
+    table[:, 1] = (0.0, 0.4)
+    table[:, -1] = 0.0
+    return BDMC(table / table.sum(axis=1, keepdims=True))
+
+
+MERGE_CASES = ((BDMC.bsc(0.11), 5), (BDMC.bsc(0.3), 3), (BDMC.bec(0.3), 3),
+               (BDMC([[0.6, 0.0, 0.2, 0.2], [0.0, 0.6, 0.2, 0.2]]), 3),
+               (BDMC([[0.2, 0.3, 0.5, 0.0], [0.2, 0.3, 0.0, 0.5]]), 3))
+
+
+def test_merge_matches_dict_oracle(monkeypatch):
+    # one level on BSC, erasure-like and random sparse tables, then whole
+    # table recursions: the Bhattacharyya values agree exactly
+    rng = np.random.default_rng(61)
+    cases = list(MERGE_CASES) + [(_sparse_table(int(rng.integers(3, 9)), rng),
+                                  int(rng.integers(1, 4))) for _ in range(12)]
+    for w, _ in cases:
+        for table in (w, combine_bad(w), combine_good(w)):
+            assert np.array_equal(merge_equal_likelihood_outputs(table).w,
+                                  merge_oracle(table).w)
+    fast = [polarize(w, k, method="tables").z for w, k in cases]
+    monkeypatch.setattr(qrelay.polar_core, "merge_equal_likelihood_outputs",
+                        merge_oracle)
+    for (w, k), z in zip(cases, fast):
+        assert np.array_equal(z, polarize(w, k, method="tables").z)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +596,67 @@ def test_monte_carlo_bsc_end_to_end():
     assert len(info) >= 4
     res = monte_carlo_block_error(w, n, info, trials=2000, seed=17)
     assert res.block_error_rate <= 0.02
+
+
+
+def test_trial_words_match_philox_raw():
+    # rows equal np.random.Philox(key=seed) advanced by t << 64, including
+    # seed 0, seed 2^64 - 1, trials past 2^63 and word counts that are not
+    # a multiple of 4
+    rng = np.random.default_rng(2024)
+    top = 2 ** 64 - 1
+    pairs = [(0, 0), (0, 2 ** 63), (top, 0), (top, top), (top, 2 ** 63 + 5)]
+    pairs += [(int(s), int(t)) for s, t in
+              rng.integers(0, 2 ** 64, size=(100, 2), dtype=np.uint64)]
+    pairs += [(int(s), int(t)) for s, t in rng.integers(0, 1000, (100, 2))]
+    for i, (seed, t) in enumerate(pairs):
+        words = 1 + i % 11
+        ref = np.random.Philox(key=seed)
+        ref.advance(t << 64)
+        assert np.array_equal(trial_words(seed, t, 1, words)[0],
+                              ref.random_raw(words))
+
+
+def test_trial_words_batch_rows_are_trial_streams():
+    # 5000 trials x 4 blocks spans two evaluation slices of 2^14 counters
+    first = 2 ** 63 - 2500
+    batch = trial_words(9, first, 5000, 14)
+    assert batch.shape == (5000, 14) and batch.dtype == np.uint64
+    for j in range(5000):
+        ref = np.random.Philox(key=9)
+        ref.advance((first + j) << 64)
+        assert np.array_equal(batch[j], ref.random_raw(14))
+    assert trial_words(9, 0, 0, 3).shape == (0, 3)
+    with pytest.raises(ValueError, match="seed"):
+        trial_words(-1, 0, 1, 1)
+    with pytest.raises(ValueError, match="seed"):
+        trial_words(2 ** 64, 0, 1, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        trial_words(0, 2 ** 64 - 1, 2, 1)
+
+
+MC_ORACLE_CHANNELS = (BDMC.bec(0.4), BDMC.bsc(0.08),
+                      BDMC([[0.5, 0.3, 0.0, 0.2], [0.1, 0.3, 0.0, 0.6]]))
+
+
+def test_monte_carlo_matches_per_trial_oracle():
+    # the batched streams reproduce one Generator per trial: message bits
+    # from integers(0, 2), then uniforms, for |info| of 1, odd, even and n
+    rng = np.random.default_rng(5)
+    n, trials = 32, 60
+    rates = set()
+    for c, w in enumerate(MC_ORACLE_CHANNELS):
+        for m in (1, 7, 12, n):
+            info = rng.choice(n, size=m, replace=False)
+            frozen = rng.integers(0, 2, size=n) if m == 7 else None
+            want = monte_carlo_oracle(w, n, info, trials, seed=40 + c,
+                                      frozen_values=frozen)
+            for batch_size in (1, 7, 2048):
+                assert monte_carlo_block_error(
+                    w, n, info, trials, seed=40 + c, frozen_values=frozen,
+                    batch_size=batch_size) == want
+            rates.add(want.block_error_rate)
+    assert any(0.0 < r < 1.0 for r in rates)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,17 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers_quantum import make_partition
+from helpers_rng import relay_success_flags
 from qrelay.codeword_sets import set_size
 from qrelay.density_ops import dephasing_channel, identity_channel
 from qrelay.polar_core import BDMC, bhattacharyya, trial_rng
-from qrelay.relay import (ClassicalRelayModel, JointDistribution,
+from qrelay.relay import (RELAY_CHUNK, ClassicalRelayModel, JointDistribution,
                           RelayChannelSpec, RelayTrialResult,
                           channel_symmetric_capacity, compose_bdmc,
                           compose_relay, degraded_diagnostic,
@@ -273,6 +275,30 @@ def test_simulate_relay_counter_stream_contract():
         ref.advance(t << 64)
         want = np.random.Generator(ref).random(8)
         assert np.array_equal(trial_rng(key, t).random(8), want)
+
+
+def test_simulate_relay_matches_oracle_around_chunk():
+    # trial counts one below, at and one above the chunk size equal the
+    # per-trial stream count
+    spec = make_spec(p_e2=0.42)
+    flags = relay_success_flags(spec.p_e2, RELAY_CHUNK + 1, seed=12)
+    for trials in (RELAY_CHUNK - 1, RELAY_CHUNK, RELAY_CHUNK + 1):
+        result = simulate_relay(spec, trials, seed=12)
+        assert result.successes == int(np.count_nonzero(flags[:trials]))
+
+
+def test_simulate_relay_memory_is_flat():
+    # one float64 per trial would take 32 MB at 4e6 trials
+    spec = make_spec(p_e2=0.3)
+    tracemalloc.start()
+    try:
+        result = simulate_relay(spec, trials=4_000_000, seed=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert abs(result.empirical_success_rate - 0.3) < 5 * math.sqrt(
+        0.3 * 0.7 / 4_000_000)
 
 
 def test_simulate_relay_convergence_trend():
