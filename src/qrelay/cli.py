@@ -30,7 +30,8 @@ from .density_ops import (KrausChannel, bit_flip_channel, compose_channels,
 from .polar_core import BDMC, polarization_rows, polarize, select_sets
 from .relay import (RelayChannelSpec, relay_capacity_min,
                     relay_private_capacity, simulate_relay, simulation_rows)
-from .superactivation import (build_switch_channel, compare_assisted,
+from .superactivation import (MAX_BRANCH_BYTES, branch_bytes, branch_terms,
+                              build_switch_channel, compare_assisted,
                               joint_coherent_info, make_rho_ac, sweep_rows)
 
 COMMANDS = ("polarize", "sets", "capacity", "relay-sim", "superactivate",
@@ -271,6 +272,14 @@ def load_config(path, command: Optional[str] = None,
     elif cmd in ("superactivate", "sweep"):
         violations += _input_state_violations(state or {},
                                               built.get("main_channel"))
+    main_channel = built.get("main_channel")
+    if cmd in ("superactivate", "sweep") and main_channel is not None:
+        size = branch_bytes(main_channel)
+        if size > MAX_BRANCH_BYTES:
+            violations.append(
+                f"main_channel too large: its branch pairs need up to {size} "
+                f"bytes of Kraus operators and Gram matrix, above the bound "
+                f"of {MAX_BRANCH_BYTES}")
 
     if violations:
         raise ConfigError(violations)
@@ -383,6 +392,15 @@ def _cmd_sets(cfg: ExperimentConfig):
             _class_sizes(part))
 
 
+CAPACITY_HEADER = ("n", "size_s_in", "size_p1", "size_p2", "size_b",
+                   "p_sym_degraded", "p_sym_nondegraded", "r_sym", "c_bob",
+                   "c_eve_total", "c_eve_p1", "eve_section_e1e2",
+                   "eve_section_e2d", "relay_private_capacity",
+                   "relay_capacity_min")
+RELAY_SIM_HEADER = ("p_e2", "trials", "successes", "rate",
+                    "expected_throughput", "b_star_throughput")
+
+
 def _cmd_capacity(cfg: ExperimentConfig):
     part = _partition_from_config(cfg)
     rates = rate_report(part)
@@ -392,18 +410,14 @@ def _cmd_capacity(cfg: ExperimentConfig):
     c_12 = set_size(part.good_phase) / n
     c_1d = set_size(part.p2) / n
     c_2d = relay_private_capacity(part)
-    header = ("n", "size_s_in", "size_p1", "size_p2", "size_b",
-              "p_sym_degraded", "p_sym_nondegraded", "r_sym", "c_bob",
-              "c_eve_total", "c_eve_p1", "eve_section_e1e2",
-              "eve_section_e2d", "relay_private_capacity",
-              "relay_capacity_min")
     row = (*sizes.values(),  # n and the class sizes, in header order
            rates.p_sym_degraded, rates.p_sym_nondegraded, rates.r_sym,
            rates.c_bob, eve.c_eve_total, eve.c_eve_p1,
            eve.eve_section_e1e2, eve.eve_section_e2d,
            relay_private_capacity(part),
            relay_capacity_min(c_12, c_1d, c_2d))
-    return [("capacity.csv", header, list(zip(*[row])))], sizes
+    return ([("capacity.csv", CAPACITY_HEADER, list(zip(*[row])))],
+            dict(zip(CAPACITY_HEADER, row)))
 
 
 def _relay_spec(cfg: ExperimentConfig, part) -> RelayChannelSpec:
@@ -423,39 +437,49 @@ def _cmd_relay_sim(cfg: ExperimentConfig):
     part = _partition_from_config(cfg)
     spec = _relay_spec(cfg, part)
     result = simulate_relay(spec, cfg.trials, cfg.seed)
-    header = ("p_e2", "trials", "successes", "rate", "expected_throughput",
-              "b_star_throughput")
-    columns = list(zip(*simulation_rows(spec, result)))
-    return ([("relay_sim.csv", header, columns)],
-            {**_class_sizes(part), "trials": result.trials,
-             "successes": result.successes})
+    rows = simulation_rows(spec, result)
+    return ([("relay_sim.csv", RELAY_SIM_HEADER, list(zip(*rows)))],
+            {**_class_sizes(part), **dict(zip(RELAY_SIM_HEADER, rows[0]))})
 
 
 SWEEP_HEADER = ("p", "i_coh_joint", "term_mm", "term_me", "term_em",
                 "term_ee", "bound_2p1p", "b", "b_star", "advantage")
 
 
-def _switch_sweep(cfg: ExperimentConfig, p_values):
+def _switch_sweep(cfg: ExperimentConfig, p_values, name: str):
+    """The sweep table over ``p_values``: the branch terms are computed
+    once, and each p is their weighted sum."""
     main = build_quantum_channel(cfg.main_channel)
     part = _partition_from_config(cfg)
     state_spec = cfg.input_state or {}
     state = make_rho_ac(_input_mode(state_spec, main.in_dim),
                         variant=state_spec.get("variant", "alternating"))
-    reports = [joint_coherent_info(build_switch_channel(p, main), state)
+    branches = branch_terms(main, state)
+    reports = [joint_coherent_info(build_switch_channel(p, main), branches)
                for p in p_values]
     comparisons = [compare_assisted(p, part) for p in p_values]
-    return sweep_rows(reports, comparisons)
+    at_half = [r.bound_2p1p for r in reports if abs(r.p - 0.5) < 1e-12]
+    flips = [later.p_e2 for earlier, later in zip(comparisons, comparisons[1:])
+             if earlier.advantage != later.advantage]
+    counters = {
+        "p_points": len(p_values),
+        "main_kraus": len(main.kraus_ops),
+        "main_in_dim": main.in_dim,
+        "main_out_dim": main.out_dim,
+        "coherent_information_calls": len(branches.terms) + 1,  # and i_main
+        "bound_2p1p_at_half": at_half[-1] if at_half else None,
+        "advantage_flip_p": flips[0] if flips else None,
+    }
+    columns = list(zip(*sweep_rows(reports, comparisons)))
+    return [(name, SWEEP_HEADER, columns)], counters
 
 
 def _cmd_superactivate(cfg: ExperimentConfig):
-    columns = list(zip(*_switch_sweep(cfg, [cfg.p])))
-    return [("superactivate.csv", SWEEP_HEADER, columns)], {}
+    return _switch_sweep(cfg, [cfg.p], "superactivate.csv")
 
 
 def _cmd_sweep(cfg: ExperimentConfig):
-    grid = [i / 100.0 for i in range(1, 100)]
-    columns = list(zip(*_switch_sweep(cfg, grid)))
-    return [("sweep.csv", SWEEP_HEADER, columns)], {}
+    return _switch_sweep(cfg, [i / 100.0 for i in range(1, 100)], "sweep.csv")
 
 
 _DISPATCH = {
@@ -498,13 +522,6 @@ def run(cfg: ExperimentConfig) -> RunManifest:
 # Reporting
 # ---------------------------------------------------------------------------
 
-def _read_csv(path: Path):
-    lines = path.read_text(encoding="utf-8").strip().split("\n")
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    return header, rows
-
-
 def render_report(manifest: RunManifest) -> str:
     """Plain-text summary of a finished run."""
     lines = [f"qrelay {manifest.command} (v{manifest.version}, "
@@ -527,23 +544,19 @@ def render_report(manifest: RunManifest) -> str:
             f"|{name}| = {counts['size_' + name.lower()]}"
             for name in ("S_in", "P1", "P2", "B")))
     elif manifest.command in ("capacity", "relay-sim"):
-        header, rows = _read_csv(Path(manifest.outputs[0]["path"]))
-        for key, val in zip(header, rows[0]):
-            lines.append(f"  {key} = {val}")
+        header = (CAPACITY_HEADER if manifest.command == "capacity"
+                  else RELAY_SIM_HEADER)
+        for key in header:
+            lines.append(f"  {key} = {_format_value(counts[key])}")
     elif manifest.command in ("superactivate", "sweep"):
-        header, rows = _read_csv(Path(manifest.outputs[0]["path"]))
-        mid = None
-        for r in rows:
-            if abs(float(r[0]) - 0.5) < 1e-12:
-                mid = r
-        if mid is not None:
-            lines.append(f"  at p = 0.5: bound_2p1p = {mid[6]} "
+        if counts["bound_2p1p_at_half"] is not None:
+            lines.append(f"  at p = 0.5: bound_2p1p = "
+                         f"{_format_value(counts['bound_2p1p_at_half'])} "
                          f"(half the main coherent information)")
-        flips = [r[0] for i, r in enumerate(rows[1:], start=1)
-                 if rows[i - 1][9] != r[9]]
-        if flips:
-            lines.append(f"  advantage flips at p = {flips[0]}")
-        lines.append(f"  rows = {len(rows)}")
+        if counts["advantage_flip_p"] is not None:
+            lines.append(f"  advantage flips at p = "
+                         f"{_format_value(counts['advantage_flip_p'])}")
+        lines.append(f"  rows = {counts['p_points']}")
     lines.append("data files:")
     for entry in manifest.outputs:
         lines.append(f"  {entry['path']}  sha256 {entry['sha256'][:12]}")

@@ -32,13 +32,15 @@ class BDMC:
     """Binary-input discrete memoryless channel as a 2 x m probability table.
 
     Row x holds P(y|x) over the m output symbols; rows must sum to one
-    within 1e-12 and entries must be nonnegative.
+    within 1e-12 and entries must be finite and nonnegative.
     """
 
     def __init__(self, w):
         table = np.array(w, dtype=float)
         if table.ndim != 2 or table.shape[0] != 2 or table.shape[1] < 1:
             raise ValueError(f"transition table must be 2 x m, got {table.shape}")
+        if not np.all(np.isfinite(table)):
+            raise ValueError("transition probabilities must be finite")
         if np.any(table < 0.0):
             raise ValueError("negative transition probability")
         sums = table.sum(axis=1)

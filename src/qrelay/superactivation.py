@@ -2,13 +2,21 @@
 
 A switch channel applies the main (relayed) channel with probability p and
 a 50% erasure channel otherwise, appending an orthogonal flag qubit that
-records which branch fired. Feeding two switch copies an entangled,
-side-symmetric input yields a joint coherent information that decomposes
-exactly over the four branch pairs with weights (p^2, p(1-p), p(1-p),
-(1-p)^2); the cross terms carry the rate, giving the 2p(1-p) lower bound
-maximized at p = 1/2. Comparing the resulting half-block throughput with
-the probabilistic encoder's p_e2-scaled throughput shows the assisted
-construction wins exactly when p_e2 < 1/2.
+records which branch fired. Two switch copies fed an entangled,
+side-symmetric input have a joint coherent information equal to the
+weighted sum of four branch-pair terms, with weights (p^2, p(1-p),
+(1-p)p, (1-p)^2). The sum is exact: Kraus operators of different branch
+pairs carry orthogonal flag pairs, so the output state and the
+environment Gram matrix are both block diagonal with blocks w_b sigma_b,
+and S(B) and S(E) each gain the same Shannon entropy H(w), which cancels.
+Neither the branch terms nor the main channel's coherent information
+depend on p, so ``branch_terms`` computes them once and
+``joint_coherent_info`` evaluates each p as arithmetic; the direct
+evaluation on the assembled joint channel is the test oracle
+(``tests/helpers_quantum.py``). The cross terms carry the rate, giving
+the 2p(1-p) lower bound maximized at p = 1/2. Comparing the resulting
+half-block throughput with the probabilistic encoder's p_e2-scaled
+throughput shows the assisted construction wins exactly when p_e2 < 1/2.
 """
 
 from __future__ import annotations
@@ -26,9 +34,12 @@ from .density_ops import (DensityMatrix, KrausChannel, bell_pair,
                           permute_systems, symmetric_cq_capacity,
                           tensor_channels, trace_out, BinaryCqChannel)
 
-JOINT_DIM_CAP = 4096
-
 BRANCH_KEYS = ("main_main", "main_erasure", "erasure_main", "erasure_erasure")
+
+# Bound on branch_bytes(main), checked when a config is loaded. The
+# runtime's peak memory is a small multiple of it (the Kraus stack is
+# copied a few times inside coherent_information).
+MAX_BRANCH_BYTES = 2 ** 26
 
 
 @dataclass
@@ -64,9 +75,23 @@ class JointInputState:
             raise ValueError(f"input not symmetric under side swap ({dev:.3e})")
 
 
+@dataclass(frozen=True)
+class BranchTerms:
+    """The p-independent parts of the joint coherent information.
+
+    ``terms`` maps each key of BRANCH_KEYS to the coherent information of
+    that branch pair at the joint input; ``i_main`` is the main channel's
+    coherent information at the reduced single-side input. ``main`` is the
+    channel they were computed for.
+    """
+    main: KrausChannel
+    terms: Dict[str, float]
+    i_main: float
+
+
 @dataclass
 class SuperactivationReport:
-    """Joint coherent information with its per-branch decomposition.
+    """Joint coherent information at one p, from its branch decomposition.
 
     ``branch_terms`` maps each branch pair to (weight, coherent
     information). ``bound_2p1p`` is 2p(1-p) times the single-copy main
@@ -74,7 +99,6 @@ class SuperactivationReport:
     p-optimized form, half that coherent information.
     """
     p: float
-    i_coh_joint: float
     branch_terms: Dict[str, Tuple[float, float]]
     bound_2p1p: float
     p_sym_star_lower: float
@@ -85,7 +109,7 @@ class SuperactivationReport:
             raise ValueError(f"branch weights sum to {weights}, expected 1")
 
     @property
-    def decomposition_sum(self) -> float:
+    def i_coh_joint(self) -> float:
         return sum(w * v for w, v in self.branch_terms.values())
 
 
@@ -170,48 +194,67 @@ def make_rho_ac(mode: str, base_state: Optional[DensityMatrix] = None,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def joint_coherent_info(sc: SwitchChannel,
-                        input_state: JointInputState) -> SuperactivationReport:
-    """Coherent information of two switch copies, with its exact
-    four-branch decomposition.
+def branch_bytes(main: KrausChannel) -> int:
+    """Upper bound on the bytes of the largest branch pair's Kraus stack
+    plus its Gram matrix, from the dimensions alone.
 
-    Because the branch flag is copied to both the output and the
-    environment, the joint value equals the weighted sum of the branch
-    coherent informations; both sides are computed independently and
-    reported so they can be checked against each other.
+    A pair a (x) b has r_a r_b operators of out_a out_b x in^2 entries and
+    an (r_a r_b)^2 Gram matrix, all complex128. The erasure branch has
+    in + 1 operators of (in + 1) x in, so each factor is bounded by the
+    larger of the two channels' figures.
     """
+    d = main.in_dim
+    ops = max(len(main.kraus_ops), d + 1)
+    rows = max(len(main.kraus_ops) * main.out_dim, (d + 1) ** 2)
+    return 16 * (rows ** 2 * d ** 2 + ops ** 4)
+
+
+def branch_terms(main: KrausChannel,
+                 input_state: JointInputState) -> BranchTerms:
+    """Coherent information of the four branch pairs at the joint input,
+    and of ``main`` at the reduced input: five evaluations that every p of
+    a sweep shares."""
     rho = input_state.rho_ac
-    main = sc.branch_main
-    erasure = sc.branch_erasure
-    if rho.dim != sc.channel.in_dim ** 2:
+    if rho.dim != main.in_dim ** 2:
         raise ValueError(
             f"input dim {rho.dim} does not match joint channel input "
-            f"{sc.channel.in_dim ** 2}")
-    joint = tensor_channels(sc.channel, sc.channel)
-    if joint.out_dim * len(joint.kraus_ops) > JOINT_DIM_CAP:
-        raise ValueError(
-            f"joint output x environment dimension exceeds {JOINT_DIM_CAP}")
-    i_joint = coherent_information(joint, rho)
-
-    p = sc.p
-    branches = {
-        "main_main": (p * p, tensor_channels(main, main)),
-        "main_erasure": (p * (1.0 - p), tensor_channels(main, erasure)),
-        "erasure_main": ((1.0 - p) * p, tensor_channels(erasure, main)),
-        "erasure_erasure": ((1.0 - p) ** 2, tensor_channels(erasure, erasure)),
-    }
-    terms = {key: (w, coherent_information(ch, rho))
-             for key, (w, ch) in branches.items()}
-
+            f"{main.in_dim ** 2}")
+    sides = {"main": main, "erasure": erasure_channel(0.5, in_dim=main.in_dim)}
+    terms = {}
+    for key in BRANCH_KEYS:
+        first, second = key.split("_")
+        terms[key] = coherent_information(
+            tensor_channels(sides[first], sides[second]), rho)
     side = input_state.side_dim
     reduced = trace_out(rho, [side, side], keep={0})
-    i_main = coherent_information(main, reduced)
+    return BranchTerms(main=main, terms=terms,
+                       i_main=coherent_information(main, reduced))
+
+
+def joint_coherent_info(sc: SwitchChannel,
+                        branches: BranchTerms) -> SuperactivationReport:
+    """Coherent information of two switch copies at ``sc.p``, as the
+    weighted sum of the hoisted branch terms.
+
+    The sum is exact, not an approximation: Kraus operators of different
+    branch pairs carry orthogonal flag pairs, so the joint output state
+    and the environment Gram matrix are block diagonal with blocks
+    w_b sigma_b, and the Shannon entropy H(w) that each of S(B) and S(E)
+    gains cancels. The direct evaluation on
+    ``tensor_channels(sc.channel, sc.channel)`` is the test oracle in
+    ``tests/helpers_quantum.py``.
+    """
+    if sc.branch_main is not branches.main:
+        raise ValueError("branch terms were computed for a different main "
+                         "channel than the switch channel's")
+    p = sc.p
+    weights = (p * p, p * (1.0 - p), (1.0 - p) * p, (1.0 - p) ** 2)
     return SuperactivationReport(
         p=p,
-        i_coh_joint=i_joint,
-        branch_terms=terms,
-        bound_2p1p=2.0 * p * (1.0 - p) * i_main,
-        p_sym_star_lower=0.5 * i_main,
+        branch_terms={key: (w, branches.terms[key])
+                      for key, w in zip(BRANCH_KEYS, weights)},
+        bound_2p1p=2.0 * p * (1.0 - p) * branches.i_main,
+        p_sym_star_lower=0.5 * branches.i_main,
     )
 
 

@@ -4,8 +4,11 @@ shared across test modules."""
 import numpy as np
 
 from qrelay.codeword_sets import DualPolarization, build_partition
-from qrelay.density_ops import BinaryCqChannel, DensityMatrix, KrausChannel
+from qrelay.density_ops import (BinaryCqChannel, DensityMatrix, KrausChannel,
+                                coherent_information, tensor_channels)
 from qrelay.polar_core import BDMC
+from qrelay.superactivation import (branch_terms, build_switch_channel,
+                                    joint_coherent_info)
 
 
 def index_mask(n, indices):
@@ -71,3 +74,16 @@ def coherent_info_oracle(kraus_ops, rho):
         return float(-np.sum(e * np.log2(e)))
 
     return ent(s_out) - ent(s_env)
+
+
+def joint_coherent_info_oracle(sc, rho):
+    """Direct joint coherent information of two switch copies: the
+    assembled r^2-operator channel sc (x) sc evaluated as one channel, the
+    runtime route before the four-branch decomposition replaced it."""
+    return coherent_information(tensor_channels(sc.channel, sc.channel), rho)
+
+
+def joint_report(p, main, state):
+    """The runtime report at one p: branch terms, then their weighted sum."""
+    return joint_coherent_info(build_switch_channel(p, main),
+                               branch_terms(main, state))

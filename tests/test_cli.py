@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers_csv import csv_bytes_from_columns
-from qrelay.cli import (CSV_BLOCK_ROWS, ConfigError, _write_csv,
+from qrelay.cli import (CSV_BLOCK_ROWS, ConfigError, _format_value, _write_csv,
                         build_classical_channel, build_quantum_channel,
                         load_config, main, render_report, run)
 
@@ -260,19 +260,94 @@ def test_manifest_counters_match_outputs(tmp_path):
                      for name in ("S_in", "P1", "P2", "B")) \
         in render_report(manifest)
 
+    # capacity and relay-sim counters hold their CSV row, which the
+    # report prints from them
     cfg = load_config(dual_config(tmp_path, name="cap.json", k=8),
                       command="capacity", output_dir=str(tmp_path / "c"))
     manifest = run(cfg)
-    assert manifest.counters == {"n": 256, **sizes}
+    header, row = _csv_row(manifest.outputs[0]["path"])
+    assert list(manifest.counters) == header
+    assert [_format_value(manifest.counters[key]) for key in header] == row
+    assert {key: manifest.counters[key] for key in sizes} == sizes
+    assert manifest.counters["n"] == 256
 
     cfg = load_config(dual_config(tmp_path, name="sim.json", k=8, p_e2=0.3,
                                   trials=5000, seed=4),
                       command="relay-sim", output_dir=str(tmp_path / "r"))
     manifest = run(cfg)
-    with open(manifest.outputs[0]["path"], encoding="utf-8") as fh:
-        row = fh.read().split("\n")[1].split(",")
-    assert manifest.counters == {"n": 256, **sizes, "trials": 5000,
-                                 "successes": int(row[2])}
+    header, row = _csv_row(manifest.outputs[0]["path"])
+    assert set(manifest.counters) == {"n", *sizes, *header}
+    assert {key: manifest.counters[key] for key in sizes} == sizes
+    assert [_format_value(manifest.counters[key]) for key in header] == row
+    assert manifest.counters["trials"] == 5000
+    assert manifest.counters["successes"] == int(row[2])
+
+    cfg = load_config(dual_config(tmp_path, name="sw.json", k=4,
+                                  main_channel={"kind": "dephasing",
+                                                "q": 0.2}),
+                      command="sweep", output_dir=str(tmp_path / "w"))
+    manifest = run(cfg)
+    rows = [line.split(",") for line in open(
+        manifest.outputs[0]["path"], encoding="utf-8").read().split("\n")[1:-1]]
+    mid = [r for r in rows if r[0] == "0.5"]
+    bound = manifest.counters.pop("bound_2p1p_at_half")
+    assert manifest.counters == {
+        "p_points": 99, "main_kraus": 2, "main_in_dim": 2, "main_out_dim": 2,
+        "coherent_information_calls": 5, "advantage_flip_p": 0.5}
+    assert _format_value(bound) == mid[0][6]
+
+
+def _csv_row(path):
+    """Header and first row of a one-row CSV, as strings."""
+    with open(path, encoding="utf-8") as fh:
+        header, row = fh.read().strip().split("\n")
+    return header.split(","), row.split(",")
+
+
+# Summary lines printed between the title and "data files:" by the
+# CSV-reading report that the counter-based one replaced.
+_BASE = {"amp_channel": {"kind": "bec", "epsilon": 0.3},
+         "phase_channel": {"kind": "bec", "epsilon": 0.4}, "k": 6,
+         "beta": 0.3}
+PINNED_REPORTS = [
+    ("capacity", dict(_BASE), [
+        "  n = 64", "  size_s_in = 16", "  size_p1 = 6", "  size_p2 = 0",
+        "  size_b = 42", "  p_sym_degraded = 0.25",
+        "  p_sym_nondegraded = -0.40625", "  r_sym = 0.25",
+        "  c_bob = 0.90625", "  c_eve_total = 0.09375",
+        "  c_eve_p1 = 0.09375", "  eve_section_e1e2 = 0.25",
+        "  eve_section_e2d = 0.25", "  relay_private_capacity = 0.25",
+        "  relay_capacity_min = 0.25"]),
+    ("relay-sim", dict(_BASE, p_e2=0.3, trials=2000, seed=5), [
+        "  p_e2 = 0.3", "  trials = 2000", "  successes = 560",
+        "  rate = 0.28", "  expected_throughput = 4.8",
+        "  b_star_throughput = 8"]),
+    ("sweep", dict(_BASE, k=4, main_channel={"kind": "dephasing", "q": 0.2}),
+     ["  at p = 0.5: bound_2p1p = 0.139035952556 (half the main coherent "
+      "information)", "  advantage flips at p = 0.5", "  rows = 99"]),
+    ("superactivate", dict(_BASE, k=4, p=0.5,
+                           main_channel={"kind": "identity", "dim": 4}),
+     ["  at p = 0.5: bound_2p1p = 1 (half the main coherent information)",
+      "  rows = 1"]),
+    ("superactivate", dict(_BASE, k=4, p=0.3,
+                           main_channel={"kind": "identity"}),
+     ["  rows = 1"]),
+]
+
+
+@pytest.mark.filterwarnings("ignore:p_sym_nondegraded is negative")
+@pytest.mark.parametrize("command, payload, body", PINNED_REPORTS,
+                         ids=["capacity", "relay-sim", "sweep",
+                              "superactivate", "superactivate-p0.3"])
+def test_render_report_pinned_text(tmp_path, command, payload, body):
+    path = write_config(tmp_path, "pin.json", payload)
+    manifest = run(load_config(path, command=command,
+                               output_dir=str(tmp_path / "out")))
+    (out,) = manifest.outputs
+    lines = render_report(manifest).split("\n")
+    assert lines[0].startswith(f"qrelay {command} (v")
+    assert lines[1:] == body + [
+        "data files:", f"  {out['path']}  sha256 {out['sha256'][:12]}"]
 
 
 def test_run_k20_outputs_match_pinned_digests(tmp_path):
@@ -444,6 +519,47 @@ def test_load_config_accepts_matching_input_state(tmp_path, main_channel,
     cfg = load_config(dual_config(tmp_path, name="ok.json", **overrides),
                       command="sweep")
     assert cfg.main_channel == main_channel
+
+
+def test_main_superactivate_on_erasure_main_with_two_qubit_input(
+        tmp_path, capsys):
+    # the direct joint route stopped this config at its 4096 dimension cap
+    path = dual_config(tmp_path, name="er.json", k=4, p=0.5,
+                       main_channel={"kind": "erasure", "epsilon": 0.5,
+                                     "in_dim": 4})
+    rc = main(["superactivate", "--config", path,
+               "--out", str(tmp_path / "o")])
+    assert rc == 0, capsys.readouterr().err
+    assert "rows = 1" in capsys.readouterr().out
+
+
+def test_main_rejects_main_channel_over_branch_bound(tmp_path, capsys):
+    # 64 Kraus operators: the main x main Gram matrix alone is 4096^2
+    depolarizing = {"kind": "depolarizing", "q": 0.1}
+    path = dual_config(tmp_path, name="big.json", k=4, p=0.5,
+                       main_channel={"kind": "compose",
+                                     "stages": [depolarizing] * 3})
+    for command in ("sweep", "superactivate"):
+        rc = main([command, "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "config error: main_channel too large" in \
+            capsys.readouterr().err
+
+
+def test_main_rejects_non_finite_table(tmp_path, capsys):
+    # json parses NaN and Infinity; such a table used to run and label
+    # every index bad
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "nan.json"
+        path.write_text('{"channel": {"kind": "table", "w": [[%s, 1.0], '
+                        '[0.5, 0.5]]}, "k": 3, "beta": 0.3}' % bad,
+                        encoding="utf-8")
+        rc = main(["polarize", "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert ("config error: channel invalid: transition probabilities "
+                "must be finite") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_main_missing_config_exit_code(tmp_path, capsys):

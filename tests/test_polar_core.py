@@ -216,6 +216,14 @@ def test_bdmc_validation():
         BDMC([[1.1, -0.1], [0.5, 0.5]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bdmc_rejects_non_finite_entries(bad):
+    # NaN passes both the sign and the row-sum checks on its own
+    for table in ([[bad, 1.0], [0.5, 0.5]], [[1.0, 0.0], [0.5, bad]]):
+        with pytest.raises(ValueError, match="finite"):
+            BDMC(table)
+
+
 def test_merge_pools_equal_ratios():
     # two outputs with ratio 1 and two fully revealing outputs
     w = BDMC([[0.2, 0.3, 0.5, 0.0], [0.2, 0.3, 0.0, 0.5]])

@@ -1,23 +1,27 @@
 """Tests for the switch channel, joint coherent information, and the
 assisted-vs-probabilistic relay comparison."""
 
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers_quantum import (coherent_info_oracle, make_partition,
-                             random_density_matrix)
+import qrelay.superactivation
+from helpers_quantum import (coherent_info_oracle, joint_coherent_info_oracle,
+                             joint_report, make_partition,
+                             random_density_matrix, random_kraus_channel)
+from qrelay.cli import load_config, run
 from qrelay.codeword_sets import set_size
 from qrelay.density_ops import (BinaryCqChannel, DensityMatrix, apply_kraus,
                                 bit_flip_channel, coherent_information,
                                 compose_channels, dephasing_channel,
                                 identity_channel, tensor_channels, trace_out)
-from qrelay.superactivation import (build_switch_channel, compare_assisted,
-                                    joint_coherent_info, make_rho_ac,
-                                    superactivated_bound, sweep_rows,
-                                    assisted_single_use_capacity,
+from qrelay.superactivation import (branch_terms, build_switch_channel,
+                                    compare_assisted, joint_coherent_info,
+                                    make_rho_ac, superactivated_bound,
+                                    sweep_rows, assisted_single_use_capacity,
                                     JointInputState)
 
 CQ_CAPACITY_ZERO_PLUS = 0.6008760366928562  # eigendecomposition oracle value
@@ -139,13 +143,14 @@ def test_joint_coherent_info_identity_main_matches_oracle():
     main = identity_channel(2)
     sc = build_switch_channel(0.5, main)
     state = make_rho_ac("bell")
-    report = joint_coherent_info(sc, state)
+    report = joint_coherent_info(sc, branch_terms(main, state))
     # independent full-density-matrix oracle on the assembled joint channel
     joint_ops = [np.kron(a, b) for a in sc.channel.kraus_ops
                  for b in sc.channel.kraus_ops]
     want = coherent_info_oracle(joint_ops, state.rho_ac.entries)
     assert abs(report.i_coh_joint - want) < 1e-9
-    assert abs(report.i_coh_joint - report.decomposition_sum) < 1e-9
+    assert abs(report.i_coh_joint
+               - joint_coherent_info_oracle(sc, state.rho_ac)) < 1e-9
 
 
 def test_coherent_information_memory_on_sweep_joint_channel():
@@ -166,15 +171,17 @@ def test_coherent_information_memory_on_sweep_joint_channel():
 def test_joint_coherent_info_degenerate_probabilities():
     state = make_rho_ac("bell")
     main = dephasing_channel(0.2)
-    at_zero = joint_coherent_info(build_switch_channel(0.0, main), state)
-    weight, value = at_zero.branch_terms["erasure_erasure"]
-    assert weight == 1.0
-    assert abs(at_zero.i_coh_joint - value) < 1e-9
-    assert abs(value) < 1e-9  # both erasure branches are self-complementary
-    at_one = joint_coherent_info(build_switch_channel(1.0, main), state)
-    weight, value = at_one.branch_terms["main_main"]
-    assert weight == 1.0
-    assert abs(at_one.i_coh_joint - value) < 1e-9
+    branches = branch_terms(main, state)
+    for p, key in ((0.0, "erasure_erasure"), (1.0, "main_main")):
+        sc = build_switch_channel(p, main)
+        report = joint_coherent_info(sc, branches)
+        weight, value = report.branch_terms[key]
+        assert weight == 1.0
+        assert abs(report.i_coh_joint
+                   - joint_coherent_info_oracle(sc, state.rho_ac)) < 1e-9
+        assert abs(report.i_coh_joint - value) < 1e-9
+    # both erasure branches are self-complementary
+    assert abs(branches.terms["erasure_erasure"]) < 1e-9
 
 
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
@@ -183,8 +190,10 @@ def test_flag_decomposition_identity(p):
     mains = [identity_channel(2), dephasing_channel(0.2),
              compose_channels(bit_flip_channel(0.1), dephasing_channel(0.2))]
     for main in mains:
-        report = joint_coherent_info(build_switch_channel(p, main), state)
-        assert abs(report.i_coh_joint - report.decomposition_sum) < 1e-9
+        sc = build_switch_channel(p, main)
+        report = joint_coherent_info(sc, branch_terms(main, state))
+        assert abs(report.i_coh_joint
+                   - joint_coherent_info_oracle(sc, state.rho_ac)) < 1e-9
         weights = [w for w, _ in report.branch_terms.values()]
         assert abs(sum(weights) - 1.0) < 1e-12
         assert report.branch_terms["main_erasure"][0] == pytest.approx(
@@ -196,44 +205,105 @@ def test_flag_decomposition_identity(p):
 def test_flag_decomposition_with_flagged_register_input():
     # two-qubit-input main channel driven by the flagged register state
     state = make_rho_ac("entangled_flagged", variant="alternating")
-    sc = build_switch_channel(0.5, identity_channel(4))
-    report = joint_coherent_info(sc, state)
-    assert abs(report.i_coh_joint - report.decomposition_sum) < 1e-9
+    main = identity_channel(4)
+    sc = build_switch_channel(0.5, main)
+    report = joint_coherent_info(sc, branch_terms(main, state))
+    assert abs(report.i_coh_joint
+               - joint_coherent_info_oracle(sc, state.rho_ac)) < 1e-9
 
 
 def test_coefficient_extraction_from_p_sweep():
     state = make_rho_ac("bell")
     main = dephasing_channel(0.2)
     grid = [0.1, 0.25, 0.5, 0.75, 0.9]
-    reports = [joint_coherent_info(build_switch_channel(p, main), state)
-               for p in grid]
-    # fit joint values against the branch-weight basis
+    # fit the direct joint values against the branch-weight basis; the
+    # runtime values are that basis times the hoisted terms by construction
     basis = np.array([[p * p, 2 * p * (1 - p), (1 - p) ** 2] for p in grid])
-    joints = np.array([r.i_coh_joint for r in reports])
+    joints = np.array([
+        joint_coherent_info_oracle(build_switch_channel(p, main), state.rho_ac)
+        for p in grid])
     coeffs, residuals, _, _ = np.linalg.lstsq(basis, joints, rcond=None)
     fitted = basis @ coeffs
     assert np.max(np.abs(fitted - joints)) < 1e-9
-    ref = reports[0].branch_terms
-    assert abs(coeffs[0] - ref["main_main"][1]) < 1e-8
-    cross_mean = 0.5 * (ref["main_erasure"][1] + ref["erasure_main"][1])
+    ref = branch_terms(main, state).terms
+    assert abs(coeffs[0] - ref["main_main"]) < 1e-8
+    cross_mean = 0.5 * (ref["main_erasure"] + ref["erasure_main"])
     assert abs(coeffs[1] - cross_mean) < 1e-8
-    assert abs(coeffs[2] - ref["erasure_erasure"][1]) < 1e-8
+    assert abs(coeffs[2] - ref["erasure_erasure"]) < 1e-8
+    runtime = np.array([joint_report(p, main, state).i_coh_joint
+                        for p in grid])
+    assert np.max(np.abs(runtime - joints)) < 1e-9
 
 
 def test_joint_coherent_info_dimension_mismatch():
-    sc = build_switch_channel(0.5, identity_channel(2))
     with pytest.raises(ValueError, match="input dim"):
-        joint_coherent_info(sc, make_rho_ac("entangled_flagged"))
+        branch_terms(identity_channel(2), make_rho_ac("entangled_flagged"))
+    # branch terms of one main channel do not describe another's switch
+    branches = branch_terms(identity_channel(2), make_rho_ac("bell"))
+    with pytest.raises(ValueError, match="different main"):
+        joint_coherent_info(build_switch_channel(0.5, identity_channel(2)),
+                            branches)
 
 
-def test_joint_coherent_info_dimension_cap():
-    from helpers_quantum import random_kraus_channel
+def test_joint_coherent_info_random_two_qubit_main_matches_oracle():
+    # 4 Kraus operators of 4 x 4: the switch has 9 operators of 10 x 4 and
+    # the joint channel 81 of 100 x 16, past the old 4096 output x
+    # environment cap of the direct route
     rng = np.random.default_rng(211)
     big_main = random_kraus_channel(4, 4, 4, rng)
-    sc = build_switch_channel(0.5, big_main)  # 9 Kraus ops, output dim 10
     state = make_rho_ac("entangled_flagged")
-    with pytest.raises(ValueError, match="exceeds"):
-        joint_coherent_info(sc, state)
+    branches = branch_terms(big_main, state)
+    for p in (0.2, 0.5):
+        sc = build_switch_channel(p, big_main)
+        report = joint_coherent_info(sc, branches)
+        want = joint_coherent_info_oracle(sc, state.rho_ac)
+        assert abs(report.i_coh_joint - want) < 1e-10
+
+
+FULL_GRID = [i / 100.0 for i in range(1, 100)]
+
+
+@pytest.mark.parametrize("main, state", [
+    (identity_channel(4), make_rho_ac("entangled_flagged",
+                                      variant="alternating")),
+    (compose_channels(bit_flip_channel(0.1), dephasing_channel(0.2)),
+     make_rho_ac("bell"))], ids=["identity4_flagged", "dephasing_bitflip_bell"])
+def test_joint_coherent_info_full_grid_matches_oracle(main, state):
+    branches = branch_terms(main, state)
+    worst = 0.0
+    for p in FULL_GRID:
+        sc = build_switch_channel(p, main)
+        report = joint_coherent_info(sc, branches)
+        worst = max(worst, abs(report.i_coh_joint
+                               - joint_coherent_info_oracle(sc, state.rho_ac)))
+    assert worst <= 1e-10
+
+
+def test_sweep_evaluates_five_coherent_informations(tmp_path, monkeypatch):
+    calls = {"coherent_information": 0, "tensor_channels": 0}
+
+    def counted(name):
+        inner = getattr(qrelay.superactivation, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(qrelay.superactivation, name, counted(name))
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({
+        "amp_channel": {"kind": "bec", "epsilon": 0.3},
+        "phase_channel": {"kind": "bec", "epsilon": 0.4}, "k": 4,
+        "beta": 0.35, "main_channel": {"kind": "identity", "dim": 4},
+        "input_state": {"mode": "entangled_flagged",
+                        "variant": "alternating"}}), encoding="utf-8")
+    manifest = run(load_config(path, command="sweep",
+                               output_dir=str(tmp_path / "out")))
+    assert calls == {"coherent_information": 5, "tensor_channels": 4}
+    assert manifest.counters["coherent_information_calls"] == 5
+    assert manifest.counters["p_points"] == 99
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +390,7 @@ def test_sweep_rows_schema():
     state = make_rho_ac("bell")
     part = make_partition(16, range(10), range(4, 12))
     ps = [0.25, 0.5]
-    reports = [joint_coherent_info(build_switch_channel(p, identity_channel(2)),
-                                   state) for p in ps]
+    reports = [joint_report(p, identity_channel(2), state) for p in ps]
     comparisons = [compare_assisted(p, part) for p in ps]
     rows = sweep_rows(reports, comparisons)
     assert len(rows) == 2
