@@ -148,9 +148,12 @@ def build_quantum_channel(spec: dict) -> KrausChannel:
     raise ValueError(f"unknown quantum channel kind {kind!r}")
 
 
-_INPUT_MODES = ("bell", "entangled_flagged", "phase_set_state")
-_FLAG_VARIANTS = ("literal", "alternating")
+# The joint-input modes a config can select, with the main channel input
+# dimension each needs. ``phase_set_state`` is left out: it needs a base
+# state, which no config field supplies.
 _MODE_IN_DIM = {"bell": 2, "entangled_flagged": 4}
+_INPUT_MODES = tuple(_MODE_IN_DIM)
+_FLAG_VARIANTS = ("literal", "alternating")
 
 
 def _input_mode(state_spec: dict, main_in_dim: int) -> str:
@@ -289,14 +292,14 @@ def load_config(path, command: Optional[str] = None,
 def _input_state_violations(state: dict,
                             main: Optional[KrausChannel]) -> list:
     """Mode and variant names, and the main channel input dimension the
-    mode needs; ``phase_set_state`` is left to fail at run time."""
+    mode needs."""
     violations = []
     if "mode" in state and state["mode"] not in _INPUT_MODES:
         violations.append(f"input_state.mode must be one of {_INPUT_MODES}, "
                           f"got {state['mode']!r}")
     elif main is not None:
         mode = _input_mode(state, main.in_dim)
-        need = _MODE_IN_DIM.get(mode, main.in_dim)
+        need = _MODE_IN_DIM[mode]
         if need != main.in_dim:
             violations.append(
                 f"input_state.mode {mode!r} needs a main_channel with in_dim "
@@ -320,46 +323,133 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _column_cells(column):
-    """A %-conversion and the values it formats for one column. Int, float
-    and str arrays are converted from their Python values (``tolist()``),
-    which the conversion formats as ``_format_value`` would; any other
-    column goes through ``_format_value`` cell by cell."""
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _digit_quads():
+    """The four ASCII digits of 0..9999 as one uint32 word each: indices
+    0..9999 zero-padded (a quad below a value's leading one), 10000..19999
+    NUL-padded (the leading quad) and 20000 all NUL (a quad above it)."""
+    n = np.arange(10000)[:, None]
+    digits = n // [1000, 100, 10, 1] % 10 + ord("0")
+    leading = np.where(n >= [1000, 100, 10, 0], digits, 0)
+    quads = np.concatenate([digits, leading, np.zeros((1, 4), dtype=int)])
+    return quads.astype(np.uint8).view(np.uint32).ravel()
+
+
+_QUAD = np.uint64(10000)
+_DIGIT_QUADS = _digit_quads()
+# sign, SIGNIFICANT_DIGITS digits, point and an exponent such as "e-308"
+_FLOAT_WIDTH = SIGNIFICANT_DIGITS + 7
+_FLOAT_CODE = f"%{_FLOAT_WIDTH}.{SIGNIFICANT_DIGITS}g"
+_COMMA, _NEWLINE = ord(","), ord("\n")
+
+
+def _int_table(values):
+    """Decimal digits of an int array whose values fit int64, by numpy
+    arithmetic four at a time from ``_DIGIT_QUADS``, right-aligned and
+    NUL-padded, with a '-' before the first digit of negative values."""
+    values = values.astype(np.int64, copy=False)
+    magnitude = np.abs(values).view(np.uint64)   # 2^63 for int64 min
+    quads = -(-len(str(int(magnitude.max()))) // 4)
+    words = np.zeros((len(values), quads + 1), dtype=np.uint32)
+    for quad in range(quads, 0, -1):
+        high = magnitude // _QUAD    # far faster than np.divmod
+        index = magnitude - high * _QUAD + _QUAD * (high == 0)
+        if quad < quads:   # above the units quad, a used-up value is blank
+            index += _QUAD * (magnitude == 0)
+        words[:, quad] = _DIGIT_QUADS.take(index)
+        magnitude = high
+    data = words.view(np.uint8)[:, 3:]   # the sign byte, then the digits
+    rows = np.flatnonzero(values < 0)
+    data[rows, (data[rows] != 0).argmax(axis=1) - 1] = ord("-")
+    return data, None
+
+
+def _float_table(values):
+    """Each distinct float64 bit pattern formatted once by ``%.12g`` (so
+    -0.0, 0.0 and NaN stay apart), gathered back to the rows. The
+    conversion pads every value to the widest ``%.12g`` can give, so the
+    text is already a table; the pad spaces become NUL, as no value
+    contains a space or a NUL."""
+    bits, inverse = np.unique(
+        values.astype(np.float64, copy=False).view(np.int64),
+        return_inverse=True)
+    text = (_FLOAT_CODE * len(bits)) % tuple(bits.view(np.float64).tolist())
+    table = np.frombuffer(text.encode("ascii").replace(b" ", b"\0"),
+                          dtype=np.uint8).reshape(len(bits), _FLOAT_WIDTH)
+    return table.take(inverse, axis=0), None
+
+
+def _padded_cells(data, lengths):
+    """A left-aligned NUL-padded table with the ``lengths`` of its cells:
+    no mask when every NUL byte is padding, else the mask of each cell's
+    bytes."""
+    if np.count_nonzero(data) == lengths.sum():
+        return data, None
+    return data, np.arange(data.shape[1]) < lengths[:, None]
+
+
+def _cell_table(column):
+    """The NUL-padded byte table of one block of one column, a (rows,
+    width) uint8 array, and the mask of its real bytes, or None when they
+    are exactly its non-NUL bytes. Int, ASCII str and float arrays are
+    converted in numpy; any other column (bool arrays, non-ASCII str,
+    uint64 >= 2^63, lists) goes through ``_format_value`` cell by cell."""
     if isinstance(column, np.ndarray):
-        values = column.tolist()
         kind = column.dtype.kind
-        if kind in "iu":
-            return "%d", values
+        if kind == "i" or kind == "u" and column.max() <= _INT64_MAX:
+            return _int_table(column)
         if kind == "f":
-            return f"%.{SIGNIFICANT_DIGITS}g", values
+            return _float_table(column)
         if kind == "U":
-            return "%s", values
-        column = values
-    return "%s", [_format_value(v) for v in column]
+            column = np.ascontiguousarray(column)
+            codes = column.view(np.uint32).reshape(len(column), -1)
+            if codes.max(initial=0) < 128:
+                return _padded_cells(codes.astype(np.uint8),
+                                     np.char.str_len(column))
+        column = column.tolist()
+    cells = [_format_value(v).encode("utf-8") for v in column]
+    lengths = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    width = int(lengths.max(initial=0))
+    text = b"".join(c.ljust(width, b"\0") for c in cells)
+    data = np.frombuffer(text, dtype=np.uint8).reshape(len(cells), width)
+    return _padded_cells(data, lengths)
 
 
-def _csv_blocks(header, columns, rows: int):
-    """The CSV text: the header line, then CSV_BLOCK_ROWS rows at a time,
-    each block formatted by one %-operation over its row-major cells."""
-    yield ",".join(header) + "\n"
-    for start in range(0, rows, CSV_BLOCK_ROWS):
-        codes, values = zip(*(_column_cells(c[start:start + CSV_BLOCK_ROWS])
-                               for c in columns))
-        count = len(values[0])
-        yield (",".join(codes) + "\n") * count % tuple(
-            itertools.chain.from_iterable(zip(*values)))
+def _csv_block(columns) -> bytes:
+    """One block of rows: the columns' byte tables side by side with
+    ',' and '\n' columns between them, compressed to their real bytes by
+    one boolean mask."""
+    tables = [_cell_table(c) for c in columns]
+    rows = len(tables[0][0])
+    parts = []
+    for i, (cells, _) in enumerate(tables):
+        sep = _NEWLINE if i == len(tables) - 1 else _COMMA
+        parts += [cells, np.full((rows, 1), sep, dtype=np.uint8)]
+    block = np.concatenate(parts, axis=1)
+    keep = block != 0
+    start = 0
+    for cells, real in tables:
+        if real is not None:
+            keep[:, start:start + cells.shape[1]] = real
+        start += cells.shape[1] + 1
+    return block[keep].tobytes()
 
 
 def _write_csv(path: Path, header, columns) -> str:
-    """Write a CSV from equal-length columns, one block of rows at a time,
-    and return the SHA-256 of the bytes written."""
+    """Write a CSV from equal-length columns, CSV_BLOCK_ROWS rows at a
+    time, and return the SHA-256 of the bytes written."""
     rows = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(len(c) != rows for c in columns):
         raise ValueError("need one equal-length column per header field")
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for text in _csv_blocks(header, columns, rows):
-            data = text.encode("utf-8")
+        blocks = itertools.chain(
+            [(",".join(header) + "\n").encode("utf-8")],
+            (_csv_block([c[start:start + CSV_BLOCK_ROWS] for c in columns])
+             for start in range(0, rows, CSV_BLOCK_ROWS)))
+        for data in blocks:
             digest.update(data)
             fh.write(data)
     return digest.hexdigest()
@@ -413,8 +503,7 @@ def _cmd_capacity(cfg: ExperimentConfig):
     row = (*sizes.values(),  # n and the class sizes, in header order
            rates.p_sym_degraded, rates.p_sym_nondegraded, rates.r_sym,
            rates.c_bob, eve.c_eve_total, eve.c_eve_p1,
-           eve.eve_section_e1e2, eve.eve_section_e2d,
-           relay_private_capacity(part),
+           eve.eve_section_e1e2, eve.eve_section_e2d, c_2d,
            relay_capacity_min(c_12, c_1d, c_2d))
     return ([("capacity.csv", CAPACITY_HEADER, list(zip(*[row])))],
             dict(zip(CAPACITY_HEADER, row)))
@@ -502,7 +591,9 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     for name, header, columns in tables:
         path = outdir / name
         digest = _write_csv(path, header, columns)
-        outputs.append({"path": str(path), "sha256": digest})
+        outputs.append({"path": str(path), "sha256": digest,
+                        "rows": len(columns[0]),
+                        "bytes": path.stat().st_size})
     manifest = RunManifest(
         command=cfg.command,
         config=cfg.raw | {"command": cfg.command, "seed": cfg.seed},

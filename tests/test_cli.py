@@ -8,8 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers_csv import csv_bytes_from_columns
+from qrelay import cli
 from qrelay.cli import (CSV_BLOCK_ROWS, ConfigError, _format_value, _write_csv,
                         build_classical_channel, build_quantum_channel,
                         load_config, main, render_report, run)
@@ -231,6 +234,24 @@ def test_manifest_written(tmp_path):
     assert on_disk["counters"] == manifest.counters
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("polarize", {"channel": {"kind": "bec", "epsilon": 0.5}, "k": 6,
+                  "beta": 0.45}),
+    ("capacity", {"amp_channel": {"kind": "bec", "epsilon": 0.3},
+                  "phase_channel": {"kind": "bec", "epsilon": 0.4}, "k": 6,
+                  "beta": 0.35})])
+def test_manifest_output_sizes(tmp_path, command, payload):
+    path = write_config(tmp_path, "size.json", payload)
+    manifest = run(load_config(path, command=command,
+                               output_dir=str(tmp_path / "o")))
+    on_disk = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    for entry in on_disk["outputs"]:
+        data = open(entry["path"], "rb").read()
+        assert entry["rows"] == data.count(b"\n") - 1   # minus the header
+        assert entry["bytes"] == len(data)
+    assert on_disk["outputs"] == manifest.outputs
+
+
 def _csv_counts(path, column):
     labels = [line.split(",")[column] for line in
               open(path, encoding="utf-8").read().strip().split("\n")[1:]]
@@ -398,6 +419,59 @@ def test_write_csv_matches_row_oracle(tmp_path, rows):
     assert digest == hashlib.sha256(want).hexdigest()
 
 
+NAN_PAYLOAD = np.array([0x7FF8000000000123], dtype=np.int64).view(np.float64)
+
+# Columns that take the writer's fallbacks or the edges of its numpy paths.
+EDGE_COLUMNS = {
+    "non_ascii_str": np.array(["\u00e9", "\u65e5\u672c", "", "plain"]),
+    "empty_str": np.array(["", "", "x", ""]),
+    "nul_str": np.array(["a\x00b", "c\x00", "\x00", "d"]),
+    "nul_list": ["a\x00b", "c\x00", "\x00", "d"],
+    "uint64_high": np.array([2 ** 63, 2 ** 64 - 1, 0, 7], dtype=np.uint64),
+    "int64_extremes": np.array([-2 ** 63, 2 ** 63 - 1, -1, 0],
+                               dtype=np.int64),
+    "int8": np.array([-128, 127, 0, -1], dtype=np.int8),
+    "signed_zero_nan": np.array([-0.0, 0.0, math.nan, -math.nan,
+                                 NAN_PAYLOAD[0], 0.1, -0.0]),
+    "bool": np.array([True, False, True]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_COLUMNS))
+@pytest.mark.parametrize("rows", [1, 7, CSV_BLOCK_ROWS + 1,
+                                  CSV_BLOCK_ROWS + 7])
+def test_write_csv_edge_columns_match_row_oracle(tmp_path, name, rows):
+    # tiled, so every distinct value repeats across the block boundary
+    # and the last block has one row at CSV_BLOCK_ROWS + 1
+    base = EDGE_COLUMNS[name]
+    tiled = [base[i % len(base)] for i in range(rows)]
+    column = np.array(tiled, dtype=base.dtype) \
+        if isinstance(base, np.ndarray) else tiled
+    columns = (column, np.arange(rows))
+    path = tmp_path / "edge.csv"
+    digest = _write_csv(path, ("c", "i"), columns)
+    want = csv_bytes_from_columns(("c", "i"), columns)
+    assert path.read_bytes() == want
+    assert digest == hashlib.sha256(want).hexdigest()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1),
+    st.floats(width=64),
+    st.text(alphabet=st.characters(max_codepoint=127), max_size=6)),
+    min_size=1, max_size=40))
+def test_write_csv_matches_row_oracle_property(tmp_path_factory, rows):
+    ints, floats, strs = zip(*rows)
+    columns = (np.array(ints, dtype=np.int64),
+               np.array(floats, dtype=np.float64), np.array(strs))
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    digest = _write_csv(path, ("i", "f", "s"), columns)
+    want = csv_bytes_from_columns(("i", "f", "s"), columns)
+    assert path.read_bytes() == want
+    assert digest == hashlib.sha256(want).hexdigest()
+
+
 def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="equal-length"):
         _write_csv(tmp_path / "r.csv", ("a", "b"), (np.arange(3), [1, 2]))
@@ -495,7 +569,11 @@ def test_main_rejects_malformed_channel_specs(tmp_path, capsys, overrides,
     ({"kind": "dephasing", "q": 0.1}, {"mode": "entangled_flagged"},
      "'entangled_flagged' needs a main_channel with in_dim 4, got 2"),
     ({"kind": "identity", "dim": 3}, {},
-     "'entangled_flagged' needs a main_channel with in_dim 4, got 3")])
+     "'entangled_flagged' needs a main_channel with in_dim 4, got 3"),
+    # no config field supplies the base state this mode needs
+    ({"kind": "identity"}, {"mode": "phase_set_state"},
+     "input_state.mode must be one of ('bell', 'entangled_flagged'), "
+     "got 'phase_set_state'")])
 def test_main_rejects_bad_input_state(tmp_path, capsys, main_channel,
                                       input_state, fragment):
     path = dual_config(tmp_path, name="state.json", k=4,
@@ -567,15 +645,16 @@ def test_main_missing_config_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
-def test_main_runtime_error_exit_code(tmp_path, capsys):
-    # valid config whose input-state mode cannot be built at run time
-    path = dual_config(tmp_path, name="rt.json", k=4, p=0.5,
-                       main_channel={"kind": "identity"},
-                       input_state={"mode": "phase_set_state"})
-    rc = main(["superactivate", "--config", path,
+def test_main_runtime_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a valid config whose command fails while it runs
+    def fail(cfg):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setitem(cli._DISPATCH, "polarize", fail)
+    rc = main(["polarize", "--config", polarize_config(tmp_path),
                "--out", str(tmp_path / "rt")])
     assert rc == 3
-    assert "runtime error" in capsys.readouterr().err
+    assert "runtime error: simulated fault" in capsys.readouterr().err
 
 
 def test_cli_subprocess_round_trip(tmp_path):
