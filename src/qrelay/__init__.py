@@ -2,8 +2,8 @@
 
 Subpackages cover dense quantum state/channel arithmetic (``density_ops``),
 classical polar coding machinery (``polar_core``), the amplitude/phase
-codeword-set algebra (``codeword_sets``), relay channel composition and
-Monte Carlo simulation (``relay``), the switch-channel construction that
+codeword-set algebra (``codeword_sets``), relay capacity formulas and
+encoder simulation (``relay``), the switch-channel construction that
 makes the relay encoder deterministic (``superactivation``), and a
 config-driven experiment runner (``cli``).
 """

@@ -15,7 +15,7 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -63,7 +63,6 @@ class ExperimentConfig:
     amp_channel: Optional[dict] = None
     phase_channel: Optional[dict] = None
     main_channel: Optional[dict] = None
-    relay_channels: Optional[dict] = None
     input_state: Optional[dict] = None
     raw: dict = field(default_factory=dict)
 
@@ -148,9 +147,51 @@ def build_quantum_channel(spec: dict) -> KrausChannel:
     raise ValueError(f"unknown quantum channel kind {kind!r}")
 
 
+def _stage_shapes(spec) -> list:
+    """(in_dim, out_dim, Kraus count) of each stage that
+    ``build_quantum_channel`` would build from ``spec``, nested compose
+    stages flattened, read from the spec alone."""
+    _check_spec(spec)
+    kind = spec.get("kind")
+    if kind == "compose":
+        stages = spec.get("stages")
+        if not isinstance(stages, list) or not stages:
+            raise ValueError("compose needs a nonempty list of stages")
+        return [shape for stage in stages for shape in _stage_shapes(stage)]
+    if kind == "identity":
+        dim = _dim_field(spec, "dim")
+        return [(dim, dim, 1)]
+    if kind == "erasure":
+        dim = _dim_field(spec, "in_dim")
+        return [(dim, dim + 1, dim + 1)]
+    if kind in ("dephasing", "bit_flip", "depolarizing"):
+        ops = 4 if kind == "depolarizing" else 2
+        return [(2, 2, ops if _number_field(spec, "q") else 1)]  # 1 at q = 0
+    raise ValueError(f"unknown quantum channel kind {kind!r}")
+
+
+def _main_branch_bytes(spec) -> int:
+    """``branch_bytes`` of the channel ``spec`` describes, before anything
+    is allocated. A compose chain is checked stage by stage and stops at
+    the first prefix above MAX_BRANCH_BYTES: along a chain the input
+    dimension is fixed and the output dimension and Kraus count never
+    shrink, so no later prefix can come back under the bound."""
+    shapes = _stage_shapes(spec)
+    in_dim, out_dim, ops = shapes[0]
+    size = branch_bytes(shapes[0])
+    for stage_in, stage_out, stage_ops in shapes[1:]:
+        if size > MAX_BRANCH_BYTES:
+            break
+        if stage_in != out_dim:
+            raise ValueError(f"cannot compose: first yields dim {out_dim}, "
+                             f"second expects dim {stage_in}")
+        out_dim, ops = stage_out, ops * stage_ops
+        size = branch_bytes((in_dim, out_dim, ops))
+    return size
+
+
 # The joint-input modes a config can select, with the main channel input
-# dimension each needs. ``phase_set_state`` is left out: it needs a base
-# state, which no config field supplies.
+# dimension each needs.
 _MODE_IN_DIM = {"bell": 2, "entangled_flagged": 4}
 _INPUT_MODES = tuple(_MODE_IN_DIM)
 _FLAG_VARIANTS = ("literal", "alternating")
@@ -179,9 +220,6 @@ _REQUIRED = {
 }
 
 
-_RELAY_HOPS = ("e1e2", "e2d", "e1d")
-
-
 def load_config(path, command: Optional[str] = None,
                 seed: Optional[int] = None,
                 output_dir: Optional[str] = None) -> ExperimentConfig:
@@ -196,10 +234,18 @@ def load_config(path, command: Optional[str] = None,
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, non-UTF-8 bytes, nesting past the recursion limit, or
+        # an integer beyond int's digit limit
         raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
+    known = {f.name for f in fields(ExperimentConfig)} - {"raw"}
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        violations.append(
+            f"unknown config keys {', '.join(map(repr, unknown))}, expected "
+            f"only {', '.join(sorted(known))}")
 
     file_command = raw.get("command")
     if command is not None and file_command is not None and command != file_command:
@@ -224,7 +270,6 @@ def load_config(path, command: Optional[str] = None,
         amp_channel=raw.get("amp_channel"),
         phase_channel=raw.get("phase_channel"),
         main_channel=raw.get("main_channel"),
-        relay_channels=raw.get("relay_channels"),
         input_state=raw.get("input_state"),
         raw=raw,
     )
@@ -247,21 +292,22 @@ def load_config(path, command: Optional[str] = None,
 
     channels = [("channel", cfg.channel, build_classical_channel),
                 ("amp_channel", cfg.amp_channel, build_classical_channel),
-                ("phase_channel", cfg.phase_channel, build_classical_channel),
-                ("main_channel", cfg.main_channel, build_quantum_channel)]
-    channels = [c for c in channels if c[1] is not None]
-    hops = cfg.relay_channels
-    if hops is not None and not isinstance(hops, dict):
-        violations.append(
-            f"relay_channels must be a JSON object, got {type(hops).__name__}")
-        hops = None
-    for hop, spec in (hops or {}).items():
-        if hop in _RELAY_HOPS:
-            channels.append((f"relay_channels.{hop}", spec,
-                             build_classical_channel))
+                ("phase_channel", cfg.phase_channel, build_classical_channel)]
+    if cfg.main_channel is not None:
+        try:
+            size = _main_branch_bytes(cfg.main_channel)
+        except (ValueError, RecursionError) as exc:
+            violations.append(f"main_channel invalid: {exc}")
         else:
-            violations.append(f"relay_channels has unknown hop {hop!r}, "
-                              f"expected one of {_RELAY_HOPS}")
+            if size > MAX_BRANCH_BYTES:
+                violations.append(
+                    f"main_channel too large: its branch pairs need up to "
+                    f"{size} bytes of Kraus operators and Gram matrix, above "
+                    f"the bound of {MAX_BRANCH_BYTES}")
+            else:
+                channels.append(("main_channel", cfg.main_channel,
+                                 build_quantum_channel))
+    channels = [c for c in channels if c[1] is not None]
     built = {}
     for name, spec, builder in channels:
         try:
@@ -275,14 +321,6 @@ def load_config(path, command: Optional[str] = None,
     elif cmd in ("superactivate", "sweep"):
         violations += _input_state_violations(state or {},
                                               built.get("main_channel"))
-    main_channel = built.get("main_channel")
-    if cmd in ("superactivate", "sweep") and main_channel is not None:
-        size = branch_bytes(main_channel)
-        if size > MAX_BRANCH_BYTES:
-            violations.append(
-                f"main_channel too large: its branch pairs need up to {size} "
-                f"bytes of Kraus operators and Gram matrix, above the bound "
-                f"of {MAX_BRANCH_BYTES}")
 
     if violations:
         raise ConfigError(violations)
@@ -509,22 +547,9 @@ def _cmd_capacity(cfg: ExperimentConfig):
             dict(zip(CAPACITY_HEADER, row)))
 
 
-def _relay_spec(cfg: ExperimentConfig, part) -> RelayChannelSpec:
-    amp = build_classical_channel(cfg.amp_channel)
-    phase = build_classical_channel(cfg.phase_channel)
-    trio = cfg.relay_channels or {}
-    return RelayChannelSpec(
-        n_e1e2=build_classical_channel(trio["e1e2"]) if "e1e2" in trio else phase,
-        n_e2d=build_classical_channel(trio["e2d"]) if "e2d" in trio else amp,
-        n_e1d=build_classical_channel(trio["e1d"]) if "e1d" in trio else amp,
-        p_e2=cfg.p_e2,
-        partition=part,
-    )
-
-
 def _cmd_relay_sim(cfg: ExperimentConfig):
     part = _partition_from_config(cfg)
-    spec = _relay_spec(cfg, part)
+    spec = RelayChannelSpec(p_e2=cfg.p_e2, partition=part)
     result = simulate_relay(spec, cfg.trials, cfg.seed)
     rows = simulation_rows(spec, result)
     return ([("relay_sim.csv", RELAY_SIM_HEADER, list(zip(*rows)))],

@@ -17,8 +17,7 @@ anything more negative is rejected as an invalid state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -142,29 +141,6 @@ class BinaryCqChannel:
         self.sigma0 = sigma0
         self.sigma1 = sigma1
         self.dim = sigma0.dim
-
-
-@dataclass
-class CapacityReport:
-    """Capacities in bits. Fields left as None were not computed.
-
-    ``p_sym_single_use`` is the single-use symmetric private information
-    I(A:B) - I(A:E); when both mutual informations are populated the report
-    checks the difference to 1e-12.
-    """
-
-    c_sym: Optional[float] = None
-    p_sym_single_use: Optional[float] = None
-    i_ab: Optional[float] = None
-    i_ae: Optional[float] = None
-    i_coh: Optional[float] = None
-
-    def __post_init__(self):
-        if (self.p_sym_single_use is not None and self.i_ab is not None
-                and self.i_ae is not None):
-            if abs(self.p_sym_single_use - (self.i_ab - self.i_ae)) > 1e-12:
-                raise ValueError(
-                    "p_sym_single_use must equal i_ab - i_ae when populated")
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +361,6 @@ def mutual_information(rho_ab: DensityMatrix, dims) -> float:
     return s_a + s_b - s_ab
 
 
-def private_information(bob: BinaryCqChannel, eve: BinaryCqChannel) -> CapacityReport:
-    """Single-use symmetric private information I(A:B) - I(A:E).
-
-    Both mutual informations are evaluated on the uniform-input joint
-    states. The difference may be negative and is reported as-is.
-    """
-    i_ab = mutual_information(cq_joint_state(bob), (2, bob.dim))
-    i_ae = mutual_information(cq_joint_state(eve), (2, eve.dim))
-    return CapacityReport(c_sym=i_ab, p_sym_single_use=i_ab - i_ae,
-                          i_ab=i_ab, i_ae=i_ae)
-
-
 def coherent_information(channel: KrausChannel, rho: DensityMatrix) -> float:
     """I_coh = S(B) - S(E) from the Kraus operators {K_i}.
 
@@ -415,30 +379,3 @@ def coherent_information(channel: KrausChannel, rho: DensityMatrix) -> float:
                  @ k.conj().transpose(0, 2, 1).reshape(r * in_dim, out_dim))
     env_state = a.reshape(r, -1) @ k.reshape(r, -1).conj().T
     return _entropy_bits(out_state) - _entropy_bits(env_state)
-
-
-def cq_from_kraus(channel: KrausChannel) -> BinaryCqChannel:
-    """Binary cq channel induced by classical basis use of a qubit-input
-    channel: sigma_a = N(|a><a|)."""
-    if channel.in_dim != 2:
-        raise ValueError("classical basis use needs a qubit-input channel")
-    s0 = apply_kraus(channel, DensityMatrix.basis_state(0, 2))
-    s1 = apply_kraus(channel, DensityMatrix.basis_state(1, 2))
-    return BinaryCqChannel(s0, s1)
-
-
-# ---------------------------------------------------------------------------
-# JSON matrix serialization (row-major, [re, im] pairs)
-# ---------------------------------------------------------------------------
-
-def matrix_to_json(matrix: np.ndarray) -> list:
-    """Row-major nested list of [re, im] pairs."""
-    m = np.asarray(matrix, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
-def matrix_from_json(data) -> np.ndarray:
-    a = np.asarray(data, dtype=float)
-    if a.ndim != 3 or a.shape[2] != 2:
-        raise ValueError("expected nested rows of [re, im] pairs")
-    return a[..., 0] + 1j * a[..., 1]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -110,13 +109,6 @@ class GoodBadSets:
         if not (_is_mask(self.good, self.n) and _is_mask(self.bad, self.n)
                 and np.array_equal(self.good, ~self.bad)):
             raise ValueError("good and bad must partition the index range")
-
-
-@dataclass(frozen=True)
-class PartialDistanceReport:
-    """Partial distances d_i of the generator rows and the derived exponent."""
-    d: tuple
-    beta_hat: float
 
 
 @dataclass(frozen=True)
@@ -558,49 +550,6 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
                                     axis=1)))
     return MonteCarloResult(trials=trials, errors=errors,
                             block_error_rate=errors / trials)
-
-
-# ---------------------------------------------------------------------------
-# Partial distances
-# ---------------------------------------------------------------------------
-
-def _coset_min_weight(target: int, basis: Sequence[int]) -> int:
-    """Minimum Hamming weight over {target ^ v : v in span(basis)}."""
-    s = len(basis)
-    split = min(s, 20)
-    low = np.zeros(1, dtype=np.uint64)
-    for r in basis[:split]:
-        low = np.concatenate([low, low ^ np.uint64(r)])
-    best = int(np.bitwise_count(low ^ np.uint64(target)).min())
-    if s > split:
-        high = 0
-        # Gray-code walk over the remaining basis vectors
-        for step in range(1, 2 ** (s - split)):
-            flip = (step & -step).bit_length() - 1
-            high ^= basis[split + flip]
-            cand = int(np.bitwise_count(low ^ np.uint64(target ^ high)).min())
-            best = min(best, cand)
-    return best
-
-
-def beta_from_partial_distances(k: int) -> PartialDistanceReport:
-    """Partial distances d_i = min distance from row i to the span of the
-    later rows, by exhaustive span enumeration, plus (1/n) sum log_n d_i.
-
-    Enumeration is exponential in n, so k is capped at 5.
-    """
-    if k < 1:
-        raise ValueError(f"recursion level must be >= 1, got {k}")
-    if k > 5:
-        raise ValueError(f"exact span enumeration is limited to k <= 5, got {k}")
-    g = generator_matrix(k)
-    n = g.n
-    rows = [int("".join(str(b) for b in row), 2) for row in g.bits]
-    d = []
-    for i in range(n):
-        d.append(_coset_min_weight(rows[i], rows[i + 1:]))
-    beta_hat = sum(math.log(di, n) for di in d) / n
-    return PartialDistanceReport(d=tuple(d), beta_hat=beta_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -29,16 +29,15 @@ import numpy as np
 
 from .codeword_sets import IndexSetPartition, set_size
 from .density_ops import (DensityMatrix, KrausChannel, bell_pair,
-                          coherent_information, cq_joint_state,
-                          erasure_channel, mutual_information,
-                          permute_systems, symmetric_cq_capacity,
-                          tensor_channels, trace_out, BinaryCqChannel)
+                          coherent_information, erasure_channel,
+                          permute_systems, tensor_channels, trace_out)
 
 BRANCH_KEYS = ("main_main", "main_erasure", "erasure_main", "erasure_erasure")
 
-# Bound on branch_bytes(main), checked when a config is loaded. The
-# runtime's peak memory is a small multiple of it (the Kraus stack is
-# copied a few times inside coherent_information).
+# Bound on branch_bytes of the main channel, checked from its config spec
+# before the channel is built. The runtime's peak memory is a small
+# multiple of it (the Kraus stack is copied a few times inside
+# coherent_information).
 MAX_BRANCH_BYTES = 2 ** 26
 
 
@@ -151,8 +150,7 @@ def build_switch_channel(p: float, main: KrausChannel) -> SwitchChannel:
                          channel=KrausChannel(ops), branch_dim=branch_dim)
 
 
-def make_rho_ac(mode: str, base_state: Optional[DensityMatrix] = None,
-                variant: str = "alternating") -> JointInputState:
+def make_rho_ac(mode: str, variant: str = "alternating") -> JointInputState:
     """Construct a side-symmetric joint input state.
 
     Modes
@@ -164,9 +162,6 @@ def make_rho_ac(mode: str, base_state: Optional[DensityMatrix] = None,
         pair, for channels with two-qubit inputs. ``variant`` selects the
         flag register content: ``literal`` pins both flags to |0>;
         ``alternating`` mixes |00> and |11> evenly.
-    ``phase_set_state``
-        Symmetric product extension base (x) base of a caller-supplied
-        single-side state.
     """
     if mode == "bell":
         return JointInputState(rho_ac=bell_pair(2), side_dim=2, mode=mode)
@@ -185,27 +180,22 @@ def make_rho_ac(mode: str, base_state: Optional[DensityMatrix] = None,
         rho = permute_systems(np.kron(flags, bell), [2, 2, 2, 2], (0, 2, 1, 3))
         return JointInputState(rho_ac=DensityMatrix(rho), side_dim=4,
                                mode=mode, variant=variant)
-    if mode == "phase_set_state":
-        if base_state is None:
-            raise ValueError("phase_set_state mode needs a base state")
-        rho = np.kron(base_state.entries, base_state.entries)
-        return JointInputState(rho_ac=DensityMatrix(rho),
-                               side_dim=base_state.dim, mode=mode)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def branch_bytes(main: KrausChannel) -> int:
+def branch_bytes(shape: Tuple[int, int, int]) -> int:
     """Upper bound on the bytes of the largest branch pair's Kraus stack
-    plus its Gram matrix, from the dimensions alone.
+    plus its Gram matrix, from the main channel's (in_dim, out_dim, Kraus
+    count) alone.
 
     A pair a (x) b has r_a r_b operators of out_a out_b x in^2 entries and
     an (r_a r_b)^2 Gram matrix, all complex128. The erasure branch has
     in + 1 operators of (in + 1) x in, so each factor is bounded by the
     larger of the two channels' figures.
     """
-    d = main.in_dim
-    ops = max(len(main.kraus_ops), d + 1)
-    rows = max(len(main.kraus_ops) * main.out_dim, (d + 1) ** 2)
+    d, out_dim, kraus = shape
+    ops = max(kraus, d + 1)
+    rows = max(kraus * out_dim, (d + 1) ** 2)
     return 16 * (rows ** 2 * d ** 2 + ops ** 4)
 
 
@@ -273,15 +263,6 @@ def superactivated_bound(p: float, i_coh_main: float) -> Tuple[float, float]:
     values = [2.0 * q * (1.0 - q) * i_coh_main for q in grid]
     p_star = grid[int(np.argmax(values))]
     return bound, p_star
-
-
-def assisted_single_use_capacity(bob_phase: BinaryCqChannel,
-                                 eve: BinaryCqChannel) -> float:
-    """Single-use private rate of the assisted scheme: half the phase-side
-    advantage over the eavesdropper."""
-    i_ab = symmetric_cq_capacity(bob_phase)
-    i_ae = mutual_information(cq_joint_state(eve), (2, eve.dim))
-    return 0.5 * (i_ab - i_ae)
 
 
 def compare_assisted(p_e2: float, part: IndexSetPartition) -> AssistedComparison:

@@ -181,8 +181,7 @@ def test_c07_advantage_threshold_and_throughput():
         p = i / 100.0
         assert compare_assisted(p, part).advantage == (p < 0.5)
 
-    spec = RelayChannelSpec(n_e1e2=BDMC.bec(0.2), n_e2d=BDMC.bec(0.3),
-                            n_e1d=BDMC.bec(0.5), p_e2=0.4, partition=part)
+    spec = RelayChannelSpec(p_e2=0.4, partition=part)
     trials = 100000
     result = simulate_relay(spec, trials=trials, seed=777)
     empirical = result.empirical_success_rate * s_in

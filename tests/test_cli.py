@@ -1,5 +1,6 @@
 """Tests for config loading, the experiment runner, and reproducibility."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from helpers_csv import csv_bytes_from_columns
 from qrelay import cli
-from qrelay.cli import (CSV_BLOCK_ROWS, ConfigError, _format_value, _write_csv,
+from qrelay.cli import (COMMANDS, CSV_BLOCK_ROWS, ConfigError,
+                        ExperimentConfig, _format_value, _write_csv,
                         build_classical_channel, build_quantum_channel,
                         load_config, main, render_report, run)
 
@@ -112,6 +114,65 @@ def test_cli_overrides_take_precedence(tmp_path):
                       output_dir=str(tmp_path / "out"))
     assert cfg.seed == 42
     assert cfg.output_dir.endswith("out")
+
+
+CONFIG_KEYS = sorted(f.name for f in dataclasses.fields(ExperimentConfig)
+                     if f.name != "raw")
+
+
+def either(first, second):
+    """``first`` or ``second`` at even odds; ``|`` would weight each by its
+    number of alternatives."""
+    return st.booleans().flatmap(lambda pick: first if pick else second)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=6) | st.sampled_from(COMMANDS))
+SHALLOW_VALUES = either(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3))
+CHANNEL_SPECS = st.deferred(lambda: st.fixed_dictionaries(
+    {"kind": either(st.sampled_from(["bec", "bsc", "table", "identity",
+                                     "dephasing", "bit_flip", "depolarizing",
+                                     "erasure", "compose"]),
+                    SHALLOW_VALUES)},
+    optional={
+        **{name: either(st.integers(min_value=0, max_value=9), SHALLOW_VALUES)
+           for name in ("epsilon", "p", "q", "dim", "in_dim")},
+        "mode": either(st.sampled_from(["bell", "entangled_flagged"]),
+                       SHALLOW_VALUES),
+        "variant": either(st.sampled_from(["literal", "alternating"]),
+                          SHALLOW_VALUES),
+        "w": st.lists(SHALLOW_VALUES, max_size=3),
+        "stages": either(st.lists(CHANNEL_SPECS, max_size=3),
+                         SHALLOW_VALUES)}))
+
+# Each known key, present about half the time, valued by a
+# channel-spec-shaped object or a shallow JSON value; plus up to two
+# unknown keys.
+ABSENT = object()
+ARBITRARY_CONFIGS = st.builds(
+    lambda known, unknown: {**unknown, **{key: value for key, value
+                                          in known.items()
+                                          if value is not ABSENT}},
+    st.fixed_dictionaries({
+        key: either(st.just(ABSENT),
+                    either(CHANNEL_SPECS, SHALLOW_VALUES)
+                    if key.endswith("channel") or key == "input_state"
+                    else SHALLOW_VALUES)
+        for key in CONFIG_KEYS}),
+    st.dictionaries(st.text(max_size=8), SHALLOW_VALUES, max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARBITRARY_CONFIGS, st.sampled_from(COMMANDS + (None,)))
+def test_load_config_returns_config_or_config_error(tmp_path_factory, raw,
+                                                    command):
+    path = tmp_path_factory.getbasetemp() / "arbitrary.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    try:
+        cfg = load_config(str(path), command=command)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 def test_channel_builders_reject_unknown_kinds():
@@ -510,15 +571,12 @@ def test_main_rejects_mistyped_scalars(tmp_path, capsys, field, value):
 
 
 @pytest.mark.parametrize("overrides, fragment", [
-    ({"relay_channels": {"e1e2": {"kind": "nope"}}},
-     "relay_channels.e1e2 invalid"),
-    ({"relay_channels": {"e2d": None}}, "relay_channels.e2d invalid"),
-    ({"relay_channels": {"relay": {"kind": "bsc", "p": 0.1}}},
-     "relay_channels has unknown hop 'relay'"),
-    ({"relay_channels": [{"kind": "bsc", "p": 0.1}]},
-     "relay_channels must be a JSON object"),
+    # a key no config field reads, such as the deleted relay_channels or a
+    # typo, is named rather than ignored
+    ({"relay_channels": {"e1e2": {"kind": "bsc", "p": 0.1}}, "bta": 0.3},
+     "config error: unknown config keys 'bta', 'relay_channels'"),
     ({"input_state": "bell"}, "input_state must be a JSON object")])
-def test_main_rejects_bad_relay_channels_and_input_state(
+def test_main_rejects_unknown_keys_and_non_object_input_state(
         tmp_path, capsys, overrides, fragment):
     path = dual_config(tmp_path, name="hops.json", p_e2=0.3, trials=100,
                        **overrides)
@@ -528,8 +586,8 @@ def test_main_rejects_bad_relay_channels_and_input_state(
 
 
 @pytest.mark.parametrize("overrides, fragment", [
-    ({"relay_channels": {"e1e2": None}},
-     "relay_channels.e1e2 invalid: channel spec must be a JSON object"),
+    ({"phase_channel": [{"kind": "bsc", "p": 0.1}]},
+     "phase_channel invalid: channel spec must be a JSON object, got list"),
     ({"main_channel": {"kind": "compose",
                        "stages": [{"kind": "dephasing", "q": 0.1}, None]}},
      "main_channel invalid: channel spec must be a JSON object"),
@@ -622,6 +680,49 @@ def test_main_rejects_main_channel_over_branch_bound(tmp_path, capsys):
         assert rc == 2
         assert "config error: main_channel too large" in \
             capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, main_channel", [
+    ("sweep", {"kind": "identity", "dim": 2000}),
+    ("sweep", {"kind": "identity", "dim": 10 ** 4}),
+    ("sweep", {"kind": "compose",
+               "stages": [{"kind": "depolarizing", "q": 0.1}] * 12}),
+    ("relay-sim", {"kind": "identity", "dim": 10 ** 4})],
+    ids=["identity_2000", "identity_10000", "depolarizing_x12",
+         "relay_sim_identity_10000"])
+def test_main_bounds_main_channel_before_building_it(tmp_path, command,
+                                                     main_channel):
+    # built first, these take from 282 MB to gigabytes (4^12 operators
+    # for the compose chain); each command that reads the config bounds it
+    path = dual_config(tmp_path, name="huge.json", k=4, p_e2=0.3, trials=10,
+                       main_channel=main_channel)
+    script = ("import resource, sys\n"
+              "from qrelay.cli import main\n"
+              "rc = main(sys.argv[1:])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+              "sys.exit(rc)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, command, "--config", path,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error: main_channel too large" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert int(proc.stdout.split()[-1]) < 150 * 1024  # ru_maxrss in KiB
+
+
+@pytest.mark.parametrize("payload", [
+    b'{"k": 3, "note": "\xff"}',
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"k": ' + b"9" * 5000 + b"}"],
+    ids=["not_utf8", "nested_past_recursion_limit", "int_past_digit_limit"])
+def test_main_rejects_unparsable_config_file(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    rc = main(["polarize", "--config", str(path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error: config is not valid JSON" in capsys.readouterr().err
 
 
 def test_main_rejects_non_finite_table(tmp_path, capsys):

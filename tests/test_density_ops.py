@@ -7,17 +7,15 @@ import pytest
 
 from helpers_quantum import (coherent_info_oracle, random_cq_channel,
                              random_density_matrix, random_kraus_channel)
-from qrelay.density_ops import (BinaryCqChannel, CapacityReport, DensityMatrix,
-                                Isometry, KrausChannel, apply_kraus, bell_pair,
+from qrelay.density_ops import (BinaryCqChannel, DensityMatrix, Isometry,
+                                KrausChannel, apply_kraus, bell_pair,
                                 bit_flip_channel, coherent_information,
                                 compose_channels, cq_joint_state,
                                 dephasing_channel, depolarizing_channel,
                                 erasure_channel, identity_channel,
-                                isometric_extension, matrix_from_json,
-                                matrix_to_json, mutual_information,
-                                private_information, symmetric_cq_capacity,
-                                tensor_channels, trace_out,
-                                von_neumann_entropy)
+                                isometric_extension, mutual_information,
+                                symmetric_cq_capacity, tensor_channels,
+                                trace_out, von_neumann_entropy)
 
 # Frozen oracle values, computed by direct eigendecomposition / summation.
 ENTROPY_QUARTER_THREE_QUARTER = 0.8112781244591328
@@ -64,13 +62,6 @@ def test_cq_channel_rejects_dim_mismatch():
     with pytest.raises(ValueError, match="dimensions"):
         BinaryCqChannel(DensityMatrix.maximally_mixed(2),
                         DensityMatrix.maximally_mixed(3))
-
-
-def test_capacity_report_checks_difference():
-    with pytest.raises(ValueError):
-        CapacityReport(p_sym_single_use=0.5, i_ab=1.0, i_ae=0.2)
-    report = CapacityReport(p_sym_single_use=0.8, i_ab=1.0, i_ae=0.2)
-    assert report.i_coh is None
 
 
 # ---------------------------------------------------------------------------
@@ -261,30 +252,6 @@ def test_mutual_information_rejects_bad_dims():
         mutual_information(DensityMatrix.maximally_mixed(4), (3, 2))
 
 
-def test_private_information_identical_channels():
-    rng = np.random.default_rng(29)
-    ch = random_cq_channel(2, rng)
-    report = private_information(ch, ch)
-    assert abs(report.p_sym_single_use) < 1e-12
-
-
-def test_private_information_useless_eavesdropper():
-    bob = BinaryCqChannel(DensityMatrix.basis_state(0, 2),
-                          DensityMatrix.from_pure(PLUS))
-    mixed = DensityMatrix.maximally_mixed(2)
-    report = private_information(bob, BinaryCqChannel(mixed, mixed))
-    assert abs(report.p_sym_single_use - report.i_ab) < 1e-12
-
-
-def test_private_information_orthogonal_bob_overlapping_eve():
-    bob = BinaryCqChannel(DensityMatrix.basis_state(0, 2),
-                          DensityMatrix.basis_state(1, 2))
-    eve = BinaryCqChannel(DensityMatrix.basis_state(0, 2),
-                          DensityMatrix.from_pure(PLUS))
-    report = private_information(bob, eve)
-    assert abs(report.p_sym_single_use - (1.0 - CQ_CAPACITY_ZERO_PLUS)) < 1e-10
-
-
 def test_coherent_information_identity_on_mixed():
     val = coherent_information(identity_channel(2),
                                DensityMatrix.maximally_mixed(2))
@@ -376,11 +343,3 @@ def test_channel_parameter_validation():
     with pytest.raises(ValueError):
         erasure_channel(-0.1)
 
-
-def test_json_matrix_round_trip():
-    rng = np.random.default_rng(37)
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    back = matrix_from_json(matrix_to_json(m))
-    assert np.allclose(back, m, atol=1e-15)
-    with pytest.raises(ValueError):
-        matrix_from_json([[1.0, 2.0]])

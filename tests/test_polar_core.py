@@ -1,7 +1,6 @@
 """Tests for generator matrices, combining, polarization, and SC decoding."""
 
 import hashlib
-import itertools
 import math
 
 import numpy as np
@@ -11,8 +10,8 @@ import qrelay.polar_core
 from helpers_quantum import index_mask, random_bdmc
 from helpers_rng import merge_oracle, monte_carlo_oracle
 from qrelay.polar_core import (BDMC, GoodBadSets, PolarizationResult,
-                               beta_from_partial_distances, bhattacharyya,
-                               combine_bad, combine_good, error_bound,
+                               bhattacharyya, combine_bad, combine_good,
+                               error_bound,
                                generator_matrix, merge_equal_likelihood_outputs,
                                monte_carlo_block_error, polar_encode,
                                polarization_rows, polarize, sc_decode,
@@ -84,23 +83,6 @@ def bec_recursion_oracle(eps, k):
             nxt.append(val * val)
         z = nxt
     return np.array(z)
-
-
-def partial_distance_oracle(bits):
-    """Span enumeration over all subsets of the later rows."""
-    n = bits.shape[0]
-    d = []
-    for i in range(n):
-        later = [bits[j] for j in range(i + 1, n)]
-        best = int(bits[i].sum())
-        for r in range(1, len(later) + 1):
-            for combo in itertools.combinations(later, r):
-                v = bits[i].copy()
-                for row in combo:
-                    v = v ^ row
-                best = min(best, int(v.sum()))
-        d.append(best)
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -665,35 +647,6 @@ def test_monte_carlo_matches_per_trial_oracle():
                     batch_size=batch_size) == want
             rates.add(want.block_error_rate)
     assert any(0.0 < r < 1.0 for r in rates)
-
-
-# ---------------------------------------------------------------------------
-# Partial distances
-# ---------------------------------------------------------------------------
-
-def test_partial_distances_level_one():
-    report = beta_from_partial_distances(1)
-    assert report.d == (1, 1)
-    assert report.beta_hat == 0.0
-
-
-@pytest.mark.parametrize("k", [2, 3])
-def test_partial_distances_match_span_oracle(k):
-    report = beta_from_partial_distances(k)
-    assert list(report.d) == partial_distance_oracle(generator_matrix(k).bits)
-
-
-def test_partial_distances_last_row_weight():
-    for k in (1, 2, 3, 4):
-        g = generator_matrix(k)
-        report = beta_from_partial_distances(k)
-        assert report.d[-1] == int(g.bits[-1].sum())
-        assert all(d >= 1 for d in report.d)
-
-
-def test_partial_distances_level_cap():
-    with pytest.raises(ValueError, match="k <= 5"):
-        beta_from_partial_distances(6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Tests for relay channel composition, capacities, and encoder simulation."""
+"""Tests for relay capacities and encoder simulation."""
 
-import itertools
 import math
 import tracemalloc
 
@@ -10,90 +9,16 @@ import pytest
 from helpers_quantum import make_partition
 from helpers_rng import relay_success_flags
 from qrelay.codeword_sets import set_size
-from qrelay.density_ops import dephasing_channel, identity_channel
-from qrelay.polar_core import BDMC, bhattacharyya, trial_rng
-from qrelay.relay import (RELAY_CHUNK, ClassicalRelayModel, JointDistribution,
-                          RelayChannelSpec, RelayTrialResult,
-                          channel_symmetric_capacity, compose_bdmc,
-                          compose_relay, degraded_diagnostic,
-                          expected_throughput, maximize_relay_min_rate,
-                          relay_capacity_min, relay_mutual_info,
+from qrelay.polar_core import trial_rng
+from qrelay.relay import (RELAY_CHUNK, RelayChannelSpec, RelayTrialResult,
+                          expected_throughput, relay_capacity_min,
                           relay_private_capacity, simulate_relay,
                           simulation_rows)
 
 
 def make_spec(p_e2=0.3, n=16, amp=range(8), phase=range(4, 12)):
     part = make_partition(n, amp, phase)
-    return RelayChannelSpec(n_e1e2=BDMC.bec(0.2), n_e2d=BDMC.bec(0.3),
-                            n_e1d=BDMC.bec(0.6), p_e2=p_e2, partition=part)
-
-
-# ---------------------------------------------------------------------------
-# Composition
-# ---------------------------------------------------------------------------
-
-def test_compose_identity_channels():
-    spec = RelayChannelSpec(n_e1e2=identity_channel(2),
-                            n_e2d=identity_channel(2),
-                            n_e1d=identity_channel(2),
-                            p_e2=0.5, partition=make_partition(4, {0}, {0}))
-    composed = compose_relay(spec)
-    assert len(composed.kraus_ops) == 1
-    assert np.allclose(composed.kraus_ops[0], np.eye(2))
-
-
-def test_compose_bec_erasure_propagation():
-    for a, b in ((0.2, 0.3), (0.5, 0.5), (0.1, 0.9)):
-        composed = compose_bdmc(BDMC.bec(a), BDMC.bec(b))
-        assert abs(bhattacharyya(composed) - (a + b - a * b)) < 1e-12
-        # transition-matrix product oracle on the non-erased part
-        assert abs(composed.w[0][0] - (1 - a) * (1 - b)) < 1e-12
-        assert composed.w[0][1] == 0.0
-
-
-def test_compose_binary_output_first_stage():
-    first = BDMC.bsc(0.1)
-    second = BDMC.bec(0.2)
-    composed = compose_bdmc(first, second)
-    want = first.w @ second.w  # independent product oracle
-    assert np.allclose(composed.w, want, atol=1e-15)
-
-
-def test_compose_undefined_combination():
-    with pytest.raises(ValueError, match="composition"):
-        compose_bdmc(BDMC([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]]), BDMC.bsc(0.1))
-
-
-def test_compose_quantum_completeness():
-    spec = RelayChannelSpec(n_e1e2=dephasing_channel(0.3),
-                            n_e2d=dephasing_channel(0.4),
-                            n_e1d=dephasing_channel(0.8),
-                            p_e2=0.4, partition=make_partition(4, {0}, {0}))
-    composed = compose_relay(spec)
-    total = sum(k.conj().T @ k for k in composed.kraus_ops)
-    assert np.max(np.abs(total - np.eye(2))) < 1e-9
-
-
-def test_compose_mixed_kinds_rejected():
-    spec = RelayChannelSpec(n_e1e2=dephasing_channel(0.3),
-                            n_e2d=BDMC.bec(0.2), n_e1d=BDMC.bec(0.2),
-                            p_e2=0.4, partition=make_partition(4, {0}, {0}))
-    with pytest.raises(ValueError, match="both"):
-        compose_relay(spec)
-
-
-def test_degraded_diagnostic():
-    # direct path much noisier than the relayed path
-    assert degraded_diagnostic(make_spec())
-    helped = RelayChannelSpec(n_e1e2=BDMC.bec(0.4), n_e2d=BDMC.bec(0.4),
-                              n_e1d=BDMC.bec(0.01), p_e2=0.3,
-                              partition=make_partition(4, {0}, {0}))
-    assert not degraded_diagnostic(helped)
-
-
-def test_channel_symmetric_capacity_kinds():
-    assert abs(channel_symmetric_capacity(BDMC.bec(0.25)) - 0.75) < 1e-12
-    assert abs(channel_symmetric_capacity(identity_channel(2)) - 1.0) < 1e-12
+    return RelayChannelSpec(p_e2=p_e2, partition=part)
 
 
 # ---------------------------------------------------------------------------
@@ -139,93 +64,6 @@ def test_relay_private_capacity_forms():
         phase = {int(i) for i in np.flatnonzero(rng.random(n) < 0.5)}
         part = make_partition(n, amp, phase)
         assert relay_private_capacity(part) == set_size(part.s_in) / n
-
-
-# ---------------------------------------------------------------------------
-# Mutual information over the relay model
-# ---------------------------------------------------------------------------
-
-def _noiseless_pair_model():
-    # receiver sees the sender symbol, relay observes it too
-    p = np.zeros((2, 2, 2, 2))
-    for a in range(2):
-        for a2 in range(2):
-            p[a, a2, a, a] = 1.0
-    return ClassicalRelayModel(p)
-
-
-def test_relay_mutual_info_noiseless():
-    jd = JointDistribution(np.full((2, 2), 0.25))
-    i_joint, i_cond = relay_mutual_info(jd, _noiseless_pair_model())
-    assert abs(i_joint - 1.0) < 1e-12
-    assert abs(i_cond - 1.0) < 1e-12
-    assert min(i_joint, i_cond) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_relay_mutual_info_independent_relay_observation():
-    # relay observation pinned to 0 regardless of the sender symbol
-    p = np.zeros((2, 2, 2, 2))
-    for a in range(2):
-        for a2 in range(2):
-            p[a, a2, a, 0] = 1.0
-    jd = JointDistribution(np.full((2, 2), 0.25))
-    _, i_cond = relay_mutual_info(jd, ClassicalRelayModel(p))
-    assert abs(i_cond) < 1e-12
-
-
-def test_grid_maximizer_beats_uniform():
-    # binary symmetric hops with different noise levels
-    flip_b, flip_bp = 0.1, 0.25
-    p = np.zeros((2, 2, 2, 2))
-    for a in range(2):
-        for a2 in range(2):
-            for b in range(2):
-                for bp in range(2):
-                    pb = (1 - flip_b) if b == (a ^ a2) else flip_b
-                    pbp = (1 - flip_bp) if bp == a else flip_bp
-                    p[a, a2, b, bp] = pb * pbp
-    model = ClassicalRelayModel(p)
-    uniform = min(relay_mutual_info(JointDistribution(np.full((2, 2), 0.25)),
-                                    model))
-    jd_best, best = maximize_relay_min_rate(model, resolution=16)
-    assert best >= uniform - 1e-12
-    # brute-force lattice enumeration oracle at the same resolution
-    res = 16
-    oracle = -1.0
-    for units in itertools.product(range(res + 1), repeat=3):
-        if sum(units) > res:
-            continue
-        vec = np.array(list(units) + [res - sum(units)], dtype=float) / res
-        oracle = max(oracle, min(relay_mutual_info(
-            JointDistribution(vec.reshape(2, 2)), model)))
-    assert abs(best - oracle) < 1e-12
-
-
-def test_grid_maximizer_greedy_branch():
-    # six probability cells: falls back to greedy lattice ascent
-    p = np.zeros((2, 3, 2, 2))
-    for a in range(2):
-        for a2 in range(3):
-            p[a, a2, a, a] = 1.0
-    model = ClassicalRelayModel(p)
-    jd_best, best = maximize_relay_min_rate(model, resolution=8)
-    assert abs(best - min(relay_mutual_info(jd_best, model))) < 1e-12
-    assert best >= 0.9  # noiseless observations support nearly one bit
-
-
-def test_relay_mutual_info_alphabet_cap():
-    jd = JointDistribution(np.full((5, 2), 0.1))
-    p = np.zeros((5, 2, 2, 2))
-    p[..., 0, 0] = 1.0
-    with pytest.raises(ValueError, match="alphabets"):
-        relay_mutual_info(jd, ClassicalRelayModel(p))
-
-
-def test_joint_distribution_validation():
-    with pytest.raises(ValueError):
-        JointDistribution(np.array([[0.5, 0.6], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        JointDistribution(np.array([[-0.1, 0.6], [0.25, 0.25]]))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +154,7 @@ def test_simulate_relay_convergence_trend():
 def test_expected_throughput():
     part = make_partition(1024, range(640), range(128, 768))
     assert set_size(part.s_in) == 512
-    spec = RelayChannelSpec(n_e1e2=BDMC.bec(0.2), n_e2d=BDMC.bec(0.3),
-                            n_e1d=BDMC.bec(0.6), p_e2=0.4, partition=part)
+    spec = RelayChannelSpec(p_e2=0.4, partition=part)
     assert expected_throughput(spec) == pytest.approx(204.8)
     empty = make_spec(amp=range(8), phase=range(8, 16))
     assert expected_throughput(empty) == 0.0
@@ -341,11 +178,6 @@ def test_relay_spec_validation():
     with pytest.raises(ValueError):
         RelayTrialResult(trials=10, successes=11,
                          empirical_success_rate=1.1, mean_codeword_size_b=0.0)
-    from qrelay.density_ops import erasure_channel
-    with pytest.raises(ValueError, match="composable"):
-        RelayChannelSpec(n_e1e2=erasure_channel(0.5), n_e2d=identity_channel(2),
-                         n_e1d=identity_channel(2), p_e2=0.5,
-                         partition=make_partition(4, {0}, {0}))
 
 
 def test_simulation_rows_schema():

@@ -2,7 +2,6 @@
 assisted-vs-probabilistic relay comparison."""
 
 import json
-import math
 import tracemalloc
 
 import numpy as np
@@ -14,20 +13,14 @@ from helpers_quantum import (coherent_info_oracle, joint_coherent_info_oracle,
                              random_density_matrix, random_kraus_channel)
 from qrelay.cli import load_config, run
 from qrelay.codeword_sets import set_size
-from qrelay.density_ops import (BinaryCqChannel, DensityMatrix, apply_kraus,
-                                bit_flip_channel, coherent_information,
-                                compose_channels, dephasing_channel,
-                                identity_channel, tensor_channels, trace_out)
+from qrelay.density_ops import (DensityMatrix, apply_kraus, bit_flip_channel,
+                                coherent_information, compose_channels,
+                                dephasing_channel, identity_channel,
+                                tensor_channels, trace_out)
 from qrelay.superactivation import (branch_terms, build_switch_channel,
                                     compare_assisted, joint_coherent_info,
                                     make_rho_ac, superactivated_bound,
-                                    sweep_rows, assisted_single_use_capacity,
-                                    JointInputState)
-
-CQ_CAPACITY_ZERO_PLUS = 0.6008760366928562  # eigendecomposition oracle value
-
-PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
-
+                                    sweep_rows, JointInputState)
 
 # ---------------------------------------------------------------------------
 # Switch channel
@@ -109,20 +102,9 @@ def test_entangled_flagged_variants_differ():
     assert np.max(np.abs(lit.entries - alt.entries)) > 0.2
 
 
-def test_phase_set_state_mode():
-    rng = np.random.default_rng(109)
-    base = random_density_matrix(2, rng)
-    state = make_rho_ac("phase_set_state", base_state=base)
-    assert state.side_dim == 2
-    left = trace_out(state.rho_ac, [2, 2], keep={0})
-    assert np.allclose(left.entries, base.entries, atol=1e-12)
-
-
 def test_make_rho_ac_validation():
     with pytest.raises(ValueError, match="mode"):
         make_rho_ac("unknown")
-    with pytest.raises(ValueError, match="base state"):
-        make_rho_ac("phase_set_state")
     with pytest.raises(ValueError, match="variant"):
         make_rho_ac("entangled_flagged", variant="bogus")
 
@@ -341,19 +323,6 @@ def test_superactivated_bound_validation():
         superactivated_bound(0.0, 1.0)
     with pytest.raises(ValueError):
         superactivated_bound(1.0, 1.0)
-
-
-def test_assisted_single_use_capacity_cases():
-    mixed = DensityMatrix.maximally_mixed(2)
-    useless = BinaryCqChannel(mixed, mixed)
-    orthogonal = BinaryCqChannel(DensityMatrix.basis_state(0, 2),
-                                 DensityMatrix.basis_state(1, 2))
-    overlap_half = BinaryCqChannel(DensityMatrix.basis_state(0, 2),
-                                   DensityMatrix.from_pure(PLUS))
-    assert abs(assisted_single_use_capacity(orthogonal, orthogonal)) < 1e-10
-    assert abs(assisted_single_use_capacity(orthogonal, useless) - 0.5) < 1e-10
-    want = 0.5 * CQ_CAPACITY_ZERO_PLUS
-    assert abs(assisted_single_use_capacity(overlap_half, useless) - want) < 1e-10
 
 
 def test_compare_assisted_cases():
