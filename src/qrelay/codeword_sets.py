@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polar_core import BDMC, PolarizationResult, _is_mask, select_sets
+from .polar_core import (BDMC, PolarizationResult, _is_mask, _threshold,
+                         select_sets)
 
 
 @dataclass(frozen=True)
@@ -185,6 +186,14 @@ def r_sym_nondegraded(part: IndexSetPartition) -> float:
     return val / part.n
 
 
+def nondegraded_phase_margin(part: IndexSetPartition) -> float:
+    """(|s_in| - |bad_phase|)/n, the usable margin once the phase-frozen
+    positions are discounted. May be negative."""
+    return _warn_if_negative(
+        "nondegraded_phase_margin",
+        (set_size(part.s_in) - set_size(part.bad_phase)) / part.n)
+
+
 def eve_capacity(part: IndexSetPartition) -> EveCapacityReport:
     """Eavesdropper fractions and the two Bob-side complement forms."""
     n = part.n
@@ -211,6 +220,21 @@ def rate_report(part: IndexSetPartition) -> RateReport:
         c_bob=eve.c_bob,
         c_eve=eve.c_eve_total,
     )
+
+
+def codeword_threshold_sets(z_bob, z_eve, beta: float):
+    """Threshold index sets for a wiretap pair of polarized channels.
+
+    Bob keeps indices with z below (1/n) 2^(-n^beta); Eve's set collects
+    indices she sees almost uselessly, z >= 1 - threshold. Returns
+    (s_bob, s_eve) as bool masks.
+    """
+    zb = np.asarray(z_bob, dtype=float)
+    ze = np.asarray(z_eve, dtype=float)
+    if zb.shape != ze.shape or zb.ndim != 1:
+        raise ValueError("Bhattacharyya vectors must be equal-length 1-D")
+    threshold = _threshold(len(zb), beta)
+    return zb < threshold, ze >= 1.0 - threshold
 
 
 def partition_rows(part: IndexSetPartition):
