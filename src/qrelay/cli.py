@@ -15,9 +15,9 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,9 +33,6 @@ from .relay import (RelayChannelSpec, relay_capacity_min,
 from .superactivation import (MAX_BRANCH_BYTES, branch_bytes, branch_terms,
                               build_switch_channel, compare_assisted,
                               joint_coherent_info, make_rho_ac, sweep_rows)
-
-COMMANDS = ("polarize", "sets", "capacity", "relay-sim", "superactivate",
-            "sweep")
 
 SIGNIFICANT_DIGITS = 12
 CSV_BLOCK_ROWS = 2 ** 16
@@ -122,103 +119,81 @@ def build_classical_channel(spec: dict) -> BDMC:
     raise ValueError(f"unknown classical channel kind {kind!r}")
 
 
-def build_quantum_channel(spec: dict) -> KrausChannel:
-    _check_spec(spec)
-    kind = spec.get("kind")
-    if kind == "identity":
-        return identity_channel(_dim_field(spec, "dim"))
-    if kind == "dephasing":
-        return dephasing_channel(_number_field(spec, "q"))
-    if kind == "bit_flip":
-        return bit_flip_channel(_number_field(spec, "q"))
-    if kind == "depolarizing":
-        return depolarizing_channel(_number_field(spec, "q"))
-    if kind == "erasure":
-        return erasure_channel(_number_field(spec, "epsilon"),
-                               _dim_field(spec, "in_dim"))
-    if kind == "compose":
-        stages = [build_quantum_channel(s) for s in spec["stages"]]
-        if not stages:
-            raise ValueError("compose needs at least one stage")
-        out = stages[0]
-        for stage in stages[1:]:
-            out = compose_channels(out, stage)
-        return out
-    raise ValueError(f"unknown quantum channel kind {kind!r}")
+class ChannelTooLarge(ValueError):
+    """A quantum channel spec whose branch pairs would need more than
+    MAX_BRANCH_BYTES."""
 
 
-def _stage_shapes(spec) -> list:
-    """(in_dim, out_dim, Kraus count) of each stage that
-    ``build_quantum_channel`` would build from ``spec``, nested compose
-    stages flattened, read from the spec alone."""
+def _leaves(spec):
+    """The leaves of a quantum channel spec in the order they act, nested
+    compose stages flattened, each as the (in_dim, out_dim, Kraus count)
+    of its channel, read from the spec, and the constructor that builds
+    it."""
     _check_spec(spec)
     kind = spec.get("kind")
     if kind == "compose":
         stages = spec.get("stages")
         if not isinstance(stages, list) or not stages:
             raise ValueError("compose needs a nonempty list of stages")
-        return [shape for stage in stages for shape in _stage_shapes(stage)]
-    if kind == "identity":
+        for stage in stages:
+            yield from _leaves(stage)
+    elif kind == "identity":
         dim = _dim_field(spec, "dim")
-        return [(dim, dim, 1)]
-    if kind == "erasure":
+        yield (dim, dim, 1), lambda: identity_channel(dim)
+    elif kind == "erasure":
+        epsilon = _number_field(spec, "epsilon")
         dim = _dim_field(spec, "in_dim")
-        return [(dim, dim + 1, dim + 1)]
-    if kind in ("dephasing", "bit_flip", "depolarizing"):
-        ops = 4 if kind == "depolarizing" else 2
-        return [(2, 2, ops if _number_field(spec, "q") else 1)]  # 1 at q = 0
-    raise ValueError(f"unknown quantum channel kind {kind!r}")
+        yield (dim, dim + 1, dim + 1), lambda: erasure_channel(epsilon, dim)
+    elif kind in ("dephasing", "bit_flip"):
+        q = _number_field(spec, "q")
+        build = dephasing_channel if kind == "dephasing" else bit_flip_channel
+        yield (2, 2, 2 if q else 1), lambda: build(q)   # 1 operator at q = 0
+    elif kind == "depolarizing":
+        q = _number_field(spec, "q")
+        yield (2, 2, 4 if q else 1), lambda: depolarizing_channel(q)
+    else:
+        raise ValueError(f"unknown quantum channel kind {kind!r}")
 
 
-def _main_branch_bytes(spec) -> int:
-    """``branch_bytes`` of the channel ``spec`` describes, before anything
-    is allocated. A compose chain is checked stage by stage and stops at
-    the first prefix above MAX_BRANCH_BYTES: along a chain the input
-    dimension is fixed and the output dimension and Kraus count never
-    shrink, so no later prefix can come back under the bound."""
-    shapes = _stage_shapes(spec)
-    in_dim, out_dim, ops = shapes[0]
-    size = branch_bytes(shapes[0])
-    for stage_in, stage_out, stage_ops in shapes[1:]:
-        if size > MAX_BRANCH_BYTES:
-            break
-        if stage_in != out_dim:
-            raise ValueError(f"cannot compose: first yields dim {out_dim}, "
-                             f"second expects dim {stage_in}")
-        out_dim, ops = stage_out, ops * stage_ops
+def build_quantum_channel(spec: dict) -> KrausChannel:
+    """Build the channel ``spec`` describes, composing its leaves in order.
+
+    Before each leaf is allocated, ``branch_bytes`` of the chain up to and
+    including it is checked: ChannelTooLarge stops at the first prefix
+    above MAX_BRANCH_BYTES. Along a chain the input dimension is fixed and
+    the output dimension and Kraus count never shrink, so no later prefix
+    could come back under the bound.
+    """
+    channel = None
+    for (in_dim, out_dim, ops), build in _leaves(spec):
+        if channel is not None:
+            in_dim, ops = channel.in_dim, len(channel.kraus_ops) * ops
         size = branch_bytes((in_dim, out_dim, ops))
-    return size
+        if size > MAX_BRANCH_BYTES:
+            raise ChannelTooLarge(
+                f"its branch pairs need up to {size} bytes of Kraus "
+                f"operators and Gram matrix, above the bound of "
+                f"{MAX_BRANCH_BYTES}")
+        leaf = build()
+        channel = leaf if channel is None else compose_channels(channel, leaf)
+    return channel
 
 
-# The joint-input modes a config can select, with the main channel input
-# dimension each needs.
-_MODE_IN_DIM = {"bell": 2, "entangled_flagged": 4}
-_INPUT_MODES = tuple(_MODE_IN_DIM)
-_FLAG_VARIANTS = ("literal", "alternating")
-
-
-def _input_mode(state_spec: dict, main_in_dim: int) -> str:
-    """The configured joint-input mode, defaulting by the main channel's
-    input dimension."""
-    return state_spec.get("mode", "bell" if main_in_dim == 2
+def _joint_input(state_spec: dict, main: KrausChannel):
+    """The configured joint input state, its mode defaulting by the main
+    channel's input dimension, which the state's side must match."""
+    mode = state_spec.get("mode", "bell" if main.in_dim == 2
                           else "entangled_flagged")
+    state = make_rho_ac(mode, state_spec.get("variant", "alternating"))
+    if state.side_dim != main.in_dim:
+        raise ValueError(f"mode {mode!r} needs a main_channel with in_dim "
+                         f"{state.side_dim}, got {main.in_dim}")
+    return state
 
 
 # ---------------------------------------------------------------------------
 # Config loading and validation
 # ---------------------------------------------------------------------------
-
-_REQUIRED = {
-    "polarize": ("channel", "k", "beta"),
-    "sets": ("amp_channel", "phase_channel", "k", "beta"),
-    "capacity": ("amp_channel", "phase_channel", "k", "beta"),
-    "relay-sim": ("amp_channel", "phase_channel", "k", "beta", "p_e2",
-                  "trials"),
-    "superactivate": ("main_channel", "amp_channel", "phase_channel", "k",
-                      "beta", "p"),
-    "sweep": ("main_channel", "amp_channel", "phase_channel", "k", "beta"),
-}
-
 
 def load_config(path, command: Optional[str] = None,
                 seed: Optional[int] = None,
@@ -226,7 +201,9 @@ def load_config(path, command: Optional[str] = None,
     """Parse and validate a JSON experiment config.
 
     CLI-level overrides (command, seed, output dir) take precedence over
-    file values. Raises ConfigError listing every violated constraint.
+    file values. Only the fields the command reads are parsed; any other
+    key is a violation. Raises ConfigError listing every violated
+    constraint.
     """
     violations = []
     try:
@@ -240,12 +217,6 @@ def load_config(path, command: Optional[str] = None,
         raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
-    known = {f.name for f in fields(ExperimentConfig)} - {"raw"}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        violations.append(
-            f"unknown config keys {', '.join(map(repr, unknown))}, expected "
-            f"only {', '.join(sorted(known))}")
 
     file_command = raw.get("command")
     if command is not None and file_command is not None and command != file_command:
@@ -256,30 +227,28 @@ def load_config(path, command: Optional[str] = None,
         violations.append(f"command must be one of {COMMANDS}, got {cmd!r}")
         raise ConfigError(violations)
 
-    cfg = ExperimentConfig(
-        command=cmd,
-        seed=seed if seed is not None else raw.get("seed", 0),
-        output_dir=output_dir if output_dir is not None
-        else raw.get("output_dir", "."),
-        k=raw.get("k"),
-        beta=raw.get("beta"),
-        p_e2=raw.get("p_e2"),
-        p=raw.get("p"),
-        trials=raw.get("trials", 10000),
-        channel=raw.get("channel"),
-        amp_channel=raw.get("amp_channel"),
-        phase_channel=raw.get("phase_channel"),
-        main_channel=raw.get("main_channel"),
-        input_state=raw.get("input_state"),
-        raw=raw,
-    )
+    entry = _COMMANDS[cmd]
+    reads = {"seed", "output_dir", *entry.required, *entry.optional}
+    unread = sorted(raw.keys() - reads - {"command"})
+    if unread:
+        violations.append(
+            f"unknown config keys {', '.join(map(repr, unread))} for {cmd}, "
+            f"which reads only {', '.join(sorted(reads | {'command'}))}")
+    cfg = ExperimentConfig(command=cmd, raw=raw,
+                           **{name: raw[name] for name in reads & raw.keys()})
+    if seed is not None:
+        cfg.seed = seed
+    if output_dir is not None:
+        cfg.output_dir = output_dir
 
-    for name in _REQUIRED[cmd]:
+    for name in entry.required:
         if getattr(cfg, name) is None:
             violations.append(f"{cmd} requires field {name!r}")
 
     if not _is_int(cfg.seed) or not 0 <= cfg.seed < 2 ** 64:
         violations.append(f"seed must be a 64-bit unsigned integer, got {cfg.seed!r}")
+    if not isinstance(cfg.output_dir, str):
+        violations.append(f"output_dir must be a string, got {cfg.output_dir!r}")
     if cfg.k is not None and (not _is_int(cfg.k) or not 1 <= cfg.k <= 20):
         violations.append(f"k must be an integer in [1, 20], got {cfg.k!r}")
     if not _is_int(cfg.trials) or cfg.trials < 1:
@@ -290,63 +259,32 @@ def load_config(path, command: Optional[str] = None,
             violations.append(f"{name} must be a number strictly inside "
                               f"(0, {upper:g}), got {val!r}")
 
-    channels = [("channel", cfg.channel, build_classical_channel),
-                ("amp_channel", cfg.amp_channel, build_classical_channel),
-                ("phase_channel", cfg.phase_channel, build_classical_channel)]
-    if cfg.main_channel is not None:
-        try:
-            size = _main_branch_bytes(cfg.main_channel)
-        except (ValueError, RecursionError) as exc:
-            violations.append(f"main_channel invalid: {exc}")
-        else:
-            if size > MAX_BRANCH_BYTES:
-                violations.append(
-                    f"main_channel too large: its branch pairs need up to "
-                    f"{size} bytes of Kraus operators and Gram matrix, above "
-                    f"the bound of {MAX_BRANCH_BYTES}")
-            else:
-                channels.append(("main_channel", cfg.main_channel,
-                                 build_quantum_channel))
-    channels = [c for c in channels if c[1] is not None]
     built = {}
-    for name, spec, builder in channels:
+    for name in ("channel", "amp_channel", "phase_channel", "main_channel"):
+        spec = getattr(cfg, name)
+        if spec is None:
+            continue
+        builder = (build_quantum_channel if name == "main_channel"
+                   else build_classical_channel)
         try:
             built[name] = builder(spec)
+        except ChannelTooLarge as exc:
+            violations.append(f"{name} too large: {exc}")
         except Exception as exc:
             violations.append(f"{name} invalid: {exc}")
     state = cfg.input_state
     if state is not None and not isinstance(state, dict):
         violations.append("input_state must be a JSON object, got "
                           f"{type(state).__name__}")
-    elif cmd in ("superactivate", "sweep"):
-        violations += _input_state_violations(state or {},
-                                              built.get("main_channel"))
+    elif "main_channel" in built:
+        try:
+            _joint_input(state or {}, built["main_channel"])
+        except ValueError as exc:
+            violations.append(f"input_state.{exc}")
 
     if violations:
         raise ConfigError(violations)
     return cfg
-
-
-def _input_state_violations(state: dict,
-                            main: Optional[KrausChannel]) -> list:
-    """Mode and variant names, and the main channel input dimension the
-    mode needs."""
-    violations = []
-    if "mode" in state and state["mode"] not in _INPUT_MODES:
-        violations.append(f"input_state.mode must be one of {_INPUT_MODES}, "
-                          f"got {state['mode']!r}")
-    elif main is not None:
-        mode = _input_mode(state, main.in_dim)
-        need = _MODE_IN_DIM[mode]
-        if need != main.in_dim:
-            violations.append(
-                f"input_state.mode {mode!r} needs a main_channel with in_dim "
-                f"{need}, got {main.in_dim}")
-    variant = state.get("variant", "alternating")
-    if variant not in _FLAG_VARIANTS:
-        violations.append(f"input_state.variant must be one of "
-                          f"{_FLAG_VARIANTS}, got {variant!r}")
-    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +503,7 @@ def _switch_sweep(cfg: ExperimentConfig, p_values, name: str):
     once, and each p is their weighted sum."""
     main = build_quantum_channel(cfg.main_channel)
     part = _partition_from_config(cfg)
-    state_spec = cfg.input_state or {}
-    state = make_rho_ac(_input_mode(state_spec, main.in_dim),
-                        variant=state_spec.get("variant", "alternating"))
+    state = _joint_input(cfg.input_state or {}, main)
     branches = branch_terms(main, state)
     reports = [joint_coherent_info(build_switch_channel(p, main), branches)
                for p in p_values]
@@ -596,14 +532,30 @@ def _cmd_sweep(cfg: ExperimentConfig):
     return _switch_sweep(cfg, [i / 100.0 for i in range(1, 100)], "sweep.csv")
 
 
-_DISPATCH = {
-    "polarize": _cmd_polarize,
-    "sets": _cmd_sets,
-    "capacity": _cmd_capacity,
-    "relay-sim": _cmd_relay_sim,
-    "superactivate": _cmd_superactivate,
-    "sweep": _cmd_sweep,
+class _Command(NamedTuple):
+    run: Callable
+    required: tuple
+    optional: tuple = ()
+
+
+# Each command's runner, the fields it requires and the optional fields it
+# reads. Every command also reads command, seed and output_dir; any other
+# key is a config error.
+_COMMANDS = {
+    "polarize": _Command(_cmd_polarize, ("channel", "k", "beta")),
+    "sets": _Command(_cmd_sets, ("amp_channel", "phase_channel", "k", "beta")),
+    "capacity": _Command(_cmd_capacity,
+                         ("amp_channel", "phase_channel", "k", "beta")),
+    "relay-sim": _Command(_cmd_relay_sim, ("amp_channel", "phase_channel", "k",
+                                           "beta", "p_e2"), ("trials",)),
+    "superactivate": _Command(_cmd_superactivate,
+                              ("main_channel", "amp_channel", "phase_channel",
+                               "k", "beta", "p"), ("input_state",)),
+    "sweep": _Command(_cmd_sweep, ("main_channel", "amp_channel",
+                                   "phase_channel", "k", "beta"),
+                      ("input_state",)),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(cfg: ExperimentConfig) -> RunManifest:
@@ -612,7 +564,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    tables, counters = _DISPATCH[cfg.command](cfg)
+    tables, counters = _COMMANDS[cfg.command].run(cfg)
     for name, header, columns in tables:
         path = outdir / name
         digest = _write_csv(path, header, columns)

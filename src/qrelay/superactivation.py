@@ -33,6 +33,8 @@ from .density_ops import (DensityMatrix, KrausChannel, bell_pair,
                           permute_systems, tensor_channels, trace_out)
 
 BRANCH_KEYS = ("main_main", "main_erasure", "erasure_main", "erasure_erasure")
+JOINT_INPUT_MODES = ("bell", "entangled_flagged")
+FLAG_VARIANTS = ("literal", "alternating")
 
 # Bound on branch_bytes of the main channel, checked from its config spec
 # before the channel is built. The runtime's peak memory is a small
@@ -162,25 +164,28 @@ def make_rho_ac(mode: str, variant: str = "alternating") -> JointInputState:
         pair, for channels with two-qubit inputs. ``variant`` selects the
         flag register content: ``literal`` pins both flags to |0>;
         ``alternating`` mixes |00> and |11> evenly.
+
+    Both names are checked for every mode.
     """
+    if mode not in JOINT_INPUT_MODES:
+        raise ValueError(f"mode must be one of {JOINT_INPUT_MODES}, "
+                         f"got {mode!r}")
+    if variant not in FLAG_VARIANTS:
+        raise ValueError(f"variant must be one of {FLAG_VARIANTS}, "
+                         f"got {variant!r}")
     if mode == "bell":
         return JointInputState(rho_ac=bell_pair(2), side_dim=2, mode=mode)
-    if mode == "entangled_flagged":
-        if variant not in ("literal", "alternating"):
-            raise ValueError(f"unknown variant {variant!r}")
-        bell = bell_pair(2).entries
-        if variant == "literal":
-            flags = np.zeros((4, 4), dtype=complex)
-            flags[0, 0] = 1.0                      # |00><00| on the flag pair
-        else:
-            flags = np.zeros((4, 4), dtype=complex)
-            flags[0, 0] = 0.5                      # |00><00|
-            flags[3, 3] = 0.5                      # |11><11|
-        # order (flag_A, flag_C, bell_A, bell_C) -> (flag_A, bell_A, flag_C, bell_C)
-        rho = permute_systems(np.kron(flags, bell), [2, 2, 2, 2], (0, 2, 1, 3))
-        return JointInputState(rho_ac=DensityMatrix(rho), side_dim=4,
-                               mode=mode, variant=variant)
-    raise ValueError(f"unknown mode {mode!r}")
+    bell = bell_pair(2).entries
+    flags = np.zeros((4, 4), dtype=complex)
+    if variant == "literal":
+        flags[0, 0] = 1.0                      # |00><00| on the flag pair
+    else:
+        flags[0, 0] = 0.5                      # |00><00|
+        flags[3, 3] = 0.5                      # |11><11|
+    # order (flag_A, flag_C, bell_A, bell_C) -> (flag_A, bell_A, flag_C, bell_C)
+    rho = permute_systems(np.kron(flags, bell), [2, 2, 2, 2], (0, 2, 1, 3))
+    return JointInputState(rho_ac=DensityMatrix(rho), side_dim=4,
+                           mode=mode, variant=variant)
 
 
 def branch_bytes(shape: Tuple[int, int, int]) -> int:

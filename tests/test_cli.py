@@ -186,6 +186,21 @@ def test_channel_builders_reject_unknown_kinds():
     assert composed.in_dim == 2
 
 
+LEAF_SPECS = [{"kind": "identity", "dim": dim} for dim in (1, 2, 4)] + [
+    {"kind": kind, "q": q} for kind in ("dephasing", "bit_flip", "depolarizing")
+    for q in (0, 0.1)] + [
+    {"kind": "erasure", "epsilon": 0.3, "in_dim": dim} for dim in (2, 4)]
+
+
+@pytest.mark.parametrize("spec", LEAF_SPECS, ids=lambda spec: "-".join(
+    str(value) for value in spec.values()))
+def test_leaf_shapes_match_built_channels(spec):
+    # the memory bound is computed from these shapes before allocation
+    ((shape, _),) = cli._leaves(spec)
+    channel = build_quantum_channel(spec)
+    assert shape == (channel.in_dim, channel.out_dim, len(channel.kraus_ops))
+
+
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
@@ -563,9 +578,13 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     ("beta", "0.3"), ("beta", True), ("p_e2", "0.4"), ("p_e2", True),
     ("p", "0.5"), ("p", False)])
 def test_main_rejects_mistyped_scalars(tmp_path, capsys, field, value):
-    overrides = {"p_e2": 0.3, "trials": 100, field: value}
-    path = dual_config(tmp_path, name="typed.json", **overrides)
-    rc = main(["relay-sim", "--config", path, "--out", str(tmp_path / "o")])
+    # p is read by superactivate, every other field by relay-sim
+    command, overrides = (
+        ("superactivate", {"main_channel": {"kind": "identity"}})
+        if field == "p" else ("relay-sim", {"p_e2": 0.3, "trials": 100}))
+    path = dual_config(tmp_path, name="typed.json",
+                       **{**overrides, field: value})
+    rc = main([command, "--config", path, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"config error: {field} must" in capsys.readouterr().err
 
@@ -578,11 +597,79 @@ def test_main_rejects_mistyped_scalars(tmp_path, capsys, field, value):
     ({"input_state": "bell"}, "input_state must be a JSON object")])
 def test_main_rejects_unknown_keys_and_non_object_input_state(
         tmp_path, capsys, overrides, fragment):
-    path = dual_config(tmp_path, name="hops.json", p_e2=0.3, trials=100,
-                       **overrides)
-    rc = main(["relay-sim", "--config", path, "--out", str(tmp_path / "o")])
+    path = dual_config(tmp_path, name="hops.json",
+                       main_channel={"kind": "identity"}, **overrides)
+    rc = main(["sweep", "--config", path, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output_dir", [5, ["out"]], ids=["int", "list"])
+def test_main_rejects_non_string_output_dir(tmp_path, capsys, output_dir):
+    # passed validation and exited 3 when the run made the directory
+    path = write_config(tmp_path, "out.json", {
+        "channel": {"kind": "bec", "epsilon": 0.3}, "k": 3, "beta": 0.3,
+        "output_dir": output_dir})
+    rc = main(["polarize", "--config", path])
+    assert rc == 2
+    assert (f"config error: output_dir must be a string, got {output_dir!r}"
+            in capsys.readouterr().err)
+
+
+_DUAL = {"amp_channel": {"kind": "bec", "epsilon": 0.3},
+         "phase_channel": {"kind": "bec", "epsilon": 0.4}, "k": 4,
+         "beta": 0.3}
+VALID_CONFIGS = {
+    "polarize": {"channel": {"kind": "bec", "epsilon": 0.3}, "k": 4,
+                 "beta": 0.3},
+    "sets": _DUAL,
+    "capacity": _DUAL,
+    "relay-sim": {**_DUAL, "p_e2": 0.3, "trials": 10},
+    "superactivate": {**_DUAL, "main_channel": {"kind": "identity"},
+                      "p": 0.5},
+    "sweep": {**_DUAL, "main_channel": {"kind": "identity"}},
+}
+
+# Fields each command does not read, valued so that parsing them would
+# add violations of their own. The last config exited 0 with every one of
+# its fields ignored.
+UNREAD_FIELDS = [
+    ("polarize", {"main_channel": {"kind": "identity", "dim": 10 ** 4}}),
+    ("sets", {"p_e2": "0.3"}),
+    ("capacity", {"trials": 0}),
+    ("relay-sim", {"input_state": {"mode": "nonsense"}}),
+    ("superactivate", {"channel": {"kind": "awgn"}}),
+    ("sweep", {"p": 2.0}),
+    ("polarize", {"main_channel": {"kind": "identity"}, "p_e2": 0.3,
+                  "trials": 100, "p": 0.5,
+                  "input_state": {"mode": "nonsense"}})]
+
+
+@pytest.mark.parametrize("command, extra", UNREAD_FIELDS,
+                         ids=["polarize", "sets", "capacity", "relay-sim",
+                              "superactivate", "sweep", "polarize-five-fields"])
+def test_main_rejects_fields_the_command_does_not_read(tmp_path, capsys,
+                                                       command, extra):
+    path = write_config(tmp_path, "unread.json",
+                        {**VALID_CONFIGS[command], **extra})
+    rc = main([command, "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert not (tmp_path / "o").exists()
+    # the fields are named, and not parsed: no other violation is reported
+    (line,) = capsys.readouterr().err.splitlines()
+    keys = ", ".join(map(repr, sorted(extra)))
+    assert line.startswith(f"config error: unknown config keys {keys} for "
+                           f"{command}, which reads only ")
+
+
+def test_unread_field_message_lists_what_the_command_reads(tmp_path):
+    path = write_config(tmp_path, "p.json", {**VALID_CONFIGS["polarize"],
+                                             "p": 0.5})
+    with pytest.raises(ConfigError) as err:
+        load_config(path, command="polarize")
+    assert err.value.violations == [
+        "unknown config keys 'p' for polarize, which reads only beta, "
+        "channel, command, k, output_dir, seed"]
 
 
 @pytest.mark.parametrize("overrides, fragment", [
@@ -682,20 +769,27 @@ def test_main_rejects_main_channel_over_branch_bound(tmp_path, capsys):
             capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, main_channel", [
-    ("sweep", {"kind": "identity", "dim": 2000}),
-    ("sweep", {"kind": "identity", "dim": 10 ** 4}),
+TOO_LARGE = "config error: main_channel too large"
+
+
+@pytest.mark.parametrize("command, main_channel, fragment", [
+    ("sweep", {"kind": "identity", "dim": 2000}, TOO_LARGE),
+    ("sweep", {"kind": "identity", "dim": 10 ** 4}, TOO_LARGE),
     ("sweep", {"kind": "compose",
-               "stages": [{"kind": "depolarizing", "q": 0.1}] * 12}),
-    ("relay-sim", {"kind": "identity", "dim": 10 ** 4})],
+               "stages": [{"kind": "depolarizing", "q": 0.1}] * 12},
+     TOO_LARGE),
+    # relay-sim does not read main_channel, so it neither builds nor bounds it
+    ("relay-sim", {"kind": "identity", "dim": 10 ** 4},
+     "config error: unknown config keys 'main_channel' for relay-sim")],
     ids=["identity_2000", "identity_10000", "depolarizing_x12",
          "relay_sim_identity_10000"])
 def test_main_bounds_main_channel_before_building_it(tmp_path, command,
-                                                     main_channel):
+                                                     main_channel, fragment):
     # built first, these take from 282 MB to gigabytes (4^12 operators
-    # for the compose chain); each command that reads the config bounds it
-    path = dual_config(tmp_path, name="huge.json", k=4, p_e2=0.3, trials=10,
-                       main_channel=main_channel)
+    # for the compose chain)
+    extra = {"p_e2": 0.3, "trials": 10} if command == "relay-sim" else {}
+    path = dual_config(tmp_path, name="huge.json", k=4,
+                       main_channel=main_channel, **extra)
     script = ("import resource, sys\n"
               "from qrelay.cli import main\n"
               "rc = main(sys.argv[1:])\n"
@@ -706,7 +800,7 @@ def test_main_bounds_main_channel_before_building_it(tmp_path, command,
          "--out", str(tmp_path / "o")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
-    assert "config error: main_channel too large" in proc.stderr
+    assert fragment in proc.stderr
     assert "Traceback" not in proc.stderr
     assert int(proc.stdout.split()[-1]) < 150 * 1024  # ru_maxrss in KiB
 
@@ -751,7 +845,8 @@ def test_main_runtime_error_exit_code(tmp_path, capsys, monkeypatch):
     def fail(cfg):
         raise RuntimeError("simulated fault")
 
-    monkeypatch.setitem(cli._DISPATCH, "polarize", fail)
+    monkeypatch.setitem(cli._COMMANDS, "polarize",
+                        cli._COMMANDS["polarize"]._replace(run=fail))
     rc = main(["polarize", "--config", polarize_config(tmp_path),
                "--out", str(tmp_path / "rt")])
     assert rc == 3

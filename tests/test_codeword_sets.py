@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from helpers_quantum import index_mask, make_partition
 from qrelay.codeword_sets import (DualPolarization, IndexSetPartition,
-                                  build_partition, codeword_threshold_sets,
-                                  eve_capacity, from_polarizations,
-                                  nondegraded_phase_margin, partition_rows,
+                                  build_partition, eve_capacity,
+                                  from_polarizations, partition_rows,
                                   pauli_induced_channels, p_sym_degraded,
                                   p_sym_nondegraded, rate_report,
                                   r_sym_nondegraded, set_size)
@@ -168,14 +167,6 @@ def test_dual_bec_partition_matches_recursion_oracle():
     assert indices(part.s_in) == good_amp & good_phase
 
 
-def test_phase_margin():
-    part = make_partition(8, range(6), range(4))
-    # s_in = {0..3}, bad_phase = {4..7}
-    assert nondegraded_phase_margin(part) == 0.0
-    with pytest.warns(UserWarning, match="negative"):
-        nondegraded_phase_margin(make_partition(8, range(2), range(1)))
-
-
 def test_rate_report_bounds():
     report = rate_report(make_partition(16, range(10), range(4, 16)))
     for value in (report.p_sym_degraded, report.p_sym_nondegraded,
@@ -227,34 +218,8 @@ def test_eve_capacity_exhaustive_small_blocks():
 
 
 # ---------------------------------------------------------------------------
-# Threshold sets and induced channels
+# Dual polarization, induced channels and CSV rows
 # ---------------------------------------------------------------------------
-
-def test_threshold_sets_extremes():
-    n = 8
-    s_bob, s_eve = codeword_threshold_sets(np.zeros(n), np.ones(n), 0.3)
-    assert indices(s_bob) == set(range(n)) and indices(s_eve) == set(range(n))
-    s_bob, _ = codeword_threshold_sets(np.full(n, 0.5), np.zeros(n), 0.3)
-    assert s_bob.dtype == bool and s_bob.shape == (n,) and not s_bob.any()
-
-
-def test_threshold_sets_degraded_pair():
-    rng = np.random.default_rng(89)
-    z_bob = rng.random(64)
-    z_eve = 1.0 - (1.0 - z_bob) ** 2  # stochastically worse channel
-    s_bob, s_eve = codeword_threshold_sets(z_bob, z_eve, 0.4)
-    threshold = (1.0 / 64) * 2.0 ** (-(64 ** 0.4))
-    want_bob = {int(i) for i in np.flatnonzero(z_bob < threshold)}
-    want_eve = {int(i) for i in np.flatnonzero(z_eve >= 1 - threshold)}
-    assert indices(s_bob) == want_bob and indices(s_eve) == want_eve
-
-
-def test_threshold_sets_validation():
-    with pytest.raises(ValueError, match="beta"):
-        codeword_threshold_sets(np.zeros(4), np.zeros(4), 0.6)
-    with pytest.raises(ValueError, match="equal-length"):
-        codeword_threshold_sets(np.zeros(4), np.zeros(5), 0.3)
-
 
 def test_from_polarizations_requires_matching_blocks():
     from qrelay.polar_core import PolarizationResult
