@@ -30,9 +30,12 @@ from .density_ops import (KrausChannel, bit_flip_channel, compose_channels,
 from .polar_core import BDMC, polarization_rows, polarize, select_sets
 from .relay import (RelayChannelSpec, relay_capacity_min,
                     relay_private_capacity, simulate_relay, simulation_rows)
-from .superactivation import (MAX_BRANCH_BYTES, branch_bytes, branch_terms,
-                              build_switch_channel, compare_assisted,
-                              joint_coherent_info, make_rho_ac, sweep_rows)
+from .superactivation import (BRANCH_KEYS, MAX_BRANCH_BYTES, P_GRID,
+                              branch_bytes, branch_terms, compare_assisted,
+                              make_rho_ac, switch_report)
+# Not called here: bound for the span names of the benchmark's TRACE_POINTS.
+from .superactivation import (build_switch_channel,  # noqa: F401
+                              joint_coherent_info)
 
 SIGNIFICANT_DIGITS = 12
 CSV_BLOCK_ROWS = 2 ** 16
@@ -93,6 +96,19 @@ def _check_spec(spec) -> None:
                          f"{type(spec).__name__}")
 
 
+def _check_keys(spec: dict, owner: str, *reads) -> None:
+    """Reject the keys of a nested spec that ``owner`` does not read."""
+    unread = sorted(spec.keys() - set(reads))
+    if unread:
+        raise ValueError(f"unknown keys {', '.join(map(repr, unread))} for "
+                         f"{owner}, which reads only {', '.join(sorted(reads))}")
+
+
+def _kind_fields(spec: dict, *fields) -> None:
+    """Reject the keys of a channel spec besides its kind and ``fields``."""
+    _check_keys(spec, f"kind {spec['kind']!r}", "kind", *fields)
+
+
 def _number_field(spec: dict, name: str) -> float:
     value = spec.get(name)
     if not _is_number(value):
@@ -107,15 +123,28 @@ def _dim_field(spec: dict, name: str) -> int:
     return value
 
 
+def _table_field(spec: dict) -> list:
+    """``w``: two equal-length nonempty lists of JSON numbers."""
+    w = spec.get("w")
+    rows = w if isinstance(w, list) and len(w) == 2 else [[]]
+    if not all(isinstance(row, list) and row and len(row) == len(rows[0])
+               and all(map(_is_number, row)) for row in rows):
+        raise ValueError(f"w must be a 2 x m list of numbers, got {w!r}")
+    return w
+
+
 def build_classical_channel(spec: dict) -> BDMC:
     _check_spec(spec)
     kind = spec.get("kind")
     if kind == "bec":
+        _kind_fields(spec, "epsilon")
         return BDMC.bec(_number_field(spec, "epsilon"))
     if kind == "bsc":
+        _kind_fields(spec, "p")
         return BDMC.bsc(_number_field(spec, "p"))
     if kind == "table":
-        return BDMC(spec["w"])
+        _kind_fields(spec, "w")
+        return BDMC(_table_field(spec))
     raise ValueError(f"unknown classical channel kind {kind!r}")
 
 
@@ -132,23 +161,28 @@ def _leaves(spec):
     _check_spec(spec)
     kind = spec.get("kind")
     if kind == "compose":
+        _kind_fields(spec, "stages")
         stages = spec.get("stages")
         if not isinstance(stages, list) or not stages:
             raise ValueError("compose needs a nonempty list of stages")
         for stage in stages:
             yield from _leaves(stage)
     elif kind == "identity":
+        _kind_fields(spec, "dim")
         dim = _dim_field(spec, "dim")
         yield (dim, dim, 1), lambda: identity_channel(dim)
     elif kind == "erasure":
+        _kind_fields(spec, "epsilon", "in_dim")
         epsilon = _number_field(spec, "epsilon")
         dim = _dim_field(spec, "in_dim")
         yield (dim, dim + 1, dim + 1), lambda: erasure_channel(epsilon, dim)
     elif kind in ("dephasing", "bit_flip"):
+        _kind_fields(spec, "q")
         q = _number_field(spec, "q")
         build = dephasing_channel if kind == "dephasing" else bit_flip_channel
         yield (2, 2, 2 if q else 1), lambda: build(q)   # 1 operator at q = 0
     elif kind == "depolarizing":
+        _kind_fields(spec, "q")
         q = _number_field(spec, "q")
         yield (2, 2, 4 if q else 1), lambda: depolarizing_channel(q)
     else:
@@ -184,6 +218,7 @@ def _joint_input(state_spec: dict, main: KrausChannel):
     channel's input dimension, which the state's side must match."""
     mode = state_spec.get("mode", "bell" if main.in_dim == 2
                           else "entangled_flagged")
+    _check_keys(state_spec, f"mode {mode!r}", "mode", "variant")
     state = make_rho_ac(mode, state_spec.get("variant", "alternating"))
     if state.side_dim != main.in_dim:
         raise ValueError(f"mode {mode!r} needs a main_channel with in_dim "
@@ -251,8 +286,10 @@ def load_config(path, command: Optional[str] = None,
         violations.append(f"output_dir must be a string, got {cfg.output_dir!r}")
     if cfg.k is not None and (not _is_int(cfg.k) or not 1 <= cfg.k <= 20):
         violations.append(f"k must be an integer in [1, 20], got {cfg.k!r}")
-    if not _is_int(cfg.trials) or cfg.trials < 1:
-        violations.append(f"trials must be an integer >= 1, got {cfg.trials!r}")
+    # trial indices fill one 64-bit counter word of the Philox stream
+    if not _is_int(cfg.trials) or not 1 <= cfg.trials <= 2 ** 64:
+        violations.append(f"trials must be an integer in [1, 2^64], "
+                          f"got {cfg.trials!r}")
     for name, upper in (("beta", 0.5), ("p_e2", 1.0), ("p", 1.0)):
         val = getattr(cfg, name)
         if val is not None and not (_is_number(val) and 0.0 < val < upper):
@@ -498,38 +535,38 @@ SWEEP_HEADER = ("p", "i_coh_joint", "term_mm", "term_me", "term_em",
                 "term_ee", "bound_2p1p", "b", "b_star", "advantage")
 
 
-def _switch_sweep(cfg: ExperimentConfig, p_values, name: str):
-    """The sweep table over ``p_values``: the branch terms are computed
-    once, and each p is their weighted sum."""
+def _switch_sweep(cfg: ExperimentConfig, p, name: str):
+    """The sweep table over the array ``p``: the branch terms are computed
+    once, and every p is evaluated from them in one array expression."""
     main = build_quantum_channel(cfg.main_channel)
     part = _partition_from_config(cfg)
-    state = _joint_input(cfg.input_state or {}, main)
-    branches = branch_terms(main, state)
-    reports = [joint_coherent_info(build_switch_channel(p, main), branches)
-               for p in p_values]
-    comparisons = [compare_assisted(p, part) for p in p_values]
-    at_half = [r.bound_2p1p for r in reports if abs(r.p - 0.5) < 1e-12]
-    flips = [later.p_e2 for earlier, later in zip(comparisons, comparisons[1:])
-             if earlier.advantage != later.advantage]
+    branches = branch_terms(main, _joint_input(cfg.input_state or {}, main))
+    report = switch_report(p, branches)
+    comparison = compare_assisted(p, part)
+    at_half = report.bound_2p1p[np.abs(p - 0.5) < 1e-12]
+    flips = p[1:][comparison.advantage[1:] != comparison.advantage[:-1]]
     counters = {
-        "p_points": len(p_values),
+        "p_points": len(p),
         "main_kraus": len(main.kraus_ops),
         "main_in_dim": main.in_dim,
         "main_out_dim": main.out_dim,
         "coherent_information_calls": len(branches.terms) + 1,  # and i_main
-        "bound_2p1p_at_half": at_half[-1] if at_half else None,
-        "advantage_flip_p": flips[0] if flips else None,
+        "bound_2p1p_at_half": float(at_half[-1]) if len(at_half) else None,
+        "advantage_flip_p": float(flips[0]) if len(flips) else None,
     }
-    columns = list(zip(*sweep_rows(reports, comparisons)))
+    columns = np.broadcast_arrays(
+        p, report.i_coh_joint, *(branches.terms[key] for key in BRANCH_KEYS),
+        report.bound_2p1p, comparison.b, comparison.b_star,
+        comparison.advantage)
     return [(name, SWEEP_HEADER, columns)], counters
 
 
 def _cmd_superactivate(cfg: ExperimentConfig):
-    return _switch_sweep(cfg, [cfg.p], "superactivate.csv")
+    return _switch_sweep(cfg, np.array([cfg.p]), "superactivate.csv")
 
 
 def _cmd_sweep(cfg: ExperimentConfig):
-    return _switch_sweep(cfg, [i / 100.0 for i in range(1, 100)], "sweep.csv")
+    return _switch_sweep(cfg, P_GRID, "sweep.csv")
 
 
 class _Command(NamedTuple):

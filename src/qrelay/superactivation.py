@@ -10,9 +10,9 @@ pairs carry orthogonal flag pairs, so the output state and the
 environment Gram matrix are both block diagonal with blocks w_b sigma_b,
 and S(B) and S(E) each gain the same Shannon entropy H(w), which cancels.
 Neither the branch terms nor the main channel's coherent information
-depend on p, so ``branch_terms`` computes them once and
-``joint_coherent_info`` evaluates each p as arithmetic; the direct
-evaluation on the assembled joint channel is the test oracle
+depend on p, so ``branch_terms`` computes them once and ``switch_report``
+evaluates a whole p grid as array arithmetic; the direct evaluation on
+the assembled joint channel is the test oracle
 (``tests/helpers_quantum.py``). The cross terms carry the rate, giving
 the 2p(1-p) lower bound maximized at p = 1/2. Comparing the resulting
 half-block throughput with the probabilistic encoder's p_e2-scaled
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +35,11 @@ from .density_ops import (DensityMatrix, KrausChannel, bell_pair,
 BRANCH_KEYS = ("main_main", "main_erasure", "erasure_main", "erasure_erasure")
 JOINT_INPUT_MODES = ("bell", "entangled_flagged")
 FLAG_VARIANTS = ("literal", "alternating")
+# The p grid of the sweep command and of superactivated_bound's argmax.
+P_GRID = np.arange(1, 100) / 100.0
+
+# A branch probability: one float, or an array of them evaluated at once.
+Probability = Union[float, np.ndarray]
 
 # Bound on branch_bytes of the main channel, checked from its config spec
 # before the channel is built. The runtime's peak memory is a small
@@ -48,13 +53,11 @@ class SwitchChannel:
     """Probabilistic mixture of a main channel and a 50% erasure channel
     with the branch recorded on a trailing flag qubit (main -> |0>,
     erasure -> |1>). ``channel`` is the assembled Kraus map; both branch
-    outputs are isometrically embedded into a common space of dimension
-    ``branch_dim`` before the flag is attached."""
+    outputs are isometrically embedded into a common space before the
+    flag is attached."""
     p: float
     branch_main: KrausChannel
-    branch_erasure: KrausChannel
     channel: KrausChannel
-    branch_dim: int
 
 
 @dataclass
@@ -92,36 +95,37 @@ class BranchTerms:
 
 @dataclass
 class SuperactivationReport:
-    """Joint coherent information at one p, from its branch decomposition.
+    """Joint coherent information at p, from its branch decomposition.
 
-    ``branch_terms`` maps each branch pair to (weight, coherent
-    information). ``bound_2p1p`` is 2p(1-p) times the single-copy main
-    coherent information at the reduced input; ``p_sym_star_lower`` is the
-    p-optimized form, half that coherent information.
+    ``p`` is one probability or an array of them, and each weight and
+    value derived from it has its shape. ``branch_terms`` maps each branch
+    pair to (weight, coherent information). ``bound_2p1p`` is 2p(1-p)
+    times the single-copy main coherent information at the reduced input.
     """
-    p: float
-    branch_terms: Dict[str, Tuple[float, float]]
-    bound_2p1p: float
-    p_sym_star_lower: float
+    p: Probability
+    branch_terms: Dict[str, Tuple[Probability, float]]
+    bound_2p1p: Probability
 
     def __post_init__(self):
         weights = sum(w for w, _ in self.branch_terms.values())
-        if abs(weights - 1.0) > 1e-12:
+        if np.any(np.abs(weights - 1.0) > 1e-12):
             raise ValueError(f"branch weights sum to {weights}, expected 1")
 
     @property
-    def i_coh_joint(self) -> float:
+    def i_coh_joint(self) -> Probability:
         return sum(w * v for w, v in self.branch_terms.values())
 
 
 @dataclass(frozen=True)
 class AssistedComparison:
-    """Throughput of the assisted construction vs the probabilistic relay."""
-    p_e2: float
+    """Throughput of the assisted construction vs the probabilistic relay,
+    at one p_e2 or an array of them (``b`` and ``advantage`` follow its
+    shape)."""
+    p_e2: Probability
     s_in_size: int
-    b: float
+    b: Probability
     b_star: float
-    advantage: bool
+    advantage: Union[bool, np.ndarray]
 
 
 def _embed(out_dim: int, target_dim: int) -> np.ndarray:
@@ -148,8 +152,7 @@ def build_switch_channel(p: float, main: KrausChannel) -> SwitchChannel:
            for k in main.kraus_ops]
     ops += [np.kron(math.sqrt(1.0 - p) * (embed_er @ k), flag1)
             for k in erasure.kraus_ops]
-    return SwitchChannel(p=p, branch_main=main, branch_erasure=erasure,
-                         channel=KrausChannel(ops), branch_dim=branch_dim)
+    return SwitchChannel(p=p, branch_main=main, channel=KrausChannel(ops))
 
 
 def make_rho_ac(mode: str, variant: str = "alternating") -> JointInputState:
@@ -226,10 +229,14 @@ def branch_terms(main: KrausChannel,
                        i_main=coherent_information(main, reduced))
 
 
-def joint_coherent_info(sc: SwitchChannel,
-                        branches: BranchTerms) -> SuperactivationReport:
-    """Coherent information of two switch copies at ``sc.p``, as the
-    weighted sum of the hoisted branch terms.
+def _bound_2p1p(p: Probability, i_coh_main: float) -> Probability:
+    return 2.0 * p * (1.0 - p) * i_coh_main
+
+
+def switch_report(p: Probability,
+                  branches: BranchTerms) -> SuperactivationReport:
+    """Coherent information of two switch copies at ``p`` (one value or an
+    array), as the weighted sum of the hoisted branch terms.
 
     The sum is exact, not an approximation: Kraus operators of different
     branch pairs carry orthogonal flag pairs, so the joint output state
@@ -239,18 +246,23 @@ def joint_coherent_info(sc: SwitchChannel,
     ``tensor_channels(sc.channel, sc.channel)`` is the test oracle in
     ``tests/helpers_quantum.py``.
     """
-    if sc.branch_main is not branches.main:
-        raise ValueError("branch terms were computed for a different main "
-                         "channel than the switch channel's")
-    p = sc.p
     weights = (p * p, p * (1.0 - p), (1.0 - p) * p, (1.0 - p) ** 2)
     return SuperactivationReport(
         p=p,
         branch_terms={key: (w, branches.terms[key])
                       for key, w in zip(BRANCH_KEYS, weights)},
-        bound_2p1p=2.0 * p * (1.0 - p) * branches.i_main,
-        p_sym_star_lower=0.5 * branches.i_main,
+        bound_2p1p=_bound_2p1p(p, branches.i_main),
     )
+
+
+def joint_coherent_info(sc: SwitchChannel,
+                        branches: BranchTerms) -> SuperactivationReport:
+    """``switch_report`` at ``sc.p``, for branch terms of ``sc``'s main
+    channel."""
+    if sc.branch_main is not branches.main:
+        raise ValueError("branch terms were computed for a different main "
+                         "channel than the switch channel's")
+    return switch_report(sc.p, branches)
 
 
 def superactivated_bound(p: float, i_coh_main: float) -> Tuple[float, float]:
@@ -258,43 +270,27 @@ def superactivated_bound(p: float, i_coh_main: float) -> Tuple[float, float]:
     coefficient.
 
     Returns (bound at p, p_star), where p_star maximizes the bound over
-    the grid {0.01, ..., 0.99}; for positive coherent information the
+    P_GRID = {0.01, ..., 0.99}; for positive coherent information the
     maximum sits at 0.5 with value i_coh_main / 2.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    bound = 2.0 * p * (1.0 - p) * i_coh_main
-    grid = [i / 100.0 for i in range(1, 100)]
-    values = [2.0 * q * (1.0 - q) * i_coh_main for q in grid]
-    p_star = grid[int(np.argmax(values))]
-    return bound, p_star
+    p_star = float(P_GRID[np.argmax(_bound_2p1p(P_GRID, i_coh_main))])
+    return _bound_2p1p(p, i_coh_main), p_star
 
 
-def compare_assisted(p_e2: float, part: IndexSetPartition) -> AssistedComparison:
-    """Assisted half-block throughput vs the probabilistic relay throughput.
+def compare_assisted(p_e2: Probability,
+                     part: IndexSetPartition) -> AssistedComparison:
+    """Assisted half-block throughput vs the probabilistic relay throughput,
+    at one p_e2 or an array of them.
 
     b_star = |s_in| / 2 versus b = p_e2 * |s_in|; for a nonempty private
     set the strict advantage holds exactly when p_e2 < 0.5.
     """
-    if not 0.0 < p_e2 < 1.0:
+    if not np.all((0.0 < p_e2) & (p_e2 < 1.0)):
         raise ValueError(f"p_e2 must lie strictly inside (0, 1), got {p_e2}")
     size = set_size(part.s_in)
     b_star = 0.5 * size
     b = p_e2 * size
     return AssistedComparison(p_e2=p_e2, s_in_size=size, b=b, b_star=b_star,
                               advantage=b_star > b)
-
-
-def sweep_rows(reports, comparisons):
-    """Rows (p, i_coh_joint, four branch terms, bound, b, b_star, advantage)
-    for CSV export; inputs are parallel lists over the p grid."""
-    rows = []
-    for rep, cmp_ in zip(reports, comparisons):
-        terms = rep.branch_terms
-        rows.append((
-            rep.p, rep.i_coh_joint,
-            terms["main_main"][1], terms["main_erasure"][1],
-            terms["erasure_main"][1], terms["erasure_erasure"][1],
-            rep.bound_2p1p, cmp_.b, cmp_.b_star, cmp_.advantage,
-        ))
-    return rows

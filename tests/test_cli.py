@@ -72,6 +72,18 @@ def test_load_config_rejects_zero_trials(tmp_path):
     assert any("trials" in v for v in err.value.violations)
 
 
+def test_load_config_rejects_trials_past_the_counter_space(tmp_path):
+    # trial indices fill one 64-bit counter word: 2^64 trials fit, and a
+    # larger count used to loop for hours before the stream raised
+    path = dual_config(tmp_path, p_e2=0.3, trials=2 ** 64)
+    assert load_config(path, command="relay-sim").trials == 2 ** 64
+    path = dual_config(tmp_path, p_e2=0.3, trials=2 ** 64 + 5)
+    with pytest.raises(ConfigError) as err:
+        load_config(path, command="relay-sim")
+    assert err.value.violations == [
+        f"trials must be an integer in [1, 2^64], got {2 ** 64 + 5}"]
+
+
 def test_load_config_collects_all_violations(tmp_path):
     path = write_config(tmp_path, "bad.json", {
         "channel": {"kind": "nonsense"}, "k": 0, "beta": 0.9, "seed": -1})
@@ -402,7 +414,9 @@ def _csv_row(path):
 
 
 # Summary lines printed between the title and "data files:" by the
-# CSV-reading report that the counter-based one replaced.
+# CSV-reading report that the counter-based one replaced, and the SHA-256
+# of each case's CSV, pinned from the per-point sweep code that the array
+# evaluation replaced.
 _BASE = {"amp_channel": {"kind": "bec", "epsilon": 0.3},
          "phase_channel": {"kind": "bec", "epsilon": 0.4}, "k": 6,
          "beta": 0.3}
@@ -414,33 +428,41 @@ PINNED_REPORTS = [
         "  c_bob = 0.90625", "  c_eve_total = 0.09375",
         "  c_eve_p1 = 0.09375", "  eve_section_e1e2 = 0.25",
         "  eve_section_e2d = 0.25", "  relay_private_capacity = 0.25",
-        "  relay_capacity_min = 0.25"]),
+        "  relay_capacity_min = 0.25"],
+     "5f9d12d04aa658b9092311015676568a666db54651bf7ba53a6c6326d67ec2f6"),
     ("relay-sim", dict(_BASE, p_e2=0.3, trials=2000, seed=5), [
         "  p_e2 = 0.3", "  trials = 2000", "  successes = 560",
         "  rate = 0.28", "  expected_throughput = 4.8",
-        "  b_star_throughput = 8"]),
+        "  b_star_throughput = 8"],
+     "5a3998e3744e6f1aa7c9607f4ca3c385af022d757d90c7a6c76e86da1dd34f4b"),
     ("sweep", dict(_BASE, k=4, main_channel={"kind": "dephasing", "q": 0.2}),
      ["  at p = 0.5: bound_2p1p = 0.139035952556 (half the main coherent "
-      "information)", "  advantage flips at p = 0.5", "  rows = 99"]),
+      "information)", "  advantage flips at p = 0.5", "  rows = 99"],
+     "03bca815a87ea7685f773f0612aedd3769ddc94623adf698c207a179e25223e0"),
     ("superactivate", dict(_BASE, k=4, p=0.5,
                            main_channel={"kind": "identity", "dim": 4}),
      ["  at p = 0.5: bound_2p1p = 1 (half the main coherent information)",
-      "  rows = 1"]),
+      "  rows = 1"],
+     "3913aa734eabb40175e8d8934f06af1b3827f23f37148c076ac7e79c98982f1a"),
     ("superactivate", dict(_BASE, k=4, p=0.3,
                            main_channel={"kind": "identity"}),
-     ["  rows = 1"]),
+     ["  rows = 1"],
+     "26eb3b568c378a40a2b92034763a679e970d0fb77fe913f8777b8e1a48850e48"),
 ]
 
 
 @pytest.mark.filterwarnings("ignore:p_sym_nondegraded is negative")
-@pytest.mark.parametrize("command, payload, body", PINNED_REPORTS,
+@pytest.mark.parametrize("command, payload, body, sha256", PINNED_REPORTS,
                          ids=["capacity", "relay-sim", "sweep",
                               "superactivate", "superactivate-p0.3"])
-def test_render_report_pinned_text(tmp_path, command, payload, body):
+def test_render_report_pinned_text(tmp_path, command, payload, body, sha256):
     path = write_config(tmp_path, "pin.json", payload)
     manifest = run(load_config(path, command=command,
                                output_dir=str(tmp_path / "out")))
     (out,) = manifest.outputs
+    with open(out["path"], "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == sha256
+    assert out["sha256"] == sha256
     lines = render_report(manifest).split("\n")
     assert lines[0].startswith(f"qrelay {command} (v")
     assert lines[1:] == body + [
@@ -691,7 +713,29 @@ def test_unread_field_message_lists_what_the_command_reads(tmp_path):
     ({"phase_channel": {"kind": "bsc", "p": True}},
      "phase_channel invalid: p must be a number"),
     ({"main_channel": {"kind": "depolarizing", "q": "0.1"}},
-     "main_channel invalid: q must be a number")])
+     "main_channel invalid: q must be a number"),
+    # a key the kind does not read, such as a typo of in_dim that used to
+    # build the default in_dim 2 channel, is named rather than ignored
+    ({"phase_channel": {"kind": "bsc", "p": 0.1, "q": 3}},
+     "phase_channel invalid: unknown keys 'q' for kind 'bsc', which reads "
+     "only kind, p"),
+    ({"main_channel": {"kind": "erasure", "epsilon": 0.5, "indim": 4}},
+     "main_channel invalid: unknown keys 'indim' for kind 'erasure', which "
+     "reads only epsilon, in_dim, kind"),
+    ({"main_channel": {"kind": "compose", "stages": [
+        {"kind": "identity", "dim": 2, "q": 0.1}]}},
+     "main_channel invalid: unknown keys 'q' for kind 'identity'"),
+    # table entries are JSON numbers, not strings or booleans numpy coerces
+    ({"amp_channel": {"kind": "table", "w": [["0.5", "0.5"], ["0.5", "0.5"]]}},
+     "amp_channel invalid: w must be a 2 x m list of numbers"),
+    ({"amp_channel": {"kind": "table", "w": [[True, False], [False, True]]}},
+     "amp_channel invalid: w must be a 2 x m list of numbers"),
+    ({"amp_channel": {"kind": "table"}},
+     "amp_channel invalid: w must be a 2 x m list of numbers, got None"),
+    ({"amp_channel": {"kind": "table", "w": [[1.0], [0.5, 0.5]]}},
+     "amp_channel invalid: w must be a 2 x m list of numbers"),
+    ({"amp_channel": {"kind": "table", "w": [[], []]}},
+     "amp_channel invalid: w must be a 2 x m list of numbers")])
 def test_main_rejects_malformed_channel_specs(tmp_path, capsys, overrides,
                                               fragment):
     payload = {"k": 4, "p": 0.5, "main_channel": {"kind": "identity"}}
@@ -718,7 +762,10 @@ def test_main_rejects_malformed_channel_specs(tmp_path, capsys, overrides,
     # no config field supplies the base state this mode needs
     ({"kind": "identity"}, {"mode": "phase_set_state"},
      "input_state.mode must be one of ('bell', 'entangled_flagged'), "
-     "got 'phase_set_state'")])
+     "got 'phase_set_state'"),
+    ({"kind": "identity"}, {"mode": "bell", "foo": 1},
+     "input_state.unknown keys 'foo' for mode 'bell', which reads only "
+     "mode, variant")])
 def test_main_rejects_bad_input_state(tmp_path, capsys, main_channel,
                                       input_state, fragment):
     path = dual_config(tmp_path, name="state.json", k=4,

@@ -1,12 +1,14 @@
 """Tests for the switch channel, joint coherent information, and the
 assisted-vs-probabilistic relay comparison."""
 
+import hashlib
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import qrelay.cli
 import qrelay.superactivation
 from helpers_quantum import (coherent_info_oracle, joint_coherent_info_oracle,
                              joint_report, make_partition,
@@ -20,7 +22,7 @@ from qrelay.density_ops import (DensityMatrix, apply_kraus, bit_flip_channel,
 from qrelay.superactivation import (branch_terms, build_switch_channel,
                                     compare_assisted, joint_coherent_info,
                                     make_rho_ac, superactivated_bound,
-                                    sweep_rows, JointInputState)
+                                    switch_report, JointInputState)
 
 # ---------------------------------------------------------------------------
 # Switch channel
@@ -252,12 +254,16 @@ FULL_GRID = [i / 100.0 for i in range(1, 100)]
      make_rho_ac("bell"))], ids=["identity4_flagged", "dephasing_bitflip_bell"])
 def test_joint_coherent_info_full_grid_matches_oracle(main, state):
     branches = branch_terms(main, state)
+    grid = switch_report(np.array(FULL_GRID), branches)
     worst = 0.0
-    for p in FULL_GRID:
+    for i, p in enumerate(FULL_GRID):
         sc = build_switch_channel(p, main)
         report = joint_coherent_info(sc, branches)
         worst = max(worst, abs(report.i_coh_joint
                                - joint_coherent_info_oracle(sc, state.rho_ac)))
+        # the sweep's one evaluation on the whole grid, bit for bit
+        assert grid.i_coh_joint[i] == report.i_coh_joint
+        assert grid.bound_2p1p[i] == report.bound_2p1p
     assert worst <= 1e-10
 
 
@@ -286,6 +292,44 @@ def test_sweep_evaluates_five_coherent_informations(tmp_path, monkeypatch):
     assert calls == {"coherent_information": 5, "tensor_channels": 4}
     assert manifest.counters["coherent_information_calls"] == 5
     assert manifest.counters["p_points"] == 99
+
+
+# SHA-256 of sweep.csv for the benchmark's two-qubit sweep config, pinned
+# from the per-point sweep code that built a switch channel for every p.
+SWEEP_2QUBIT_SHA256 = (
+    "c0b02486d495f23b53e16e7b0a6283b0e7cd8b9812154cd6942419145e0a804f")
+
+
+def test_sweep_and_superactivate_build_no_switch_channel(tmp_path,
+                                                        monkeypatch):
+    def refuse(p, main):
+        raise AssertionError("a switch channel was built")
+
+    for module in (qrelay.superactivation, qrelay.cli):
+        monkeypatch.setattr(module, "build_switch_channel", refuse)
+    payload = {"amp_channel": {"kind": "bec", "epsilon": 0.3},
+               "phase_channel": {"kind": "bec", "epsilon": 0.4}, "k": 8,
+               "beta": 0.35, "main_channel": {"kind": "identity", "dim": 4},
+               "input_state": {"mode": "entangled_flagged",
+                               "variant": "alternating"}}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    (entry,) = run(load_config(path, command="sweep",
+                               output_dir=str(tmp_path / "sw"))).outputs
+    with open(entry["path"], "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == SWEEP_2QUBIT_SHA256
+    path.write_text(json.dumps({**payload, "p": 0.5}), encoding="utf-8")
+    (entry,) = run(load_config(path, command="superactivate",
+                               output_dir=str(tmp_path / "sa"))).outputs
+    assert entry["rows"] == 1
+
+
+def test_switch_report_rejects_weights_that_miss_one():
+    # each weight array is checked as a whole: at p = 1e9 the four weights
+    # cancel to rounding error instead of summing to one
+    branches = branch_terms(dephasing_channel(0.2), make_rho_ac("bell"))
+    with pytest.raises(ValueError, match="branch weights"):
+        switch_report(np.array([0.5, 1e9]), branches)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +383,13 @@ def test_compare_assisted_cases():
 
 def test_compare_assisted_threshold_grid():
     part = make_partition(64, range(40), range(20, 60))
+    grid = compare_assisted(np.arange(1, 100) / 100.0, part)
     for i in range(1, 100):
         p = i / 100.0
         cmp_ = compare_assisted(p, part)
         assert cmp_.advantage == (p < 0.5)
+        assert grid.advantage[i - 1] == cmp_.advantage
+        assert grid.b[i - 1] == cmp_.b
         # half-block form never undercuts half the private fraction
         assert cmp_.b_star >= 0.5 * set_size(part.s_in)
 
@@ -353,15 +400,6 @@ def test_compare_assisted_validation():
         compare_assisted(0.0, part)
     with pytest.raises(ValueError):
         compare_assisted(1.0, part)
+    with pytest.raises(ValueError):
+        compare_assisted(np.array([0.5, 1.0]), part)
 
-
-def test_sweep_rows_schema():
-    state = make_rho_ac("bell")
-    part = make_partition(16, range(10), range(4, 12))
-    ps = [0.25, 0.5]
-    reports = [joint_report(p, identity_channel(2), state) for p in ps]
-    comparisons = [compare_assisted(p, part) for p in ps]
-    rows = sweep_rows(reports, comparisons)
-    assert len(rows) == 2
-    assert rows[0][0] == 0.25 and rows[1][0] == 0.5
-    assert rows[0][9] is True and rows[1][9] is False
