@@ -333,10 +333,12 @@ def _format_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.{SIGNIFICANT_DIGITS}g}"
+    if isinstance(v, bytes):   # as its UTF-8 text, like an S array cell
+        return v.decode("utf-8")
     return str(v)
 
 
-_INT64_MAX = np.iinfo(np.int64).max
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 
 def _digit_quads():
@@ -406,21 +408,27 @@ def _padded_cells(data, lengths):
 def _cell_table(column):
     """The NUL-padded byte table of one block of one column, a (rows,
     width) uint8 array, and the mask of its real bytes, or None when they
-    are exactly its non-NUL bytes. Int, ASCII str and float arrays are
-    converted in numpy; any other column (bool arrays, non-ASCII str,
-    uint64 >= 2^63, lists) goes through ``_format_value`` cell by cell."""
+    are exactly its non-NUL bytes. Int64 ranges and int, byte-string and
+    float arrays are converted in numpy; any other column (bool and str
+    arrays, values past int64, lists) goes through ``_format_value`` cell
+    by cell."""
+    if isinstance(column, range) and all(
+            _INT64_MIN <= v <= _INT64_MAX
+            for v in (column.start, column.step, *column[-1:])):
+        # from its exact length: np.arange sizes by float division, and
+        # turns float64 when the stop passes int64
+        column = column.start + column.step * np.arange(len(column))
     if isinstance(column, np.ndarray):
         kind = column.dtype.kind
         if kind == "i" or kind == "u" and column.max() <= _INT64_MAX:
             return _int_table(column)
         if kind == "f":
             return _float_table(column)
-        if kind == "U":
+        if kind == "S":
             column = np.ascontiguousarray(column)
-            codes = column.view(np.uint32).reshape(len(column), -1)
-            if codes.max(initial=0) < 128:
-                return _padded_cells(codes.astype(np.uint8),
-                                     np.char.str_len(column))
+            data = column.view(np.uint8).reshape(len(column),
+                                                 column.dtype.itemsize)
+            return _padded_cells(data, np.char.str_len(column))
         column = column.tolist()
     cells = [_format_value(v).encode("utf-8") for v in column]
     lengths = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
@@ -430,10 +438,10 @@ def _cell_table(column):
     return _padded_cells(data, lengths)
 
 
-def _csv_block(columns) -> bytes:
-    """One block of rows: the columns' byte tables side by side with
-    ',' and '\n' columns between them, compressed to their real bytes by
-    one boolean mask."""
+def _csv_block(columns):
+    """One block of rows as a uint8 array: the columns' byte tables side
+    by side with ',' and '\n' columns between them, compressed to their
+    real bytes by one boolean mask."""
     tables = [_cell_table(c) for c in columns]
     rows = len(tables[0][0])
     parts = []
@@ -447,7 +455,7 @@ def _csv_block(columns) -> bytes:
         if real is not None:
             keep[:, start:start + cells.shape[1]] = real
         start += cells.shape[1] + 1
-    return block[keep].tobytes()
+    return block[keep]
 
 
 def _write_csv(path: Path, header, columns) -> str:

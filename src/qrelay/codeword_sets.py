@@ -214,9 +214,10 @@ def rate_report(part: IndexSetPartition) -> RateReport:
 
 
 def partition_rows(part: IndexSetPartition):
-    """Columns (index, class-label) for CSV export."""
-    labels = np.full(part.n, "B", dtype="<U4")
-    labels[part.s_in] = "S_in"
-    labels[part.p1] = "P1"
-    labels[part.p2] = "P2"
-    return np.arange(part.n), labels
+    """Columns (index, class-label) for CSV export: the index as a range
+    and the labels as byte strings."""
+    labels = np.full(part.n, b"B", dtype="S4")
+    labels[part.s_in] = b"S_in"
+    labels[part.p1] = b"P1"
+    labels[part.p2] = b"P2"
+    return range(part.n), labels

@@ -266,11 +266,15 @@ def polarize(w: BDMC, k: int, alphabet_cap: int = 4096,
             raise ValueError("closed-form recursion requires an erasure-like channel")
         z = np.array([bhattacharyya(w)])
         for _ in range(k):
+            # each level written in place, by the same IEEE operations in
+            # the same order as 2z - z^2 and z^2
             nxt = np.empty(2 * len(z))
-            nxt[0::2] = 2.0 * z - z * z
-            nxt[1::2] = z * z
+            bad, good = nxt[0::2], nxt[1::2]
+            np.multiply(z, z, out=good)
+            np.multiply(2.0, z, out=bad)
+            np.subtract(bad, good, out=bad)
             z = nxt
-        return PolarizationResult(n=2 ** k, z=np.clip(z, 0.0, 1.0))
+        return PolarizationResult(n=2 ** k, z=np.clip(z, 0.0, 1.0, out=z))
 
     channels = [w]
     for _ in range(k):
@@ -557,7 +561,9 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def polarization_rows(pr: PolarizationResult, sets: GoodBadSets):
-    """Columns (index, z, set-label) for CSV export."""
+    """Columns (index, z, set-label) for CSV export: the index as a range
+    and the labels as byte strings, so no n-row index or str array is
+    built."""
     if sets.n != pr.n:
         raise ValueError("sets and polarization result disagree on n")
-    return np.arange(pr.n), pr.z, np.where(sets.good, "good", "bad")
+    return range(pr.n), pr.z, np.where(sets.good, b"good", b"bad")

@@ -10,6 +10,8 @@ def format_cell(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.12g}"
+    if isinstance(v, bytes):
+        return v.decode("utf-8")
     return str(v)
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -484,6 +485,23 @@ def test_run_k20_outputs_match_pinned_digests(tmp_path):
         assert entry["sha256"] == want
 
 
+@pytest.mark.parametrize("command", ["polarize", "sets"])
+def test_run_k20_traced_peak_stays_small(tmp_path, command):
+    # the z vectors, the masks, 4-byte labels and one CSV block at a time:
+    # no index array, str labels or recursion temporaries
+    path = (polarize_config(tmp_path, channel={"kind": "bec", "epsilon": 0.3},
+                            k=20, beta=0.35) if command == "polarize"
+            else dual_config(tmp_path, k=20, beta=0.35))
+    cfg = load_config(path, command=command, output_dir=str(tmp_path / "o"))
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # CSV writer
 # ---------------------------------------------------------------------------
@@ -501,6 +519,8 @@ def _writer_columns(rows, rng):
             np.arange(rows, dtype=np.uint8), floats, rng.random(rows),
             rng.random(rows).astype(np.float32), rng.random(rows) < 0.5,
             np.where(rng.random(rows) < 0.5, "good", "bad"),
+            np.where(rng.random(rows) < 0.5, b"good", b"bad"),
+            range(rows), range(-rows, 3 * rows, 4),
             [float(v) for v in rng.random(rows)], mixed)
 
 
@@ -525,6 +545,12 @@ EDGE_COLUMNS = {
     "empty_str": np.array(["", "", "x", ""]),
     "nul_str": np.array(["a\x00b", "c\x00", "\x00", "d"]),
     "nul_list": ["a\x00b", "c\x00", "\x00", "d"],
+    "ascii_bytes": np.array([b"S_in", b"P1", b"B", b"good"]),
+    "empty_bytes": np.array([b"", b"", b"x", b""]),
+    "nul_bytes": np.array([b"a\x00b", b"\x00c", b"\x00", b"d"]),
+    "utf8_bytes": np.array(["\u00e9".encode(), "\u65e5\u672c".encode(),
+                            b"", b"plain"]),
+    "bytes_list": [b"a\x00b", "\u00e9".encode(), b"", b"d"],
     "uint64_high": np.array([2 ** 63, 2 ** 64 - 1, 0, 7], dtype=np.uint64),
     "int64_extremes": np.array([-2 ** 63, 2 ** 63 - 1, -1, 0],
                                dtype=np.int64),
@@ -532,6 +558,12 @@ EDGE_COLUMNS = {
     "signed_zero_nan": np.array([-0.0, 0.0, math.nan, -math.nan,
                                  NAN_PAYLOAD[0], 0.1, -0.0]),
     "bool": np.array([True, False, True]),
+    # ranges are sliced from their end, so the last block keeps their stop
+    "range_negative_step": range(10 ** 6, -10 ** 6, -3),
+    "range_int64_span": range(2 ** 63 - 1, -2 ** 63, -2 ** 47),
+    "range_stop_past_int64": range(2 ** 63 - 2 ** 17, 2 ** 63),
+    "range_stop_below_int64": range(-2 ** 63 + 2 ** 17, -2 ** 63 - 1, -1),
+    "range_past_int64": range(2 ** 63 - 2 ** 16 - 4, 2 ** 63 + 4),
 }
 
 
@@ -543,8 +575,12 @@ def test_write_csv_edge_columns_match_row_oracle(tmp_path, name, rows):
     # and the last block has one row at CSV_BLOCK_ROWS + 1
     base = EDGE_COLUMNS[name]
     tiled = [base[i % len(base)] for i in range(rows)]
-    column = np.array(tiled, dtype=base.dtype) \
-        if isinstance(base, np.ndarray) else tiled
+    if isinstance(base, range):
+        column = base[-rows:]
+    elif isinstance(base, np.ndarray):
+        column = np.array(tiled, dtype=base.dtype)
+    else:
+        column = tiled
     columns = (column, np.arange(rows))
     path = tmp_path / "edge.csv"
     digest = _write_csv(path, ("c", "i"), columns)
@@ -837,10 +873,13 @@ def test_main_bounds_main_channel_before_building_it(tmp_path, command,
     extra = {"p_e2": 0.3, "trials": 10} if command == "relay-sim" else {}
     path = dual_config(tmp_path, name="huge.json", k=4,
                        main_channel=main_channel, **extra)
-    script = ("import resource, sys\n"
+    # VmHWM is the child's own peak: its ru_maxrss carries over the peak
+    # of the forking test process
+    script = ("import re, sys\n"
               "from qrelay.cli import main\n"
               "rc = main(sys.argv[1:])\n"
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    print(re.search(r'VmHWM:\\s+(\\d+) kB', fh.read())[1])\n"
               "sys.exit(rc)\n")
     proc = subprocess.run(
         [sys.executable, "-c", script, command, "--config", path,
@@ -849,7 +888,7 @@ def test_main_bounds_main_channel_before_building_it(tmp_path, command,
     assert proc.returncode == 2, proc.stderr
     assert fragment in proc.stderr
     assert "Traceback" not in proc.stderr
-    assert int(proc.stdout.split()[-1]) < 150 * 1024  # ru_maxrss in KiB
+    assert int(proc.stdout.split()[-1]) < 150 * 1024  # VmHWM in KiB
 
 
 @pytest.mark.parametrize("payload", [

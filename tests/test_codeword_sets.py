@@ -240,5 +240,5 @@ def test_pauli_induced_channels():
 def test_partition_rows_cover_block():
     part = make_partition(6, {0, 1}, {1, 2})
     index, labels = partition_rows(part)
-    assert index.tolist() == list(range(6))
-    assert labels.tolist() == ["P1", "S_in", "P2", "B", "B", "B"]
+    assert list(index) == list(range(6))
+    assert labels.tolist() == [b"P1", b"S_in", b"P2", b"B", b"B", b"B"]

@@ -269,6 +269,16 @@ def test_polarize_bec_matches_recursion_oracle():
     assert np.max(np.abs(pr.z - bec_recursion_oracle(0.5, 10))) <= 1e-12
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.03, 1 / 3, 0.5, 0.77, 0.999, 1.0])
+def test_polarize_bec_bits_match_recursion_oracle(eps):
+    # the closed form writes each level in place, by the same IEEE
+    # operations in the same order as the oracle's 2z - z^2 and z^2
+    for k in range(1, 13):
+        want = np.clip(bec_recursion_oracle(eps, k), 0.0, 1.0)
+        assert np.array_equal(polarize(BDMC.bec(eps), k).z.view(np.int64),
+                              want.view(np.int64))
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_polarize_tables_match_closed_form(k):
     w = BDMC.bec(0.35)
@@ -657,7 +667,7 @@ def test_polarization_rows_labels():
     pr = polarize(BDMC.bec(0.5), 2)
     sets = select_sets(pr, 0.4)
     index, z, labels = polarization_rows(pr, sets)
-    assert index.tolist() == list(range(4))
+    assert list(index) == list(range(4))
     assert np.array_equal(z, pr.z)
-    assert labels.tolist() == ["good" if g else "bad" for g in sets.good]
-    assert set(labels.tolist()) == {"good", "bad"}
+    assert labels.tolist() == [b"good" if g else b"bad" for g in sets.good]
+    assert set(labels.tolist()) == {b"good", b"bad"}
