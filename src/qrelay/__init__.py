@@ -1,6 +1,6 @@
 """Polar coding and private-capacity simulation for quantum relay channels.
 
-Subpackages cover dense quantum state/channel arithmetic (``density_ops``),
+Its modules cover dense quantum state/channel arithmetic (``density_ops``),
 classical polar coding machinery (``polar_core``), the amplitude/phase
 codeword-set algebra (``codeword_sets``), relay capacity formulas and
 encoder simulation (``relay``), the switch-channel construction that

@@ -102,16 +102,13 @@ class RateReport:
 class EveCapacityReport:
     """Eavesdropper-side fractions.
 
-    ``c_bob`` is the complement form 1 - |p1|/n; ``c_bob_sp2`` is the
-    direct form |s_in u p2|/n. The two agree exactly when b is empty,
-    recorded in ``forms_agree``. Section fractions give the share of
-    indices whose codewords transit each relay hop.
+    ``c_bob`` is the complement form 1 - |p1|/n, which equals |s_in u p2|/n
+    exactly when b is empty. Section fractions give the share of indices
+    whose codewords transit each relay hop.
     """
     c_eve_total: float
     c_eve_p1: float
     c_bob: float
-    c_bob_sp2: float
-    forms_agree: bool
     eve_section_e1e2: float
     eve_section_e2d: float
 
@@ -186,16 +183,12 @@ def r_sym_nondegraded(part: IndexSetPartition) -> float:
 
 
 def eve_capacity(part: IndexSetPartition) -> EveCapacityReport:
-    """Eavesdropper fractions and the two Bob-side complement forms."""
+    """Eavesdropper fractions and the Bob-side complement."""
     n = part.n
-    c_bob = 1.0 - set_size(part.p1) / n
-    c_bob_sp2 = set_size(part.s_in | part.p2) / n
     return EveCapacityReport(
         c_eve_total=(set_size(part.p1) + set_size(part.p2)) / n,
         c_eve_p1=set_size(part.p1) / n,
-        c_bob=c_bob,
-        c_bob_sp2=c_bob_sp2,
-        forms_agree=set_size(part.b) == 0,
+        c_bob=1.0 - set_size(part.p1) / n,
         eve_section_e1e2=set_size(part.p2 | part.s_in) / n,
         eve_section_e2d=set_size(part.s_in) / n,
     )

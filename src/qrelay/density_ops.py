@@ -2,15 +2,16 @@
 
 States are dense complex density matrices, channels are explicit Kraus
 operator lists, and every entropic quantity is computed from exact
-eigendecompositions. All logarithms are base 2, so capacities and entropies
-are in bits. Coherent information works from the Kraus operators alone: the
-output state is sum_i K_i rho K_i^dag and the environment state is the
-complementary-channel output [tr(K_i rho K_j^dag)]_ij, so no dilation of
-size (out * env)^2 is ever formed.
+eigendecompositions. All logarithms are base 2, so entropies and coherent
+information are in bits. Coherent information works from the Kraus
+operators alone: the output state is sum_i K_i rho K_i^dag and the
+environment state is the complementary-channel output
+[tr(K_i rho K_j^dag)]_ij, so no dilation of size (out * env)^2 is ever
+formed.
 
 Numerical conventions: structural validation (Hermiticity, unit trace,
-positivity, Kraus completeness, isometry) uses an absolute tolerance of
-1e-9; eigenvalues in [-1e-9, 0) are clipped to zero before entropies and
+positivity, Kraus completeness) uses an absolute tolerance of 1e-9;
+eigenvalues in [-1e-9, 0) are clipped to zero before entropies and
 anything more negative is rejected as an invalid state.
 """
 
@@ -60,16 +61,6 @@ class DensityMatrix:
         v = v / norm
         return cls(np.outer(v, v.conj()))
 
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim) / dim)
-
-    @classmethod
-    def basis_state(cls, index: int, dim: int) -> "DensityMatrix":
-        m = np.zeros((dim, dim), dtype=complex)
-        m[index, index] = 1.0
-        return cls(m)
-
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
 
@@ -100,47 +91,6 @@ class KrausChannel:
     def __repr__(self):
         return (f"KrausChannel(in={self.in_dim}, out={self.out_dim}, "
                 f"n_ops={len(self.kraus_ops)})")
-
-
-class Isometry:
-    """An isometric dilation U : in -> out (x) env with U^dag U = I.
-
-    The row index is ordered (output, environment): row b*env_dim + e holds
-    the amplitude for channel output b and environment state |e>.
-    """
-
-    def __init__(self, matrix, env_dim: int):
-        u = np.array(matrix, dtype=complex)
-        rows, in_dim = u.shape
-        if env_dim < 1 or rows % env_dim != 0:
-            raise ValueError(f"row count {rows} not divisible by env_dim {env_dim}")
-        dev = float(np.max(np.abs(u.conj().T @ u - np.eye(in_dim))))
-        if dev > VALIDATION_TOL:
-            raise ValueError(f"U^dag U != I: deviation {dev:.3e}")
-        # U U^dag idempotence follows from the check above with deviation
-        # bounded by (1 + dev) * dev; verify explicitly while it is cheap.
-        if rows <= 512:
-            proj = u @ u.conj().T
-            proj_dev = float(np.max(np.abs(proj @ proj - proj)))
-            if proj_dev > VALIDATION_TOL:
-                raise ValueError(
-                    f"U U^dag is not a projector: deviation {proj_dev:.3e}")
-        self.matrix = u
-        self.env_dim = int(env_dim)
-        self.in_dim = int(in_dim)
-        self.out_dim = rows // int(env_dim)
-
-
-class BinaryCqChannel:
-    """Classical-quantum channel with binary input: 0 -> sigma0, 1 -> sigma1."""
-
-    def __init__(self, sigma0: DensityMatrix, sigma1: DensityMatrix):
-        if sigma0.dim != sigma1.dim:
-            raise ValueError(
-                f"output dimensions differ: {sigma0.dim} vs {sigma1.dim}")
-        self.sigma0 = sigma0
-        self.sigma1 = sigma1
-        self.dim = sigma0.dim
 
 
 # ---------------------------------------------------------------------------
@@ -242,33 +192,6 @@ def bell_pair(dim: int = 2) -> DensityMatrix:
 # Channel and state arithmetic
 # ---------------------------------------------------------------------------
 
-def apply_kraus(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply a channel: sum_i N_i rho N_i^dag.
-
-    Raises ValueError on input/channel dimension mismatch; the output is
-    validated as a density matrix.
-    """
-    if rho.dim != channel.in_dim:
-        raise ValueError(
-            f"state dim {rho.dim} does not match channel input {channel.in_dim}")
-    out = np.zeros((channel.out_dim, channel.out_dim), dtype=complex)
-    for k in channel.kraus_ops:
-        out += k @ rho.entries @ k.conj().T
-    return DensityMatrix(out)
-
-
-def isometric_extension(channel: KrausChannel) -> Isometry:
-    """Dilation U = sum_i N_i (x) |i>_E with env_dim = number of Kraus ops.
-
-    Tracing the environment out of U rho U^dag recovers the channel action.
-    """
-    env = len(channel.kraus_ops)
-    # stack axis layout (out, env, in) so rows follow the (output, env) order
-    u = np.stack(channel.kraus_ops, axis=1).reshape(
-        channel.out_dim * env, channel.in_dim)
-    return Isometry(u, env_dim=env)
-
-
 def trace_out(rho: DensityMatrix, subsystem_dims: Sequence[int],
               keep) -> DensityMatrix:
     """Partial trace keeping the listed subsystem indices.
@@ -319,46 +242,6 @@ def _entropy_bits(matrix: np.ndarray) -> float:
     pos = eigs[eigs > 0.0]
     s = float(-np.sum(pos * np.log2(pos)))
     return 0.0 if -1e-12 < s < 0.0 else s
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -sum_i lambda_i log2 lambda_i, with 0 log 0 = 0."""
-    return _entropy_bits(rho.entries)
-
-
-def symmetric_cq_capacity(ch: BinaryCqChannel) -> float:
-    """Capacity of a binary cq channel at the uniform input distribution.
-
-    S((sigma0 + sigma1)/2) - S(sigma0)/2 - S(sigma1)/2, in [0, 1] bits.
-    """
-    mix = (ch.sigma0.entries + ch.sigma1.entries) / 2.0
-    val = (_entropy_bits(mix)
-           - 0.5 * _entropy_bits(ch.sigma0.entries)
-           - 0.5 * _entropy_bits(ch.sigma1.entries))
-    if not -VALIDATION_TOL <= val <= 1.0 + VALIDATION_TOL:
-        raise ValueError(f"cq capacity {val} escaped [0, 1]")
-    return min(max(val, 0.0), 1.0)
-
-
-def cq_joint_state(ch: BinaryCqChannel) -> DensityMatrix:
-    """Joint input-output state at uniform inputs:
-    (1/2)|0><0| (x) sigma0 + (1/2)|1><1| (x) sigma1."""
-    d = ch.dim
-    joint = np.zeros((2 * d, 2 * d), dtype=complex)
-    joint[:d, :d] = ch.sigma0.entries / 2.0
-    joint[d:, d:] = ch.sigma1.entries / 2.0
-    return DensityMatrix(joint)
-
-
-def mutual_information(rho_ab: DensityMatrix, dims) -> float:
-    """I(A:B) = S(A) + S(B) - S(AB) for a bipartite state."""
-    d_a, d_b = int(dims[0]), int(dims[1])
-    if d_a * d_b != rho_ab.dim:
-        raise ValueError(f"dims {dims} do not factor dimension {rho_ab.dim}")
-    s_a = von_neumann_entropy(trace_out(rho_ab, [d_a, d_b], keep={0}))
-    s_b = von_neumann_entropy(trace_out(rho_ab, [d_a, d_b], keep={1}))
-    s_ab = von_neumann_entropy(rho_ab)
-    return s_a + s_b - s_ab
 
 
 def coherent_information(channel: KrausChannel, rho: DensityMatrix) -> float:

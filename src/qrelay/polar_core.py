@@ -1,6 +1,6 @@
 """Classical polar coding machinery.
 
-Generator matrices built from the 2x2 kernel [[1,1],[0,1]] with even/odd
+Butterfly encoding with the 2x2 kernel [[1,1],[0,1]] and even/odd
 interleaving, channel combining into 'bad' (first input unknown) and 'good'
 (first input known) halves, Bhattacharyya parameter tracking through the
 recursion, threshold selection of good/bad index sets, successive
@@ -23,8 +23,6 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-12
 LLR_CLIP = 700.0
-
-KERNEL = np.array([[1, 1], [0, 1]], dtype=np.uint8)
 
 
 class BDMC:
@@ -71,14 +69,6 @@ class BDMC:
 
 
 @dataclass(frozen=True)
-class GeneratorMatrix:
-    """Binary generator matrix for recursion level k, n = 2^k."""
-    k: int
-    n: int
-    bits: np.ndarray
-
-
-@dataclass(frozen=True)
 class PolarizationResult:
     """Bhattacharyya parameters of the n synthesized channels."""
     n: int
@@ -120,34 +110,8 @@ class MonteCarloResult:
 
 
 # ---------------------------------------------------------------------------
-# Generator matrix and encoding
+# Encoding
 # ---------------------------------------------------------------------------
-
-def generator_matrix(k: int) -> GeneratorMatrix:
-    """Generator matrix via the even/odd-interleaved kernel recursion.
-
-    Level 1 is the 2x2 kernel. Each further level encodes the two message
-    halves with the half-size matrix, routes the first half-code to even
-    positions and the second to odd positions (the even/odd permutation),
-    and applies a kernel to every adjacent pair. The same dataflow drives
-    ``polar_encode`` and the decoder, so the first message half always
-    passes through a bad split first.
-    """
-    if k < 1:
-        raise ValueError(f"recursion level must be >= 1, got {k}")
-    g = KERNEL.copy()
-    for _ in range(2, k + 1):
-        m = g.shape[0]
-        inner = np.kron(np.eye(2, dtype=np.uint8), g)
-        perm = np.zeros((2 * m, 2 * m), dtype=np.uint8)
-        for i in range(m):
-            perm[2 * i, i] = 1          # first half-code to even positions
-            perm[2 * i + 1, m + i] = 1  # second half-code to odd positions
-        outer = np.kron(np.eye(m, dtype=np.uint8), KERNEL)
-        g = (outer.astype(np.int64) @ perm @ inner) % 2
-        g = g.astype(np.uint8)
-    return GeneratorMatrix(k=k, n=2 ** k, bits=g)
-
 
 def _encode_block(u: np.ndarray) -> np.ndarray:
     """Butterfly encoding of a (batch, n) bit array."""
@@ -161,18 +125,6 @@ def _encode_block(u: np.ndarray) -> np.ndarray:
     x[:, 0::2] = a ^ b
     x[:, 1::2] = b
     return x
-
-
-def polar_encode(message, k: int) -> np.ndarray:
-    """Encode a length-2^k binary message; equals the generator matrix
-    acting on the message over GF(2)."""
-    u = np.asarray(message)
-    n = 2 ** k
-    if u.ndim != 1 or len(u) != n:
-        raise ValueError(f"message must have length {n}, got shape {u.shape}")
-    if np.any((u != 0) & (u != 1)):
-        raise ValueError("message must be binary")
-    return _encode_block(u.astype(np.uint8)[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +160,6 @@ def bhattacharyya(w: BDMC) -> float:
     return float(np.sum(np.sqrt(w.w[0] * w.w[1])))
 
 
-def symmetric_capacity(w: BDMC) -> float:
-    """Mutual information at uniform input, in bits."""
-    table = w.w
-    p_y = 0.5 * (table[0] + table[1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(table > 0.0, table * np.log2(table / p_y), 0.0)
-    return float(0.5 * terms.sum())
-
-
 def merge_equal_likelihood_outputs(w: BDMC) -> BDMC:
     """Lossless alphabet reduction: pool output symbols with exactly equal
     likelihood ratios and drop zero-probability symbols.
@@ -243,13 +186,13 @@ def _erasure_like(w: BDMC) -> bool:
 
 
 def polarize(w: BDMC, k: int, alphabet_cap: int = 4096,
-             merge: bool = True, method: str = "auto") -> PolarizationResult:
+             method: str = "auto") -> PolarizationResult:
     """Track Bhattacharyya parameters through k levels of combining.
 
     Erasure-like channels use the exact closed-form recursion
     z -> (2z - z^2, z^2); general channels track full transition tables,
-    pooling exactly-equal likelihood-ratio outputs when ``merge`` is set.
-    A post-merge alphabet beyond ``alphabet_cap`` raises.
+    pooling exactly-equal likelihood-ratio outputs at every level. A
+    post-merge alphabet beyond ``alphabet_cap`` raises.
 
     The output ordering follows the module convention: entry i applies the
     splits named by the bits of i, most significant first, 0 = bad.
@@ -281,8 +224,7 @@ def polarize(w: BDMC, k: int, alphabet_cap: int = 4096,
         nxt = []
         for ch in channels:
             for split in (combine_bad(ch), combine_good(ch)):
-                if merge:
-                    split = merge_equal_likelihood_outputs(split)
+                split = merge_equal_likelihood_outputs(split)
                 if split.output_alphabet_size > alphabet_cap:
                     raise ValueError(
                         f"output alphabet {split.output_alphabet_size} exceeds "
@@ -353,54 +295,15 @@ def _sc_decode_block(lam, frozen_mask, frozen_values):
     return np.concatenate([u_first, u_second], axis=1), x
 
 
-def _resolve_frozen(n: int, bad: np.ndarray, frozen_values) -> np.ndarray:
-    values = np.zeros(n, dtype=np.uint8)
+def _resolve_frozen(n: int, frozen_values) -> np.ndarray:
+    """The frozen bits of a length-n block: all zero by default, else the
+    low bit of each of the n given values."""
     if frozen_values is None:
-        return values
-    if isinstance(frozen_values, dict):
-        missing = set(np.flatnonzero(bad).tolist()) - set(frozen_values)
-        if missing:
-            raise ValueError(f"missing frozen values for indices {sorted(missing)}")
-        for idx, bit in frozen_values.items():
-            values[idx] = bit & 1
-        return values
+        return np.zeros(n, dtype=np.uint8)
     arr = np.asarray(frozen_values)
     if arr.shape != (n,):
         raise ValueError(f"frozen values must cover all {n} positions")
     return arr.astype(np.uint8) & 1
-
-
-def sc_decode(likelihoods, sets: GoodBadSets, frozen_values=None) -> np.ndarray:
-    """Successive cancellation decoding of channel-level likelihood ratios.
-
-    Parameters
-    ----------
-    likelihoods : array-like, shape (n,) or (batch, n)
-        Per-position ratios P(y|0)/P(y|1); np.inf marks certainty of bit 0,
-        0 certainty of bit 1, and 1 a complete erasure. NaN is rejected.
-    sets : GoodBadSets
-        Good (information) and bad (frozen) index masks.
-    frozen_values : None | dict | array, optional
-        Bits forced at the bad indices; defaults to all zero.
-
-    Returns
-    -------
-    ndarray
-        Decoded message bits, same leading shape as the input.
-    """
-    lam = np.asarray(likelihoods, dtype=float)
-    single = lam.ndim == 1
-    if single:
-        lam = lam[None, :]
-    if lam.ndim != 2 or lam.shape[1] != sets.n:
-        raise ValueError(f"need {sets.n} likelihoods per codeword")
-    if np.any(np.isnan(lam)) or np.any(lam < 0.0):
-        raise ValueError("likelihood ratios must be nonnegative and not NaN")
-    with np.errstate(divide="ignore"):
-        log_lam = np.clip(np.log(lam), -LLR_CLIP, LLR_CLIP)
-    bits, _ = _sc_decode_block(log_lam, sets.bad,
-                               _resolve_frozen(sets.n, sets.bad, frozen_values))
-    return bits[0] if single else bits
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +438,7 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
         raise ValueError("info set indices out of range")
     info = np.zeros(n, dtype=bool)
     info[sel] = True
-    frozen = _resolve_frozen(n, ~info, frozen_values)
+    frozen = _resolve_frozen(n, frozen_values)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = w.w[0] / w.w[1]

@@ -40,7 +40,6 @@ class RelayTrialResult:
     trials: int
     successes: int
     empirical_success_rate: float
-    mean_codeword_size_b: float
 
     def __post_init__(self):
         if self.successes > self.trials:
@@ -92,13 +91,8 @@ def simulate_relay(spec: RelayChannelSpec, trials: int,
         count = min(RELAY_CHUNK, trials - first)
         draws = uniforms(trial_words(seed, first, count, 1)[:, 0])
         successes += int(np.count_nonzero(draws < spec.p_e2))
-    size = float(set_size(spec.partition.s_in))
-    return RelayTrialResult(
-        trials=trials,
-        successes=successes,
-        empirical_success_rate=successes / trials,
-        mean_codeword_size_b=size if successes else 0.0,
-    )
+    return RelayTrialResult(trials=trials, successes=successes,
+                            empirical_success_rate=successes / trials)
 
 
 def expected_throughput(spec: RelayChannelSpec) -> float:

@@ -35,7 +35,7 @@ from .density_ops import (DensityMatrix, KrausChannel, bell_pair,
 BRANCH_KEYS = ("main_main", "main_erasure", "erasure_main", "erasure_erasure")
 JOINT_INPUT_MODES = ("bell", "entangled_flagged")
 FLAG_VARIANTS = ("literal", "alternating")
-# The p grid of the sweep command and of superactivated_bound's argmax.
+# The p grid of the sweep command.
 P_GRID = np.arange(1, 100) / 100.0
 
 # A branch probability: one float, or an array of them evaluated at once.
@@ -122,7 +122,6 @@ class AssistedComparison:
     at one p_e2 or an array of them (``b`` and ``advantage`` follow its
     shape)."""
     p_e2: Probability
-    s_in_size: int
     b: Probability
     b_star: float
     advantage: Union[bool, np.ndarray]
@@ -265,20 +264,6 @@ def joint_coherent_info(sc: SwitchChannel,
     return switch_report(sc.p, branches)
 
 
-def superactivated_bound(p: float, i_coh_main: float) -> Tuple[float, float]:
-    """Lower bound 2p(1-p) * i_coh_main and the grid argmax of the
-    coefficient.
-
-    Returns (bound at p, p_star), where p_star maximizes the bound over
-    P_GRID = {0.01, ..., 0.99}; for positive coherent information the
-    maximum sits at 0.5 with value i_coh_main / 2.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    p_star = float(P_GRID[np.argmax(_bound_2p1p(P_GRID, i_coh_main))])
-    return _bound_2p1p(p, i_coh_main), p_star
-
-
 def compare_assisted(p_e2: Probability,
                      part: IndexSetPartition) -> AssistedComparison:
     """Assisted half-block throughput vs the probabilistic relay throughput,
@@ -292,5 +277,5 @@ def compare_assisted(p_e2: Probability,
     size = set_size(part.s_in)
     b_star = 0.5 * size
     b = p_e2 * size
-    return AssistedComparison(p_e2=p_e2, s_in_size=size, b=b, b_star=b_star,
+    return AssistedComparison(p_e2=p_e2, b=b, b_star=b_star,
                               advantage=b_star > b)

@@ -1,0 +1,76 @@
+"""Reference code for the polar coding layer: the generator matrix that
+the butterfly encoder must equal, one-block encode and decode wrappers
+around the batched runtime kernels, and the symmetric capacity of a
+binary-input channel."""
+
+import numpy as np
+
+from qrelay.polar_core import (LLR_CLIP, _encode_block, _resolve_frozen,
+                               _sc_decode_block)
+
+KERNEL = np.array([[1, 1], [0, 1]], dtype=np.uint8)
+
+
+def generator_matrix(k):
+    """Generator matrix of level k (n = 2^k) by the even/odd-interleaved
+    kernel recursion.
+
+    Level 1 is the 2x2 kernel. Each further level encodes the two message
+    halves with the half-size matrix, routes the first half-code to even
+    positions and the second to odd positions (the even/odd permutation),
+    and applies a kernel to every adjacent pair, so the first message half
+    always passes through a bad split first.
+    """
+    if k < 1:
+        raise ValueError(f"recursion level must be >= 1, got {k}")
+    g = KERNEL.copy()
+    for _ in range(2, k + 1):
+        m = g.shape[0]
+        inner = np.kron(np.eye(2, dtype=np.uint8), g)
+        perm = np.zeros((2 * m, 2 * m), dtype=np.uint8)
+        for i in range(m):
+            perm[2 * i, i] = 1          # first half-code to even positions
+            perm[2 * i + 1, m + i] = 1  # second half-code to odd positions
+        outer = np.kron(np.eye(m, dtype=np.uint8), KERNEL)
+        g = ((outer.astype(np.int64) @ perm @ inner) % 2).astype(np.uint8)
+    return g
+
+
+def polar_encode(message, k):
+    """One length-2^k binary message through ``_encode_block``."""
+    u = np.asarray(message)
+    n = 2 ** k
+    if u.ndim != 1 or len(u) != n:
+        raise ValueError(f"message must have length {n}, got shape {u.shape}")
+    if np.any((u != 0) & (u != 1)):
+        raise ValueError("message must be binary")
+    return _encode_block(u.astype(np.uint8)[None, :])[0]
+
+
+def sc_decode(likelihoods, sets, frozen_values=None):
+    """SC decoding of likelihood ratios P(y|0)/P(y|1), shape (n,) or
+    (batch, n), through ``_sc_decode_block``: np.inf marks certainty of
+    bit 0, 0 certainty of bit 1 and 1 an erasure. The bad positions of
+    ``sets`` are frozen to ``frozen_values`` (all zero by default)."""
+    lam = np.asarray(likelihoods, dtype=float)
+    single = lam.ndim == 1
+    if single:
+        lam = lam[None, :]
+    if lam.ndim != 2 or lam.shape[1] != sets.n:
+        raise ValueError(f"need {sets.n} likelihoods per codeword")
+    if np.any(np.isnan(lam)) or np.any(lam < 0.0):
+        raise ValueError("likelihood ratios must be nonnegative and not NaN")
+    with np.errstate(divide="ignore"):
+        log_lam = np.clip(np.log(lam), -LLR_CLIP, LLR_CLIP)
+    bits, _ = _sc_decode_block(log_lam, sets.bad,
+                               _resolve_frozen(sets.n, frozen_values))
+    return bits[0] if single else bits
+
+
+def symmetric_capacity(w):
+    """Mutual information of a BDMC at uniform input, in bits."""
+    table = w.w
+    p_y = 0.5 * (table[0] + table[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(table > 0.0, table * np.log2(table / p_y), 0.0)
+    return float(0.5 * terms.sum())

@@ -1,10 +1,11 @@
-"""Seeded random states, channels, and tables, and index-mask builders,
-shared across test modules."""
+"""Seeded random states, channels, and tables, index-mask builders, and
+the dense reference routes (channel action, dilation, joint channel) that
+the Kraus-form runtime is checked against, shared across test modules."""
 
 import numpy as np
 
 from qrelay.codeword_sets import DualPolarization, build_partition
-from qrelay.density_ops import (BinaryCqChannel, DensityMatrix, KrausChannel,
+from qrelay.density_ops import (DensityMatrix, KrausChannel,
                                 coherent_information, tensor_channels)
 from qrelay.polar_core import BDMC
 from qrelay.superactivation import (branch_terms, build_switch_channel,
@@ -43,27 +44,39 @@ def random_kraus_channel(in_dim, out_dim, n_ops, rng):
     return KrausChannel(ops)
 
 
-def random_cq_channel(dim, rng):
-    return BinaryCqChannel(random_density_matrix(dim, rng),
-                           random_density_matrix(dim, rng))
-
-
 def random_bdmc(m, rng):
     table = rng.random((2, m)) + 1e-3
     table /= table.sum(axis=1, keepdims=True)
     return BDMC(table)
 
 
-def coherent_info_oracle(kraus_ops, rho):
-    """Independent dilation-based computation: stack the Kraus operators
-    into an isometry by hand and take entropies of the two marginals of
-    the dense (out * env)^2 state U rho U^dag."""
+def apply_kraus(channel, rho):
+    """The channel's output state sum_i K_i rho K_i^dag, validated."""
+    if rho.dim != channel.in_dim:
+        raise ValueError(
+            f"state dim {rho.dim} does not match channel input {channel.in_dim}")
+    return DensityMatrix(sum(k @ rho.entries @ k.conj().T
+                             for k in channel.kraus_ops))
+
+
+def isometric_extension(kraus_ops):
+    """Dilation U = sum_e K_e (x) |e>_E, stacked by hand: row b * env + e
+    holds output b with environment state |e>."""
     out_dim = kraus_ops[0].shape[0]
     env = len(kraus_ops)
     u = np.zeros((out_dim * env, kraus_ops[0].shape[1]), dtype=complex)
     for e, op in enumerate(kraus_ops):
         for b in range(out_dim):
             u[b * env + e, :] = op[b, :]
+    return u
+
+
+def coherent_info_oracle(kraus_ops, rho):
+    """Independent dilation-based computation: entropies of the two
+    marginals of the dense (out * env)^2 state U rho U^dag."""
+    out_dim = kraus_ops[0].shape[0]
+    env = len(kraus_ops)
+    u = isometric_extension(kraus_ops)
     joint = u @ rho @ u.conj().T
     t = joint.reshape(out_dim, env, out_dim, env)
     s_out = np.linalg.eigvalsh(np.trace(t, axis1=1, axis2=3))

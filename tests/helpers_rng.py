@@ -36,7 +36,7 @@ def monte_carlo_oracle(w, n, info_set, trials, seed, frozen_values=None,
     info = np.zeros(n, dtype=bool)
     info[np.asarray(info_set)] = True
     info_size = np.count_nonzero(info)
-    frozen = _resolve_frozen(n, ~info, frozen_values)
+    frozen = _resolve_frozen(n, frozen_values)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = w.w[0] / w.w[1]
     ratio[np.isnan(ratio)] = 1.0

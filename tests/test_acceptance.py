@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is pinned here.
 """
 
+import csv
 import json
 import math
 import subprocess
@@ -11,24 +12,23 @@ import sys
 
 import numpy as np
 
-from helpers_quantum import joint_coherent_info_oracle, make_partition, \
-    random_bdmc, random_cq_channel, random_density_matrix, random_kraus_channel
+from helpers_polar import symmetric_capacity
+from helpers_quantum import coherent_info_oracle, \
+    joint_coherent_info_oracle, make_partition, random_bdmc, \
+    random_density_matrix, random_kraus_channel
 from qrelay.cli import load_config, run
 from qrelay.codeword_sets import eve_capacity, r_sym_nondegraded, set_size
-from qrelay.density_ops import (BinaryCqChannel, DensityMatrix, apply_kraus,
-                                bit_flip_channel, compose_channels,
-                                cq_joint_state, dephasing_channel,
-                                identity_channel, isometric_extension,
-                                mutual_information, symmetric_cq_capacity,
-                                trace_out)
+from qrelay.density_ops import (DensityMatrix, bit_flip_channel,
+                                coherent_information, compose_channels,
+                                dephasing_channel, erasure_channel,
+                                identity_channel)
 from qrelay.polar_core import (BDMC, combine_bad, combine_good, error_bound,
-                               monte_carlo_block_error, polarize,
-                               symmetric_capacity)
+                               monte_carlo_block_error, polarize)
 from qrelay.relay import (RelayChannelSpec, expected_throughput,
                           relay_private_capacity, simulate_relay)
-from qrelay.superactivation import (branch_terms, build_switch_channel,
-                                    compare_assisted, joint_coherent_info,
-                                    make_rho_ac, superactivated_bound)
+from qrelay.superactivation import (P_GRID, branch_terms,
+                                    build_switch_channel, compare_assisted,
+                                    make_rho_ac, switch_report)
 
 
 def report(criterion, detail):
@@ -135,42 +135,53 @@ def test_c04_set_algebra_identities_exact():
 
 
 def test_c05_flag_decomposition_and_erasure_term():
-    state = make_rho_ac("bell")
+    bell = make_rho_ac("bell")
+    # The Bell input is pure, so every branch term, and the joint value,
+    # is 0 for the three qubit mains. The flagged register input is mixed:
+    # its branch terms are 1, 1/2, 1/2 and 0, so it tells the weights apart.
     mains = {
-        "identity": identity_channel(2),
-        "dephasing(0.2)": dephasing_channel(0.2),
-        "dephasing(0.2) after bitflip(0.1)": compose_channels(
-            bit_flip_channel(0.1), dephasing_channel(0.2)),
+        "identity": (identity_channel(2), bell),
+        "dephasing(0.2)": (dephasing_channel(0.2), bell),
+        "dephasing(0.2) after bitflip(0.1)": (compose_channels(
+            bit_flip_channel(0.1), dephasing_channel(0.2)), bell),
+        "identity(4), flagged register": (
+            identity_channel(4), make_rho_ac("entangled_flagged")),
     }
     worst = 0.0
-    for name, main in mains.items():
-        branches = branch_terms(main, state)
-        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
-            sc = build_switch_channel(p, main)
-            rep = joint_coherent_info(sc, branches)
-            # the runtime value is the weighted branch sum; the oracle
-            # evaluates the assembled joint channel directly
-            dev = abs(rep.i_coh_joint
-                      - joint_coherent_info_oracle(sc, state.rho_ac))
-            worst = max(worst, dev)
-            assert dev <= 1e-9
-            assert abs(rep.branch_terms["erasure_erasure"][1]) <= 1e-9
-    report(5, f"15 (main, p) points, worst decomposition dev {worst:.2e}")
+    for name, (main, state) in mains.items():
+        # the sweep's route: hoisted branch terms, one array expression
+        rep = switch_report(P_GRID, branch_terms(main, state))
+        # the oracle evaluates the assembled joint channel at each p
+        want = [joint_coherent_info_oracle(build_switch_channel(p, main),
+                                           state.rho_ac) for p in P_GRID]
+        dev = float(np.max(np.abs(rep.i_coh_joint - np.array(want))))
+        worst = max(worst, dev)
+        assert dev <= 1e-9
+        assert abs(rep.branch_terms["erasure_erasure"][1]) <= 1e-9
+    report(5, f"4 mains x {len(P_GRID)} p, worst decomposition dev "
+              f"{worst:.2e}")
 
 
-def test_c06_bound_shape_on_grid():
-    i_coh_main = 0.8325
-    grid = [i / 100.0 for i in range(1, 100)]
-    values = []
-    for p in grid:
-        bound, p_star = superactivated_bound(p, i_coh_main)
-        assert p_star == 0.5
-        values.append(bound)
-    peak = int(np.argmax(values))
-    assert grid[peak] == 0.5
-    assert values[peak] == 0.5 * i_coh_main  # exactly half at the maximum
-    report(6, f"99-point grid peaks at p = {grid[peak]} with value "
-              f"{values[peak]!r}")
+def test_c06_bound_shape_on_grid(tmp_path):
+    config = {"amp_channel": {"kind": "bec", "epsilon": 0.3},
+              "phase_channel": {"kind": "bec", "epsilon": 0.4},
+              "k": 4, "beta": 0.3,
+              "main_channel": {"kind": "dephasing", "q": 0.2}}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    manifest = run(load_config(str(path), command="sweep",
+                               output_dir=str(tmp_path)))
+    with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    bounds = [float(row["bound_2p1p"]) for row in rows]
+    peak = int(np.argmax(bounds))
+    assert float(rows[peak]["p"]) == 0.5
+    assert bounds.count(bounds[peak]) == 1
+    i_main = branch_terms(dephasing_channel(0.2), make_rho_ac("bell")).i_main
+    at_half = manifest.counters["bound_2p1p_at_half"]
+    assert at_half == 0.5 * i_main  # exactly half at the maximum
+    report(6, f"sweep.csv bound_2p1p peaks at p = {rows[peak]['p']}; "
+              f"manifest value {at_half!r} = i_main / 2")
 
 
 def test_c07_advantage_threshold_and_throughput():
@@ -193,37 +204,27 @@ def test_c07_advantage_threshold_and_throughput():
 
 
 def test_c08_quantum_core_sanity():
-    orthogonal = symmetric_cq_capacity(BinaryCqChannel(
-        DensityMatrix.basis_state(0, 2), DensityMatrix.basis_state(1, 2)))
-    assert abs(orthogonal - 1.0) <= 1e-12
-    mixed = DensityMatrix.maximally_mixed(2)
-    identical = symmetric_cq_capacity(BinaryCqChannel(mixed, mixed))
-    assert abs(identical) <= 1e-12
+    mixed = DensityMatrix(np.eye(2) / 2)
+    endpoints = [(identity_channel(2), 1.0), (dephasing_channel(0.5), 0.0)]
+    endpoints += [(erasure_channel(eps), 1.0 - 2.0 * eps)
+                  for eps in (0.0, 0.2, 0.5, 0.8, 1.0)]
+    for channel, want in endpoints:
+        assert abs(coherent_information(channel, mixed) - want) <= 1e-12
 
     rng = np.random.default_rng(88)
-    worst_mi = 0.0
-    for _ in range(100):
-        ch = random_cq_channel(int(rng.integers(2, 4)), rng)
-        dev = abs(symmetric_cq_capacity(ch)
-                  - mutual_information(cq_joint_state(ch), (2, ch.dim)))
-        worst_mi = max(worst_mi, dev)
-        assert dev <= 1e-10
-
-    worst_iso = 0.0
+    worst = 0.0
     for _ in range(100):
         in_dim = int(rng.integers(2, 4))
-        out_dim = int(rng.integers(2, 4))
-        ch = random_kraus_channel(in_dim, out_dim, 2, rng)
+        ch = random_kraus_channel(in_dim, int(rng.integers(2, 4)),
+                                  int(rng.integers(2, 5)), rng)
         rho = random_density_matrix(in_dim, rng)
-        u = isometric_extension(ch)
-        joint = DensityMatrix(u.matrix @ rho.entries @ u.matrix.conj().T)
-        via_u = trace_out(joint, [out_dim, u.env_dim], keep={0})
-        dev = float(np.max(np.abs(via_u.entries
-                                  - apply_kraus(ch, rho).entries)))
-        worst_iso = max(worst_iso, dev)
+        # Gram-matrix S(E) at runtime against the dense dilation
+        dev = abs(coherent_information(ch, rho)
+                  - coherent_info_oracle(ch.kraus_ops, rho.entries))
+        worst = max(worst, dev)
         assert dev <= 1e-9
-    report(8, f"capacity endpoints exact; worst MI dev {worst_mi:.2e}; "
-              f"worst dilation dev {worst_iso:.2e}")
+    report(8, f"coherent information endpoints exact; worst dilation dev "
+              f"{worst:.2e} over 100 random channels")
 
 
 def test_c09_error_bound_arithmetic():

@@ -182,7 +182,6 @@ def test_eve_capacity_no_partial_sets():
     report = eve_capacity(make_partition(8, range(8), range(8)))
     assert report.c_eve_total == 0.0
     assert report.c_bob == 1.0
-    assert report.forms_agree
 
 
 def test_eve_capacity_all_p1():
@@ -192,12 +191,11 @@ def test_eve_capacity_all_p1():
 
 
 def test_eve_capacity_forms_agree_iff_b_empty():
-    exact = eve_capacity(make_partition(8, range(6), range(4, 8)))
-    assert exact.forms_agree and exact.c_bob == exact.c_bob_sp2
-    loose = eve_capacity(make_partition(8, range(4), range(2, 6)))
-    assert not loose.forms_agree
-    assert loose.c_bob - loose.c_bob_sp2 == set_size(
-        make_partition(8, range(4), range(2, 6)).b) / 8
+    # c_bob = 1 - |p1|/n equals the direct form |s_in u p2|/n, short by |b|/n
+    for part in (make_partition(8, range(6), range(4, 8)),    # b empty
+                 make_partition(8, range(4), range(2, 6))):   # |b| = 2
+        direct = set_size(part.s_in | part.p2) / 8
+        assert eve_capacity(part).c_bob - direct == set_size(part.b) / 8
 
 
 def test_eve_capacity_exhaustive_small_blocks():

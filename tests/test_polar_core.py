@@ -1,4 +1,4 @@
-"""Tests for generator matrices, combining, polarization, and SC decoding."""
+"""Tests for encoding, combining, polarization, and SC decoding."""
 
 import hashlib
 import math
@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 import qrelay.polar_core
+from helpers_polar import (generator_matrix, polar_encode, sc_decode,
+                           symmetric_capacity)
 from helpers_quantum import index_mask, random_bdmc
 from helpers_rng import merge_oracle, monte_carlo_oracle
 from qrelay.polar_core import (BDMC, GoodBadSets, PolarizationResult,
                                bhattacharyya, combine_bad, combine_good,
-                               error_bound,
-                               generator_matrix, merge_equal_likelihood_outputs,
-                               monte_carlo_block_error, polar_encode,
-                               polarization_rows, polarize, sc_decode,
-                               select_sets, symmetric_capacity, trial_words)
+                               error_bound, merge_equal_likelihood_outputs,
+                               monte_carlo_block_error, polarization_rows,
+                               polarize, select_sets, trial_words)
 
 # Hand-expanded one level of the generator recursion (even/odd interleave
 # between half-size codes, kernel pairs on the outside).
@@ -91,11 +91,11 @@ def bec_recursion_oracle(eps, k):
 
 def test_generator_matrix_base_case():
     g = generator_matrix(1)
-    assert np.array_equal(g.bits, np.array([[1, 1], [0, 1]], dtype=np.uint8))
+    assert np.array_equal(g, np.array([[1, 1], [0, 1]], dtype=np.uint8))
 
 
 def test_generator_matrix_level_two_matches_hand_expansion():
-    assert np.array_equal(generator_matrix(2).bits, G4_EXPECTED)
+    assert np.array_equal(generator_matrix(2), G4_EXPECTED)
 
 
 def test_generator_matrix_rejects_bad_level():
@@ -105,7 +105,7 @@ def test_generator_matrix_rejects_bad_level():
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_generator_matrix_invertible(k):
-    assert gf2_invertible(generator_matrix(k).bits)
+    assert gf2_invertible(generator_matrix(k))
 
 
 def test_polar_encode_pair():
@@ -123,7 +123,7 @@ def test_polar_encode_matches_matrix_product():
     g = generator_matrix(3)
     for _ in range(25):
         msg = rng.integers(0, 2, size=8)
-        want = (g.bits @ msg) % 2
+        want = (g @ msg) % 2
         assert np.array_equal(polar_encode(msg, 3), want)
 
 
@@ -309,10 +309,11 @@ def test_polarize_one_level_ordering_random_channels():
 
 
 def test_polarize_alphabet_cap():
+    # merging pools the first good split's 128 outputs to 94, still past 64
     rng = np.random.default_rng(61)
     w = random_bdmc(8, rng)
-    with pytest.raises(ValueError, match="alphabet"):
-        polarize(w, 3, alphabet_cap=64, merge=False)
+    with pytest.raises(ValueError, match="alphabet 94 exceeds cap 64"):
+        polarize(w, 3, alphabet_cap=64)
 
 
 def test_polarize_method_validation():
@@ -472,8 +473,8 @@ def test_sc_decode_rate_zero_returns_frozen_vector():
 
 def test_sc_decode_missing_frozen_values():
     sets = _sets_from_info(4, [0, 1])
-    with pytest.raises(ValueError, match="missing frozen"):
-        sc_decode(np.ones(4), sets, frozen_values={2: 0})
+    with pytest.raises(ValueError, match="cover all 4 positions"):
+        sc_decode(np.ones(4), sets, frozen_values=[0, 0, 0])
 
 
 def test_sc_decode_rejects_nan_and_negative():
@@ -537,8 +538,9 @@ def test_sc_decode_masks_reproduce_frozenset_results():
         sets = _sets_from_info(n, info)
         frozen = rng.integers(0, 2, size=n)
         lam = rng.random((8, n)) * 3.0
-        as_dict = {int(i): int(frozen[i]) for i in np.flatnonzero(sets.bad)}
-        for values in (None, frozen, as_dict):
+        # frozen bits given at the bad positions only, zero elsewhere
+        bad_only = np.where(sets.bad, frozen, 0)
+        for values in (None, frozen, bad_only):
             digest.update(sc_decode(lam, sets, frozen_values=values).tobytes())
     assert digest.hexdigest() == SC_DECODE_DIGEST
 

@@ -74,13 +74,11 @@ def test_simulate_relay_near_certain_success():
     spec = make_spec(p_e2=1.0 - 1e-15)
     result = simulate_relay(spec, trials=500, seed=3)
     assert result.successes == 500
-    assert result.mean_codeword_size_b == set_size(spec.partition.s_in)
 
 
 def test_simulate_relay_near_certain_failure():
     result = simulate_relay(make_spec(p_e2=1e-15), trials=500, seed=3)
     assert result.successes == 0
-    assert result.mean_codeword_size_b == 0.0
 
 
 def test_simulate_relay_binomial_confidence():
@@ -176,8 +174,7 @@ def test_relay_spec_validation():
     with pytest.raises(ValueError, match="probability"):
         make_spec(p_e2=1.0)
     with pytest.raises(ValueError):
-        RelayTrialResult(trials=10, successes=11,
-                         empirical_success_rate=1.1, mean_codeword_size_b=0.0)
+        RelayTrialResult(trials=10, successes=11, empirical_success_rate=1.1)
 
 
 def test_simulation_rows_schema():

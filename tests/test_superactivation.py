@@ -10,19 +10,21 @@ import pytest
 
 import qrelay.cli
 import qrelay.superactivation
-from helpers_quantum import (coherent_info_oracle, joint_coherent_info_oracle,
-                             joint_report, make_partition,
-                             random_density_matrix, random_kraus_channel)
-from qrelay.cli import load_config, run
+from helpers_quantum import (apply_kraus, coherent_info_oracle,
+                             joint_coherent_info_oracle, joint_report,
+                             make_partition, random_density_matrix,
+                             random_kraus_channel)
+from qrelay.cli import ConfigError, load_config, run
 from qrelay.codeword_sets import set_size
-from qrelay.density_ops import (DensityMatrix, apply_kraus, bit_flip_channel,
+from qrelay.density_ops import (DensityMatrix, bit_flip_channel,
                                 coherent_information, compose_channels,
                                 dephasing_channel, identity_channel,
                                 tensor_channels, trace_out)
-from qrelay.superactivation import (branch_terms, build_switch_channel,
+from qrelay.superactivation import (BRANCH_KEYS, P_GRID, BranchTerms,
+                                    branch_terms, build_switch_channel,
                                     compare_assisted, joint_coherent_info,
-                                    make_rho_ac, superactivated_bound,
-                                    switch_report, JointInputState)
+                                    make_rho_ac, switch_report,
+                                    JointInputState)
 
 # ---------------------------------------------------------------------------
 # Switch channel
@@ -45,7 +47,7 @@ def test_switch_channel_pure_main_branch():
 
 def test_switch_channel_pure_erasure_branch():
     sc = build_switch_channel(0.0, identity_channel(2))
-    out = apply_kraus(sc.channel, DensityMatrix.basis_state(0, 2))
+    out = apply_kraus(sc.channel, DensityMatrix(np.diag([1.0, 0.0])))
     # erasure branch output on flag |1>: half kept, half flagged erased
     want = np.zeros((6, 6), dtype=complex)
     want[1, 1] = 0.5   # branch symbol 0, flag 1
@@ -333,40 +335,51 @@ def test_switch_report_rejects_weights_that_miss_one():
 
 
 # ---------------------------------------------------------------------------
-# Bounds and comparison
+# The 2p(1-p) bound and the comparison
 # ---------------------------------------------------------------------------
 
+def _bound(p, i_main):
+    """The sweep's bound_2p1p column at p for a main channel whose coherent
+    information is i_main."""
+    branches = BranchTerms(main=None, terms=dict.fromkeys(BRANCH_KEYS, 0.0),
+                           i_main=i_main)
+    return switch_report(p, branches).bound_2p1p
+
+
 def test_superactivated_bound_midpoint():
-    bound, p_star = superactivated_bound(0.5, 1.0)
-    assert bound == 0.5 and p_star == 0.5
+    assert _bound(0.5, 1.0) == 0.5
+    assert P_GRID[np.argmax(_bound(P_GRID, 1.0))] == 0.5
 
 
 def test_superactivated_bound_vanishes_at_edges():
     for p in (0.001, 0.999):
-        bound, _ = superactivated_bound(p, 1.0)
-        assert bound < 0.01
+        assert _bound(p, 1.0) < 0.01
 
 
 def test_superactivated_bound_grid_argmax():
     for i_coh in (0.2, 0.7, 1.0):
-        _, p_star = superactivated_bound(0.3, i_coh)
-        assert p_star == 0.5
+        assert P_GRID[np.argmax(_bound(P_GRID, i_coh))] == 0.5
 
 
 def test_superactivated_bound_concave_unique_maximum():
-    values = [superactivated_bound(p, 1.0)[0]
-              for p in (i / 100 for i in range(1, 100))]
+    values = _bound(P_GRID, 1.0).tolist()
     peak = int(np.argmax(values))
     assert values[:peak] == sorted(values[:peak])
     assert values[peak:] == sorted(values[peak:], reverse=True)
     assert abs(values[peak] - 0.5) < 1e-12
 
 
-def test_superactivated_bound_validation():
-    with pytest.raises(ValueError):
-        superactivated_bound(0.0, 1.0)
-    with pytest.raises(ValueError):
-        superactivated_bound(1.0, 1.0)
+def test_superactivated_bound_validation(tmp_path):
+    # superactivate takes its one p strictly inside (0, 1)
+    path = tmp_path / "sa.json"
+    for p in (0.0, 1.0):
+        path.write_text(json.dumps({
+            "amp_channel": {"kind": "bec", "epsilon": 0.3},
+            "phase_channel": {"kind": "bec", "epsilon": 0.4}, "k": 4,
+            "beta": 0.35, "main_channel": {"kind": "identity"}, "p": p}),
+            encoding="utf-8")
+        with pytest.raises(ConfigError, match="p must be a number strictly"):
+            load_config(path, command="superactivate")
 
 
 def test_compare_assisted_cases():
