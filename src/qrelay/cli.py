@@ -458,6 +458,15 @@ def _csv_block(columns):
     return block[keep]
 
 
+def _create(path: Path, mode: str, **kwargs):
+    """Open a new file at ``path``, replacing what is there (a symlink
+    itself, not its target). Truncating an existing file instead makes
+    ext4 (auto_da_alloc) flush its old blocks, and a rerun then waits on
+    that writeback."""
+    path.unlink(missing_ok=True)
+    return open(path, mode, **kwargs)
+
+
 def _write_csv(path: Path, header, columns) -> str:
     """Write a CSV from equal-length columns, CSV_BLOCK_ROWS rows at a
     time, and return the SHA-256 of the bytes written."""
@@ -465,7 +474,7 @@ def _write_csv(path: Path, header, columns) -> str:
     if len(columns) != len(header) or any(len(c) != rows for c in columns):
         raise ValueError("need one equal-length column per header field")
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
+    with _create(path, "wb") as fh:
         blocks = itertools.chain(
             [(",".join(header) + "\n").encode("utf-8")],
             (_csv_block([c[start:start + CSV_BLOCK_ROWS] for c in columns])
@@ -625,7 +634,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         output_dir=str(outdir),
         counters=counters,
     )
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
+    with _create(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest.__dict__, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest

@@ -262,37 +262,97 @@ def error_bound(n: int, beta: float) -> float:
 # Successive cancellation decoding
 # ---------------------------------------------------------------------------
 
+# exp(-t) rounds to 0.0 for every t >= 745.14; numpy's exp leaves its fast
+# path on such lanes, so they are zeroed before exp and their result set to
+# log1p(0.0) = 0.0 after it
+_EXP_ZERO = 746.0
+
+
+def _log1p_exp_neg(t: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """log1p(exp(-t)) in place, bit for bit, for every t including +-inf;
+    ``mask`` is a bool array of t's shape that this overwrites."""
+    np.minimum(t, _EXP_ZERO, out=t)  # +inf -> 746: t * mask stays finite
+    np.less(t, _EXP_ZERO, out=mask)
+    np.multiply(t, mask, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    return np.multiply(t, mask, out=t)
+
+
 def _boxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact log-domain combination for the unknown-first-input recursion:
-    log((1 + e^(a+b)) / (e^a + e^b)), computed stably."""
-    base = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-    return base + np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+    log((1 + e^(a+b)) / (e^a + e^b)), computed stably as
+    sign(a) sign(b) min(|a|, |b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|).
+
+    The result array holds the first term and one scratch array takes the
+    two log1p terms in turn. The first term is copysign(min, a*b); it can
+    differ from the sign product only in the sign of a zero, which adding
+    the second term (>= +0.0) erases.
+    """
+    out = np.abs(a)
+    tmp = np.abs(b)
+    np.minimum(out, tmp, out=out)
+    np.copysign(out, np.multiply(a, b, out=tmp), out=out)
+    mask = np.empty(out.shape, dtype=bool)
+    np.abs(np.add(a, b, out=tmp), out=tmp)
+    np.add(out, _log1p_exp_neg(tmp, mask), out=out)
+    np.abs(np.subtract(a, b, out=tmp), out=tmp)
+    return np.subtract(out, _log1p_exp_neg(tmp, mask), out=out)
+
+
+def _clip(lam: np.ndarray) -> np.ndarray:
+    """Clip LLRs to +-LLR_CLIP in place."""
+    return np.clip(lam, -LLR_CLIP, LLR_CLIP, out=lam)
 
 
 def _sc_decode_block(lam, frozen_mask, frozen_values):
-    """Recursive SC decoding; returns (message bits, re-encoded codeword)."""
+    """SC decoding of a (batch, n) array of finite LLRs; returns (message
+    bits, re-encoded codeword), both (batch, n) uint8. The input of every
+    node below the root is clipped to +-LLR_CLIP.
+
+    A subtree whose positions are all frozen takes no LLR work: its bits
+    are the frozen values and its codeword their encoding, so its parent
+    computes no input for it. This is exact, because SC never reads the
+    LLRs at frozen leaves.
+    """
     batch, n = lam.shape
-    if n == 1:
-        if frozen_mask[0]:
-            u = np.full(batch, frozen_values[0], dtype=np.uint8)
+    u = np.empty((batch, n), dtype=np.uint8)
+    info_before = [0] + np.cumsum(~frozen_mask).tolist()
+
+    def frozen_code(lo, hi):
+        u[:, lo:hi] = frozen_values[lo:hi]
+        return _encode_block(frozen_values[None, lo:hi])
+
+    def decode(lam, lo, hi):
+        """Bits lo..hi-1, at least one of them not frozen, into u; returns
+        their codeword."""
+        if hi - lo == 1:
+            return np.less(lam, 0.0, out=u[:, lo:hi])  # L >= 1 decides 0
+        mid = (lo + hi) // 2
+        even, odd = lam[:, 0::2], lam[:, 1::2]
+        if info_before[mid] == info_before[lo]:
+            x_first = frozen_code(lo, mid)
         else:
-            u = (lam[:, 0] < 0.0).astype(np.uint8)  # L >= 1 decides bit 0
-        col = u[:, None]
-        return col, col
-    half = n // 2
-    lam_even = lam[:, 0::2]
-    lam_odd = lam[:, 1::2]
-    lam_first = np.clip(_boxplus(lam_even, lam_odd), -LLR_CLIP, LLR_CLIP)
-    u_first, x_first = _sc_decode_block(lam_first, frozen_mask[:half],
-                                        frozen_values[:half])
-    lam_second = lam_odd + np.where(x_first == 0, lam_even, -lam_even)
-    lam_second = np.clip(lam_second, -LLR_CLIP, LLR_CLIP)
-    u_second, x_second = _sc_decode_block(lam_second, frozen_mask[half:],
-                                          frozen_values[half:])
-    x = np.empty((batch, n), dtype=np.uint8)
-    x[:, 0::2] = x_first ^ x_second
-    x[:, 1::2] = x_second
-    return np.concatenate([u_first, u_second], axis=1), x
+            x_first = decode(_clip(_boxplus(even, odd)), lo, mid)
+        if info_before[hi] == info_before[mid]:
+            x_second = frozen_code(mid, hi)
+        else:
+            # odd + even where the first codeword bit is 0 and odd - even
+            # where it is 1: even * (1 - 2x) negates exactly
+            lam_second = np.multiply(x_first, -2.0, out=np.empty(even.shape))
+            np.add(lam_second, 1.0, out=lam_second)
+            np.multiply(even, lam_second, out=lam_second)
+            np.add(odd, lam_second, out=lam_second)
+            x_second = decode(_clip(lam_second), mid, hi)
+        x = np.empty((batch, hi - lo), dtype=np.uint8)
+        np.bitwise_xor(x_first, x_second, out=x[:, 0::2])
+        x[:, 1::2] = x_second
+        return x
+
+    if info_before[n] == 0:
+        return u, np.repeat(frozen_code(0, n), batch, axis=0)
+    return u, decode(lam, 0, n)
 
 
 def _resolve_frozen(n: int, frozen_values) -> np.ndarray:
@@ -333,13 +393,22 @@ _SHIFT32 = np.uint64(32)
 
 
 def _mulhilo(m: np.uint64, x: np.ndarray):
-    """High and low 64-bit words of the 128-bit products m * x."""
+    """High and low 64-bit words of the 128-bit products m * x, from the
+    four 32 x 32-bit partial products, summed in place."""
     m_lo, m_hi = m & _LOW32, m >> _SHIFT32
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    ll = x_lo * m_lo
-    hl = x_hi * m_lo
-    cross = (ll >> _SHIFT32) + (hl & _LOW32) + x_lo * m_hi  # < 2^64
-    hi = x_hi * m_hi + (hl >> _SHIFT32) + (cross >> _SHIFT32)
+    x_lo = x & _LOW32
+    hi = x >> _SHIFT32
+    hl = hi * m_lo
+    hi *= m_hi
+    cross = x_lo * m_lo
+    cross >>= _SHIFT32
+    x_lo *= m_hi
+    cross += x_lo
+    cross += np.bitwise_and(hl, _LOW32, out=x_lo)  # < 2^64
+    hl >>= _SHIFT32
+    hi += hl
+    cross >>= _SHIFT32
+    hi += cross
     return hi, x * m
 
 
@@ -354,8 +423,11 @@ def _philox_blocks(key: int, c0: np.ndarray, c1: np.ndarray):
             k1 = (k1 + _PHILOX_W[1]) % _U64
         hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        x0, x1, x2, x3 = (hi1 ^ x1 ^ np.uint64(k0), lo1,
-                          hi0 ^ x3 ^ np.uint64(k1), lo0)
+        hi1 ^= x1
+        hi1 ^= np.uint64(k0)
+        hi0 ^= x3
+        hi0 ^= np.uint64(k1)
+        x0, x1, x2, x3 = hi1, lo1, hi0, lo0
     return x0, x1, x2, x3
 
 
@@ -386,13 +458,50 @@ def trial_words(seed: int, first: int, count: int, words: int) -> np.ndarray:
 
 
 def uniforms(raw: np.ndarray) -> np.ndarray:
-    """Doubles in [0, 1) from raw words, as ``Generator.random()``."""
-    return (raw >> np.uint64(11)) * 2.0 ** -53
+    """Doubles in [0, 1) from raw words, as ``Generator.random()``. The
+    words are shifted in place, so the result is the only new array."""
+    np.right_shift(raw, np.uint64(11), out=raw)
+    u = raw.astype(np.float64)
+    u *= 2.0 ** -53
+    return u
 
 
-def _mc_batch(w: BDMC, info: np.ndarray, frozen: np.ndarray,
-              ratio: np.ndarray, seed: int, first: int, count: int):
-    """Messages and channel likelihood ratios of trials first..first+count-1.
+def _output_llr_sampler(w: BDMC):
+    """Breakpoints and a flat lookup table that turn a uniform draw u and
+    a sent bit x into the clipped LLR log(P(y|0)/P(y|1)) of the output y
+    they sample; zero-probability outputs, never sampled, get LLR 0.
+
+    The output is y = min(#{j : cdf[x, j] <= u}, m - 1), as
+    ``searchsorted(cdf[x], u, side="right")`` gives it. That count only
+    changes where u crosses one of the 2m cdf values of either row, so
+    k = searchsorted(breaks, u, side="right") over those values, sorted,
+    fixes y for both bits: table[2k + x] = llr[y].
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = w.w[0] / w.w[1]
+        ratio[np.isnan(ratio)] = 1.0
+        llr = np.clip(np.log(ratio), -LLR_CLIP, LLR_CLIP)
+    cdf = np.cumsum(w.w, axis=1)
+    breaks = np.sort(cdf.ravel())
+    below = np.concatenate([[-np.inf], breaks])  # the largest value <= u
+    y = np.column_stack([np.searchsorted(row, below, side="right")
+                         for row in cdf])
+    return breaks, llr[np.minimum(y, w.output_alphabet_size - 1)].ravel()
+
+
+def _table_index(breaks: np.ndarray, u: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """Positions 2k + x in the sampler's table for uniforms u and sent
+    bits x."""
+    index = np.searchsorted(breaks, u, side="right")
+    index <<= 1
+    index += x
+    return index
+
+
+def _mc_batch(info: np.ndarray, frozen: np.ndarray, breaks: np.ndarray,
+              table: np.ndarray, seed: int, first: int, count: int):
+    """Messages and channel LLRs of trials first..first+count-1.
 
     Each trial draws its message bits as ``Generator.integers(0, 2, m)``
     does on Philox (the top bit of each 32-bit half, low half first) and
@@ -409,14 +518,9 @@ def _mc_batch(w: BDMC, info: np.ndarray, frozen: np.ndarray,
     messages[:, info] = halves[:, :m]
     u = uniforms(raw[:, half:])
     del raw, halves  # the raw words would set the batch's peak memory
-    x = _encode_block(messages)
-    cdf = np.cumsum(w.w, axis=1)
-    y = np.empty((count, n), dtype=np.int64)
-    for bit in (0, 1):
-        sent = x == bit
-        y[sent] = np.searchsorted(cdf[bit], u[sent], side="right")
-    np.minimum(y, w.output_alphabet_size - 1, out=y)
-    return messages, ratio[y]
+    index = _table_index(breaks, u, _encode_block(messages))
+    del u
+    return messages, np.take(table, index)
 
 
 def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
@@ -439,20 +543,15 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
     info = np.zeros(n, dtype=bool)
     info[sel] = True
     frozen = _resolve_frozen(n, frozen_values)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = w.w[0] / w.w[1]
-    ratio[np.isnan(ratio)] = 1.0  # zero-probability outputs, never sampled
+    breaks, table = _output_llr_sampler(w)
 
     errors = 0
     for first in range(0, trials, batch_size):
         count = min(batch_size, trials - first)
-        messages, lam = _mc_batch(w, info, frozen, ratio, seed, first, count)
-        log_lam = np.clip(np.log(lam, where=lam > 0,
-                                 out=np.full_like(lam, -np.inf)),
-                          -LLR_CLIP, LLR_CLIP)
+        messages, lam = _mc_batch(info, frozen, breaks, table, seed, first,
+                                  count)
+        decoded, _ = _sc_decode_block(lam, ~info, frozen)
         del lam
-        decoded, _ = _sc_decode_block(log_lam, ~info, frozen)
         errors += int(np.sum(np.any(decoded[:, info] != messages[:, info],
                                     axis=1)))
     return MonteCarloResult(trials=trials, errors=errors,

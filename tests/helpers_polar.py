@@ -1,7 +1,8 @@
 """Reference code for the polar coding layer: the generator matrix that
 the butterfly encoder must equal, one-block encode and decode wrappers
-around the batched runtime kernels, and the symmetric capacity of a
-binary-input channel."""
+around the batched runtime kernels, the plain recursive SC decoder that
+the runtime decoder must match bit for bit, and the symmetric capacity of
+a binary-input channel."""
 
 import numpy as np
 
@@ -65,6 +66,43 @@ def sc_decode(likelihoods, sets, frozen_values=None):
     bits, _ = _sc_decode_block(log_lam, sets.bad,
                                _resolve_frozen(sets.n, frozen_values))
     return bits[0] if single else bits
+
+
+def boxplus_oracle(a, b):
+    """Exact log-domain combination for the unknown-first-input recursion:
+    log((1 + e^(a+b)) / (e^a + e^b)), computed stably."""
+    base = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    return (base + np.log1p(np.exp(-np.abs(a + b)))
+            - np.log1p(np.exp(-np.abs(a - b))))
+
+
+def sc_decode_oracle(lam, frozen_mask, frozen_values):
+    """Recursive SC decoding of (batch, n) LLRs that visits every node and
+    concatenates at every level; returns (message bits, re-encoded
+    codeword)."""
+    batch, n = lam.shape
+    if n == 1:
+        if frozen_mask[0]:
+            u = np.full(batch, frozen_values[0], dtype=np.uint8)
+        else:
+            u = (lam[:, 0] < 0.0).astype(np.uint8)  # L >= 1 decides bit 0
+        col = u[:, None]
+        return col, col
+    half = n // 2
+    lam_even = lam[:, 0::2]
+    lam_odd = lam[:, 1::2]
+    lam_first = np.clip(boxplus_oracle(lam_even, lam_odd), -LLR_CLIP,
+                        LLR_CLIP)
+    u_first, x_first = sc_decode_oracle(lam_first, frozen_mask[:half],
+                                        frozen_values[:half])
+    lam_second = lam_odd + np.where(x_first == 0, lam_even, -lam_even)
+    lam_second = np.clip(lam_second, -LLR_CLIP, LLR_CLIP)
+    u_second, x_second = sc_decode_oracle(lam_second, frozen_mask[half:],
+                                          frozen_values[half:])
+    x = np.empty((batch, n), dtype=np.uint8)
+    x[:, 0::2] = x_first ^ x_second
+    x[:, 1::2] = x_second
+    return np.concatenate([u_first, u_second], axis=1), x
 
 
 def symmetric_capacity(w):

@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 
+from helpers_polar import sc_decode_oracle
 from qrelay.polar_core import (BDMC, LLR_CLIP, MonteCarloResult,
-                               _encode_block, _resolve_frozen,
-                               _sc_decode_block, trial_rng)
+                               _encode_block, _resolve_frozen, trial_rng)
 
 
 def relay_success_flags(p_e2, trials, seed):
@@ -32,7 +32,8 @@ def sample_outputs(w, codeword, rng):
 def monte_carlo_oracle(w, n, info_set, trials, seed, frozen_values=None,
                        batch_size=2048):
     """Block error estimate with one Generator per trial: message bits from
-    ``integers(0, 2, size=|info|)``, then n uniforms for the outputs."""
+    ``integers(0, 2, size=|info|)``, then n uniforms for the outputs, and
+    the recursive oracle decoder."""
     info = np.zeros(n, dtype=bool)
     info[np.asarray(info_set)] = True
     info_size = np.count_nonzero(info)
@@ -54,7 +55,7 @@ def monte_carlo_oracle(w, n, info_set, trials, seed, frozen_values=None,
         log_lam = np.clip(np.log(lam, where=lam > 0,
                                  out=np.full_like(lam, -np.inf)),
                           -LLR_CLIP, LLR_CLIP)
-        decoded, _ = _sc_decode_block(log_lam, ~info, frozen)
+        decoded, _ = sc_decode_oracle(log_lam, ~info, frozen)
         errors += int(np.sum(np.any(decoded[:, info] != messages[:, info],
                                     axis=1)))
         done += count

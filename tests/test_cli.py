@@ -4,9 +4,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +323,32 @@ def test_manifest_written(tmp_path):
     assert on_disk["outputs"] == manifest.outputs
     assert on_disk["version"] == manifest.version
     assert on_disk["counters"] == manifest.counters
+
+
+def test_rerun_replaces_outputs(tmp_path):
+    # a rerun into the same directory writes the same digests into new
+    # files: the old ones are unlinked, not truncated (a hard link to the
+    # old manifest is left as its only link), and a symlink at an output
+    # path is replaced while its target is left alone
+    cfg = load_config(dual_config(tmp_path, p_e2=0.3, trials=2000, seed=5),
+                      command="relay-sim", output_dir=str(tmp_path / "o"))
+    first = run(cfg)
+    (csv_path,) = [Path(entry["path"]) for entry in first.outputs]
+    manifest_path = tmp_path / "o" / "manifest.json"
+    os.link(manifest_path, tmp_path / "old_manifest.json")
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"keep\n")
+    csv_path.unlink()
+    csv_path.symlink_to(target)
+    second = run(cfg)
+    assert ([e["sha256"] for e in second.outputs]
+            == [e["sha256"] for e in first.outputs])
+    assert not csv_path.is_symlink() and target.read_bytes() == b"keep\n"
+    assert (hashlib.sha256(csv_path.read_bytes()).hexdigest()
+            == first.outputs[0]["sha256"])
+    assert os.stat(tmp_path / "old_manifest.json").st_nlink == 1
+    on_disk = json.loads(manifest_path.read_text())
+    assert on_disk["outputs"] == second.outputs
 
 
 @pytest.mark.parametrize("command, payload", [

@@ -2,16 +2,24 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import qrelay.polar_core
-from helpers_polar import (generator_matrix, polar_encode, sc_decode,
-                           symmetric_capacity)
+from helpers_polar import (boxplus_oracle, generator_matrix, polar_encode,
+                           sc_decode, sc_decode_oracle, symmetric_capacity)
 from helpers_quantum import index_mask, random_bdmc
 from helpers_rng import merge_oracle, monte_carlo_oracle
-from qrelay.polar_core import (BDMC, GoodBadSets, PolarizationResult,
+from qrelay.polar_core import (BDMC, LLR_CLIP, GoodBadSets,
+                               PolarizationResult,
+                               _boxplus, _log1p_exp_neg,
+                               _output_llr_sampler, _sc_decode_block,
+                               _table_index,
                                bhattacharyya, combine_bad, combine_good,
                                error_bound, merge_equal_likelihood_outputs,
                                monte_carlo_block_error, polarization_rows,
@@ -496,6 +504,122 @@ def test_sc_decode_batched_matches_single():
         assert np.array_equal(batch[row], sc_decode(lam[row], sets))
 
 
+# LLRs at which exp(-|a +- b|) crosses into underflow (745.13 to 745.14),
+# the subnormals and both zeros
+EDGE_LLRS = np.array([745.0, 745.13, 745.1332, 745.14, 745.5, 746.0, 372.57,
+                      372.6, 700.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                      0.0])
+EDGE_LLRS = np.concatenate([EDGE_LLRS, -EDGE_LLRS])
+
+
+def _random_llrs(rng, kind, shape):
+    if kind == "bec":
+        return rng.choice([700.0, -700.0, 0.0, -0.0], size=shape)
+    if kind == "gauss":
+        return rng.normal(2.0, 40.0, size=shape)
+    if kind == "edge":
+        return rng.choice(EDGE_LLRS, size=shape)
+    picks = rng.integers(0, 3, size=shape)  # every kind in one array
+    return np.choose(picks, [_random_llrs(rng, k, shape)
+                             for k in ("bec", "gauss", "edge")])
+
+
+def _random_frozen_mask(rng, n):
+    """Each subtree is all frozen, all information or split further."""
+    roll = rng.random()
+    if n == 1 or roll < 0.3:
+        return np.full(n, roll < 0.15)
+    return np.concatenate([_random_frozen_mask(rng, n // 2)
+                           for _ in range(2)])
+
+
+def _frozen_masks(rng, n):
+    """All frozen, all information, four random masks, then an all-frozen
+    first and last block at every depth."""
+    masks = [np.ones(n, dtype=bool), np.zeros(n, dtype=bool)]
+    masks += [_random_frozen_mask(rng, n) for _ in range(3)]
+    masks.append(rng.random(n) < 0.5)
+    size = n
+    while size > 1:
+        size //= 2
+        for block in (slice(0, size), slice(n - size, n)):
+            mask = rng.random(n) < 0.5
+            mask[block] = True
+            masks.append(mask)
+    return masks
+
+
+def test_sc_decode_block_matches_recursive_oracle():
+    # message bits and codewords equal the recursive decoder's bit for bit
+    # for n = 1..256 and batches of 1, 7 and 2048, with frozen subtrees at
+    # every depth, nonzero frozen values and LLRs that reach the underflow
+    # edge of exp, subnormals and both zeros
+    rng = np.random.default_rng(131)
+    checked = 0
+    for k in range(9):
+        n = 2 ** k
+        for i, mask in enumerate(_frozen_masks(rng, n)):
+            frozen = rng.integers(0, 2, size=n).astype(np.uint8)
+            cases = [(1, kind) for kind in ("bec", "gauss", "edge")]
+            cases.append((7, "mixed"))
+            if i < 6:  # all frozen, all information and the random masks
+                cases.append((2048, "mixed"))
+            for batch, kind in cases:
+                lam = _random_llrs(rng, kind, (batch, n))
+                u, x = _sc_decode_block(lam, mask, frozen)
+                u_want, x_want = sc_decode_oracle(lam, mask, frozen)
+                assert u.dtype == x.dtype == np.uint8
+                assert u.shape == x.shape == (batch, n)
+                assert np.array_equal(u, u_want)
+                assert np.array_equal(x, x_want)
+                checked += 1
+    assert checked > 400
+
+
+_BOXPLUS_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e3, 1e3),
+    st.sampled_from(EDGE_LLRS.tolist() + [-0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 4),
+                                        st.integers(1, 40)),
+                  elements=_BOXPLUS_FLOATS),
+       st.data())
+def test_boxplus_is_bit_identical_to_formula(a, data):
+    b = data.draw(hnp.arrays(np.float64, a.shape, elements=_BOXPLUS_FLOATS))
+    with np.errstate(all="ignore"):  # a + b or a * b may overflow
+        want = boxplus_oracle(a, b)
+        got = _boxplus(a, b)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 40), elements=st.one_of(
+    st.floats(allow_nan=False), st.floats(740.0, 750.0))))
+def test_log1p_exp_neg_is_bit_identical_to_formula(t):
+    # every t, +-inf included: the underflowing lanes skip exp
+    with np.errstate(all="ignore"):
+        want = np.log1p(np.exp(-t))
+        got = _log1p_exp_neg(t.copy(), np.empty(t.shape, dtype=bool))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_boxplus_scratch_is_two_floats_and_a_mask():
+    rng = np.random.default_rng(137)
+    a, b = _random_llrs(rng, "mixed", (2, 2048, 128))
+    tracemalloc.start()
+    try:
+        _boxplus(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result, one scratch array, the mask and numpy's 64 kB cast
+    # buffer for the float-by-mask products
+    assert peak <= 2 * a.nbytes + a.size + 2 ** 17
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
@@ -559,6 +683,24 @@ def test_monte_carlo_mask_matches_index_array():
     with pytest.raises(IndexError):
         monte_carlo_block_error(w, 128, index_mask(64, order[:4]), trials=1,
                                 seed=0)
+
+
+def test_monte_carlo_bench_op_count_and_peak():
+    # the benchmark's op: BEC(0.4), n = 256, the 128 lowest-Z indices,
+    # 2048 trials at seed 31337. Its traced peak was 13.8 MB when each
+    # node decoded through temporaries and the uniforms overlapped the
+    # raw words.
+    w = BDMC.bec(0.4)
+    pr = polarize(w, 8)
+    info = np.argsort(pr.z, kind="stable")[:128]
+    tracemalloc.start()
+    try:
+        res = monte_carlo_block_error(w, 256, info, trials=2048, seed=31337)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.errors == 721
+    assert peak <= 11 * 2 ** 20
 
 
 def test_monte_carlo_independent_of_batching():
@@ -638,7 +780,32 @@ def test_trial_words_batch_rows_are_trial_streams():
 
 
 MC_ORACLE_CHANNELS = (BDMC.bec(0.4), BDMC.bsc(0.08),
-                      BDMC([[0.5, 0.3, 0.0, 0.2], [0.1, 0.3, 0.0, 0.6]]))
+                      BDMC([[0.5, 0.3, 0.0, 0.2], [0.1, 0.3, 0.0, 0.6]]),
+                      random_bdmc(9, np.random.default_rng(3)))
+
+
+def test_output_llr_sampler_matches_searchsorted():
+    # at, just below and just above every cdf value, at 0 and at the
+    # largest uniform: the looked-up LLR is that of the output that
+    # searchsorted(cdf[x], u, side="right") samples
+    for w in MC_ORACLE_CHANNELS + (BDMC.bec(0.0), BDMC.bsc(1.0)):
+        cdf = np.cumsum(w.w, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = w.w[0] / w.w[1]
+        ratio[np.isnan(ratio)] = 1.0
+        with np.errstate(divide="ignore"):
+            llr = np.clip(np.log(ratio), -LLR_CLIP, LLR_CLIP)
+        u = np.concatenate([cdf.ravel(), np.nextafter(cdf.ravel(), 0.0),
+                            np.nextafter(cdf.ravel(), 2.0),
+                            [0.0, 1.0 - 2.0 ** -53]])
+        u = u[u < 1.0]
+        breaks, table = _output_llr_sampler(w)
+        for x in (0, 1):
+            y = np.minimum(np.searchsorted(cdf[x], u, side="right"),
+                           w.output_alphabet_size - 1)
+            sent = np.full(u.shape, x, dtype=np.uint8)
+            assert np.array_equal(table[_table_index(breaks, u, sent)],
+                                  llr[y])
 
 
 def test_monte_carlo_matches_per_trial_oracle():
