@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -511,6 +512,77 @@ def test_run_k20_outputs_match_pinned_digests(tmp_path):
         with open(entry["path"], "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == want
         assert entry["sha256"] == want
+
+
+# SHA-256 of the one output and the manifest counters of capacity and
+# relay-sim on two small partitions, pinned before the capacity row was
+# computed in one function: BEC(0.25)/BEC(0.1) at k = 8, beta = 0.25, where
+# p2 and b are nonempty (so c_bob = 1 - |p1|/n exceeds |s_in u p2|/n and
+# relay_capacity_min adds two fractions), and BEC(0.3)/BEC(0.4) at k = 10,
+# beta = 0.35, whose p_sym_nondegraded is negative.
+_P2_AND_B = {"amp_channel": {"kind": "bec", "epsilon": 0.25},
+             "phase_channel": {"kind": "bec", "epsilon": 0.1}, "k": 8,
+             "beta": 0.25}
+_NEGATIVE = {"amp_channel": {"kind": "bec", "epsilon": 0.3},
+             "phase_channel": {"kind": "bec", "epsilon": 0.4}, "k": 10,
+             "beta": 0.35}
+_SIZES_P2_AND_B = {"n": 256, "size_s_in": 125, "size_p1": 0, "size_p2": 53,
+                   "size_b": 78}
+_SIZES_NEGATIVE = {"n": 1024, "size_s_in": 343, "size_p1": 95, "size_p2": 0,
+                   "size_b": 586}
+PINNED_PARTITION_RUNS = [
+    ("capacity", _P2_AND_B,
+     "7f05592f12f729cf941751000413c6068211f4c8855f919e945244b58d2d95ef",
+     {**_SIZES_P2_AND_B, "p_sym_degraded": 0.48828125,
+      "p_sym_nondegraded": 0.18359375, "r_sym": 0.48828125, "c_bob": 1.0,
+      "c_eve_total": 0.20703125, "c_eve_p1": 0.0,
+      "eve_section_e1e2": 0.6953125, "eve_section_e2d": 0.48828125,
+      "relay_private_capacity": 0.48828125,
+      "relay_capacity_min": 0.6953125}, []),
+    ("relay-sim", dict(_P2_AND_B, p_e2=0.3, trials=3000, seed=7),
+     "2a74af861da4c67f8f893fb9edead46689a63551bec65dfbec68f6ec4442c42e",
+     {**_SIZES_P2_AND_B, "p_e2": 0.3, "trials": 3000, "successes": 866,
+      "rate": 0.2886666666666667, "expected_throughput": 37.5,
+      "b_star_throughput": 62.5}, []),
+    ("capacity", _NEGATIVE,
+     "00248c23100c93be144a5c96d52848012ec4d9fff60fd583388c5661fe2c7e63",
+     {**_SIZES_NEGATIVE, "p_sym_degraded": 0.3349609375,
+      "p_sym_nondegraded": -0.2373046875, "r_sym": 0.3349609375,
+      "c_bob": 0.9072265625, "c_eve_total": 0.0927734375,
+      "c_eve_p1": 0.0927734375, "eve_section_e1e2": 0.3349609375,
+      "eve_section_e2d": 0.3349609375,
+      "relay_private_capacity": 0.3349609375,
+      "relay_capacity_min": 0.3349609375},
+     ["p_sym_nondegraded is negative (-0.2373046875); reporting as-is"]),
+    ("relay-sim", dict(_NEGATIVE, p_e2=0.6, trials=3000, seed=7),
+     "6fa41fc169aa7f6524b2ed93d7b3f38b7b68b10c58e6ba6c3b39b1a1e38d50e6",
+     {**_SIZES_NEGATIVE, "p_e2": 0.6, "trials": 3000, "successes": 1754,
+      "rate": 0.5846666666666667, "expected_throughput": 205.79999999999998,
+      "b_star_throughput": 171.5}, []),
+]
+
+
+@pytest.mark.parametrize(
+    "command, payload, sha256, counters, warned", PINNED_PARTITION_RUNS,
+    ids=["capacity-p2-b", "relay-sim-p2-b", "capacity-negative",
+         "relay-sim-negative"])
+def test_partition_runs_match_pinned_outputs(tmp_path, command, payload,
+                                             sha256, counters, warned):
+    path = write_config(tmp_path, "pin.json", payload)
+    cfg = load_config(path, command=command, output_dir=str(tmp_path / "o"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        manifest = run(cfg)
+    assert [str(w.message) for w in caught] == warned
+    (entry,) = manifest.outputs
+    with open(entry["path"], "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == sha256
+    assert entry["sha256"] == sha256
+    # key order, values and int/float types, in memory and on disk
+    assert json.dumps(manifest.counters) == json.dumps(counters)
+    on_disk = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert (json.dumps(on_disk["counters"], sort_keys=True)
+            == json.dumps(counters, sort_keys=True))
 
 
 @pytest.mark.parametrize("command", ["polarize", "sets"])
