@@ -22,14 +22,13 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .codeword_sets import (build_partition, eve_capacity, from_polarizations,
+from .codeword_sets import (build_partition, class_sizes, from_polarizations,
                             partition_rows, rate_report, set_size)
 from .density_ops import (KrausChannel, bit_flip_channel, compose_channels,
                           dephasing_channel, depolarizing_channel,
                           erasure_channel, identity_channel)
 from .polar_core import BDMC, polarization_rows, polarize, select_sets
-from .relay import (RelayChannelSpec, relay_capacity_min,
-                    relay_private_capacity, simulate_relay, simulation_rows)
+from .relay import RelayChannelSpec, simulate_relay, simulation_rows
 from .superactivation import (BRANCH_KEYS, MAX_BRANCH_BYTES, P_GRID,
                               branch_bytes, branch_terms, compare_assisted,
                               make_rho_ac, switch_report)
@@ -491,25 +490,19 @@ def _partition_from_config(cfg: ExperimentConfig):
     return build_partition(from_polarizations(pr_amp, pr_phase, cfg.beta))
 
 
-def _class_sizes(part) -> dict:
-    return {"n": part.n, "size_s_in": set_size(part.s_in),
-            "size_p1": set_size(part.p1), "size_p2": set_size(part.p2),
-            "size_b": set_size(part.b)}
-
-
 def _cmd_polarize(cfg: ExperimentConfig):
     pr = polarize(build_classical_channel(cfg.channel), cfg.k)
-    sets = select_sets(pr, cfg.beta)
-    good = set_size(sets.good)
+    good = select_sets(pr, cfg.beta)
+    size = set_size(good)
     return ([("polarization.csv", ("index", "z", "set"),
-              polarization_rows(pr, sets))],
-            {"n": pr.n, "size_good": good, "size_bad": pr.n - good})
+              polarization_rows(pr, good))],
+            {"n": pr.n, "size_good": size, "size_bad": pr.n - size})
 
 
 def _cmd_sets(cfg: ExperimentConfig):
     part = _partition_from_config(cfg)
     return ([("partition.csv", ("index", "set"), partition_rows(part))],
-            _class_sizes(part))
+            class_sizes(part))
 
 
 CAPACITY_HEADER = ("n", "size_s_in", "size_p1", "size_p2", "size_b",
@@ -522,21 +515,9 @@ RELAY_SIM_HEADER = ("p_e2", "trials", "successes", "rate",
 
 
 def _cmd_capacity(cfg: ExperimentConfig):
-    part = _partition_from_config(cfg)
-    rates = rate_report(part)
-    eve = eve_capacity(part)
-    sizes = _class_sizes(part)
-    n = part.n
-    c_12 = set_size(part.good_phase) / n
-    c_1d = set_size(part.p2) / n
-    c_2d = relay_private_capacity(part)
-    row = (*sizes.values(),  # n and the class sizes, in header order
-           rates.p_sym_degraded, rates.p_sym_nondegraded, rates.r_sym,
-           rates.c_bob, eve.c_eve_total, eve.c_eve_p1,
-           eve.eve_section_e1e2, eve.eve_section_e2d, c_2d,
-           relay_capacity_min(c_12, c_1d, c_2d))
-    return ([("capacity.csv", CAPACITY_HEADER, list(zip(*[row])))],
-            dict(zip(CAPACITY_HEADER, row)))
+    row = rate_report(_partition_from_config(cfg))
+    return ([("capacity.csv", CAPACITY_HEADER,
+              [[row[key]] for key in CAPACITY_HEADER])], row)
 
 
 def _cmd_relay_sim(cfg: ExperimentConfig):
@@ -545,7 +526,7 @@ def _cmd_relay_sim(cfg: ExperimentConfig):
     result = simulate_relay(spec, cfg.trials, cfg.seed)
     rows = simulation_rows(spec, result)
     return ([("relay_sim.csv", RELAY_SIM_HEADER, list(zip(*rows)))],
-            {**_class_sizes(part), **dict(zip(RELAY_SIM_HEADER, rows[0]))})
+            {**class_sizes(part), **dict(zip(RELAY_SIM_HEADER, rows[0]))})
 
 
 SWEEP_HEADER = ("p", "i_coh_joint", "term_mm", "term_me", "term_em",

@@ -9,9 +9,11 @@ good/bad splits partitions the indices into four disjoint classes:
 * p2   - good for phase only,
 * b    - good for neither (completely useless).
 
-All rate quantities are reported as finite-n fractions of the block
-length; asymptotic statements are treated as trends, not identities.
-Negative fractions are reported as-is with a warning.
+A partition holds only the two good masks; the classes are derived from
+them, so they are disjoint and cover the block by construction. All rate
+quantities are reported as finite-n fractions of the block length;
+asymptotic statements are treated as trends, not identities. Negative
+fractions are reported as-is with a warning.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from .polar_core import BDMC, PolarizationResult, _is_mask, select_sets
 
 
 @dataclass(frozen=True)
-class DualPolarization:
-    """Good index masks of the amplitude and phase polarizations."""
+class IndexSetPartition:
+    """The four disjoint codeword classes covering range(n), held as the
+    amplitude and phase good masks that decide them; each class is a bool
+    mask derived on access."""
     n: int
     good_amp: np.ndarray
     good_phase: np.ndarray
@@ -39,78 +43,20 @@ class DualPolarization:
             raise ValueError("good sets must be bool masks of length n")
 
     @property
-    def bad_amp(self) -> np.ndarray:
-        return ~self.good_amp
+    def s_in(self) -> np.ndarray:
+        return self.good_amp & self.good_phase
 
     @property
-    def bad_phase(self) -> np.ndarray:
-        return ~self.good_phase
-
-
-@dataclass(frozen=True)
-class IndexSetPartition:
-    """The four disjoint codeword classes covering range(n), as bool masks."""
-    n: int
-    s_in: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        masks = (self.s_in, self.p1, self.p2, self.b)
-        if not (all(_is_mask(m, self.n) for m in masks)
-                and sum(map(np.count_nonzero, masks)) == self.n
-                and (self.s_in | self.p1 | self.p2 | self.b).all()):
-            raise ValueError("classes must be disjoint bool masks covering "
-                             "range(n)")
+    def p1(self) -> np.ndarray:
+        return self.good_amp & ~self.good_phase
 
     @property
-    def good_amp(self) -> np.ndarray:
-        return self.s_in | self.p1
+    def p2(self) -> np.ndarray:
+        return self.good_phase & ~self.good_amp
 
     @property
-    def good_phase(self) -> np.ndarray:
-        return self.s_in | self.p2
-
-    @property
-    def bad_amp(self) -> np.ndarray:
-        return self.p2 | self.b
-
-    @property
-    def bad_phase(self) -> np.ndarray:
-        return self.p1 | self.b
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Finite-n rate fractions in bits per channel use."""
-    p_sym_degraded: float
-    p_sym_nondegraded: float
-    r_sym: float
-    c_bob: float
-    c_eve: float
-
-    def __post_init__(self):
-        for name, val in self.__dict__.items():
-            if not -1.0 <= val <= 1.0:
-                raise ValueError(f"{name} = {val} outside [-1, 1]")
-
-
-@dataclass(frozen=True)
-class EveCapacityReport:
-    """Eavesdropper-side fractions.
-
-    ``c_bob`` is the complement form 1 - |p1|/n, which equals |s_in u p2|/n
-    exactly when b is empty. Section fractions give the share of indices
-    whose codewords transit each relay hop.
-    """
-    c_eve_total: float
-    c_eve_p1: float
-    c_bob: float
-    eve_section_e1e2: float
-    eve_section_e2d: float
+    def b(self) -> np.ndarray:
+        return ~(self.good_amp | self.good_phase)
 
 
 def set_size(mask: np.ndarray) -> int:
@@ -118,21 +64,20 @@ def set_size(mask: np.ndarray) -> int:
     return int(np.count_nonzero(mask))
 
 
-def build_partition(dp: DualPolarization) -> IndexSetPartition:
-    """Intersect the amplitude and phase good/bad splits."""
-    amp, phase = dp.good_amp, dp.good_phase
-    return IndexSetPartition(n=dp.n, s_in=amp & phase, p1=amp & ~phase,
-                             p2=phase & ~amp, b=~(amp | phase))
+def build_partition(goods) -> IndexSetPartition:
+    """The partition decided by a (good_amp, good_phase) mask pair."""
+    good_amp, good_phase = goods
+    return IndexSetPartition(n=len(good_amp), good_amp=good_amp,
+                             good_phase=good_phase)
 
 
 def from_polarizations(pr_amp: PolarizationResult, pr_phase: PolarizationResult,
-                       beta: float) -> DualPolarization:
-    """Dual polarization from two Bhattacharyya vectors at one threshold."""
+                       beta: float):
+    """The (good_amp, good_phase) mask pair of two Bhattacharyya vectors
+    at one threshold."""
     if pr_amp.n != pr_phase.n:
         raise ValueError("amplitude and phase polarizations disagree on n")
-    good_amp = select_sets(pr_amp, beta).good
-    good_phase = select_sets(pr_phase, beta).good
-    return DualPolarization(n=pr_amp.n, good_amp=good_amp, good_phase=good_phase)
+    return select_sets(pr_amp, beta), select_sets(pr_phase, beta)
 
 
 def pauli_induced_channels(p_x: float, p_y: float, p_z: float):
@@ -146,64 +91,35 @@ def pauli_induced_channels(p_x: float, p_y: float, p_z: float):
     return BDMC.bsc(p_x + p_y), BDMC.bsc(p_z + p_y)
 
 
-def _warn_if_negative(name: str, value: float) -> float:
-    if value < 0.0:
-        warnings.warn(f"{name} is negative ({value}); reporting as-is",
-                      stacklevel=3)
-    return value
+def class_sizes(part: IndexSetPartition) -> dict:
+    """n and the sizes of the four classes."""
+    return {"n": part.n, "size_s_in": set_size(part.s_in),
+            "size_p1": set_size(part.p1), "size_p2": set_size(part.p2),
+            "size_b": set_size(part.b)}
 
 
-def p_sym_degraded(part: IndexSetPartition) -> float:
-    """Private rate against a degraded eavesdropper: |s_in|/n."""
-    return set_size(part.s_in) / part.n
-
-
-def p_sym_nondegraded(part: IndexSetPartition) -> float:
-    """Private rate against a non-degraded eavesdropper: (|s_in| - |b|)/n.
-
-    Cross-checked against the equivalent inclusion-exclusion form
-    (|good_amp| + |good_phase| - n)/n, which must agree exactly.
+def rate_report(part: IndexSetPartition) -> dict:
+    """The capacity row of one partition, keyed by column in CSV order: n,
+    the four class sizes, then every rate as a fraction of n of those
+    sizes. p_sym_degraded, r_sym, eve_section_e2d and
+    relay_private_capacity all equal |s_in|/n by set identity; c_bob is
+    the complement 1 - |p1|/n, which equals |s_in u p2|/n only when b is
+    empty; relay_capacity_min is the cut-set bound min{c_12, c_1d + c_2d}
+    over the hop rates |good_phase|/n, |p2|/n and |s_in|/n.
     """
-    direct = set_size(part.s_in) - set_size(part.b)
-    expanded = set_size(part.good_amp) + set_size(part.good_phase) - part.n
-    if direct != expanded:
-        raise AssertionError("set-cardinality identity violated")
-    return _warn_if_negative("p_sym_nondegraded", direct / part.n)
-
-
-def r_sym_nondegraded(part: IndexSetPartition) -> float:
-    """Achievable rate (|s_in| + |b| - |bad_amp| + |p2|)/n.
-
-    Since bad_amp is the disjoint union of p2 and b, this always reduces
-    to |s_in|/n; the expression is evaluated literally.
-    """
-    val = (set_size(part.s_in) + set_size(part.b)
-           - set_size(part.bad_amp) + set_size(part.p2))
-    return val / part.n
-
-
-def eve_capacity(part: IndexSetPartition) -> EveCapacityReport:
-    """Eavesdropper fractions and the Bob-side complement."""
-    n = part.n
-    return EveCapacityReport(
-        c_eve_total=(set_size(part.p1) + set_size(part.p2)) / n,
-        c_eve_p1=set_size(part.p1) / n,
-        c_bob=1.0 - set_size(part.p1) / n,
-        eve_section_e1e2=set_size(part.p2 | part.s_in) / n,
-        eve_section_e2d=set_size(part.s_in) / n,
-    )
-
-
-def rate_report(part: IndexSetPartition) -> RateReport:
-    """All scalar rate fractions for one partition."""
-    eve = eve_capacity(part)
-    return RateReport(
-        p_sym_degraded=p_sym_degraded(part),
-        p_sym_nondegraded=p_sym_nondegraded(part),
-        r_sym=r_sym_nondegraded(part),
-        c_bob=eve.c_bob,
-        c_eve=eve.c_eve_total,
-    )
+    row = class_sizes(part)
+    n, s_in, p1, p2, b = row.values()
+    private = s_in / n
+    row.update(p_sym_degraded=private, p_sym_nondegraded=(s_in - b) / n,
+               r_sym=private, c_bob=1.0 - p1 / n, c_eve_total=(p1 + p2) / n,
+               c_eve_p1=p1 / n, eve_section_e1e2=(s_in + p2) / n,
+               eve_section_e2d=private, relay_private_capacity=private,
+               relay_capacity_min=min((s_in + p2) / n, p2 / n + private))
+    if row["p_sym_nondegraded"] < 0.0:
+        warnings.warn(f"p_sym_nondegraded is negative "
+                      f"({row['p_sym_nondegraded']}); reporting as-is",
+                      stacklevel=2)
+    return row
 
 
 def partition_rows(part: IndexSetPartition):

@@ -23,6 +23,8 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-12
 LLR_CLIP = 700.0
+ALPHABET_CAP = 4096  # largest post-merge output alphabet polarize tracks
+MC_BATCH = 2048  # trials per decoding pass of monte_carlo_block_error
 
 
 class BDMC:
@@ -84,21 +86,6 @@ class PolarizationResult:
 def _is_mask(a, n: int) -> bool:
     """True when ``a`` is an index set of a length-n block: a bool array."""
     return isinstance(a, np.ndarray) and a.dtype == bool and a.shape == (n,)
-
-
-@dataclass(frozen=True)
-class GoodBadSets:
-    """Good/bad bool masks split at the threshold (1/n) 2^(-n^beta)."""
-    good: np.ndarray
-    bad: np.ndarray
-    beta: float
-    threshold: float
-    n: int
-
-    def __post_init__(self):
-        if not (_is_mask(self.good, self.n) and _is_mask(self.bad, self.n)
-                and np.array_equal(self.good, ~self.bad)):
-            raise ValueError("good and bad must partition the index range")
 
 
 @dataclass(frozen=True)
@@ -185,54 +172,54 @@ def _erasure_like(w: BDMC) -> bool:
     return bool(np.all((w0 == 0.0) | (w1 == 0.0) | (w0 == w1)))
 
 
-def polarize(w: BDMC, k: int, alphabet_cap: int = 4096,
-             method: str = "auto") -> PolarizationResult:
+def polarize(w: BDMC, k: int) -> PolarizationResult:
     """Track Bhattacharyya parameters through k levels of combining.
 
     Erasure-like channels use the exact closed-form recursion
     z -> (2z - z^2, z^2); general channels track full transition tables,
     pooling exactly-equal likelihood-ratio outputs at every level. A
-    post-merge alphabet beyond ``alphabet_cap`` raises.
+    post-merge alphabet beyond ``ALPHABET_CAP`` raises.
 
     The output ordering follows the module convention: entry i applies the
     splits named by the bits of i, most significant first, 0 = bad.
     """
     if k < 1:
         raise ValueError(f"recursion level must be >= 1, got {k}")
-    if method not in ("auto", "bec", "tables"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "bec" if _erasure_like(w) else "tables"
+    recursion = _polarize_erasure if _erasure_like(w) else _polarize_tables
+    return PolarizationResult(n=2 ** k, z=recursion(w, k))
 
-    if method == "bec":
-        if not _erasure_like(w):
-            raise ValueError("closed-form recursion requires an erasure-like channel")
-        z = np.array([bhattacharyya(w)])
-        for _ in range(k):
-            # each level written in place, by the same IEEE operations in
-            # the same order as 2z - z^2 and z^2
-            nxt = np.empty(2 * len(z))
-            bad, good = nxt[0::2], nxt[1::2]
-            np.multiply(z, z, out=good)
-            np.multiply(2.0, z, out=bad)
-            np.subtract(bad, good, out=bad)
-            z = nxt
-        return PolarizationResult(n=2 ** k, z=np.clip(z, 0.0, 1.0, out=z))
 
+def _polarize_erasure(w: BDMC, k: int) -> np.ndarray:
+    """Closed-form z vector of an erasure-like channel, clipped to [0, 1]."""
+    z = np.array([bhattacharyya(w)])
+    for _ in range(k):
+        # each level written in place, by the same IEEE operations in the
+        # same order as 2z - z^2 and z^2
+        nxt = np.empty(2 * len(z))
+        bad, good = nxt[0::2], nxt[1::2]
+        np.multiply(z, z, out=good)
+        np.multiply(2.0, z, out=bad)
+        np.subtract(bad, good, out=bad)
+        z = nxt
+    return np.clip(z, 0.0, 1.0, out=z)
+
+
+def _polarize_tables(w: BDMC, k: int) -> np.ndarray:
+    """z vector from the merged transition tables of every synthesized
+    channel, clipped to [0, 1]."""
     channels = [w]
     for _ in range(k):
         nxt = []
         for ch in channels:
             for split in (combine_bad(ch), combine_good(ch)):
                 split = merge_equal_likelihood_outputs(split)
-                if split.output_alphabet_size > alphabet_cap:
+                if split.output_alphabet_size > ALPHABET_CAP:
                     raise ValueError(
                         f"output alphabet {split.output_alphabet_size} exceeds "
-                        f"cap {alphabet_cap}")
+                        f"cap {ALPHABET_CAP}")
                 nxt.append(split)
         channels = nxt
-    z = np.array([bhattacharyya(ch) for ch in channels])
-    return PolarizationResult(n=2 ** k, z=np.clip(z, 0.0, 1.0))
+    return np.clip([bhattacharyya(ch) for ch in channels], 0.0, 1.0)
 
 
 def _threshold(n: int, beta: float) -> float:
@@ -242,11 +229,10 @@ def _threshold(n: int, beta: float) -> float:
     return (1.0 / n) * 2.0 ** (-(n ** beta))
 
 
-def select_sets(pr: PolarizationResult, beta: float) -> GoodBadSets:
-    """Split indices at the threshold (1/n) 2^(-n^beta); ties go to bad."""
-    threshold = _threshold(pr.n, beta)
-    good = pr.z < threshold
-    return GoodBadSets(good, ~good, beta, threshold, pr.n)
+def select_sets(pr: PolarizationResult, beta: float) -> np.ndarray:
+    """Good index mask: z below the threshold (1/n) 2^(-n^beta); ties go
+    to bad."""
+    return pr.z < _threshold(pr.n, beta)
 
 
 def error_bound(n: int, beta: float) -> float:
@@ -524,13 +510,13 @@ def _mc_batch(info: np.ndarray, frozen: np.ndarray, breaks: np.ndarray,
 
 
 def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
-                            frozen_values=None,
-                            batch_size: int = 2048) -> MonteCarloResult:
+                            frozen_values=None) -> MonteCarloResult:
     """Estimate the average block error rate over uniform messages.
 
     ``info_set`` is a bool mask of length n or an array of indices. Each
     trial draws from its own (seed, trial_index) stream, so estimates are
-    reproducible and independent of batching or execution order.
+    reproducible and independent of batching (``MC_BATCH`` trials are
+    decoded at a time) or execution order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -546,8 +532,8 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
     breaks, table = _output_llr_sampler(w)
 
     errors = 0
-    for first in range(0, trials, batch_size):
-        count = min(batch_size, trials - first)
+    for first in range(0, trials, MC_BATCH):
+        count = min(MC_BATCH, trials - first)
         messages, lam = _mc_batch(info, frozen, breaks, table, seed, first,
                                   count)
         decoded, _ = _sc_decode_block(lam, ~info, frozen)
@@ -562,10 +548,10 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
 # CSV export
 # ---------------------------------------------------------------------------
 
-def polarization_rows(pr: PolarizationResult, sets: GoodBadSets):
+def polarization_rows(pr: PolarizationResult, good: np.ndarray):
     """Columns (index, z, set-label) for CSV export: the index as a range
     and the labels as byte strings, so no n-row index or str array is
     built."""
-    if sets.n != pr.n:
-        raise ValueError("sets and polarization result disagree on n")
-    return range(pr.n), pr.z, np.where(sets.good, b"good", b"bad")
+    if not _is_mask(good, pr.n):
+        raise ValueError("good set and polarization result disagree on n")
+    return range(pr.n), pr.z, np.where(good, b"good", b"bad")

@@ -1,9 +1,8 @@
-"""Relay capacity formulas and encoder simulation.
+"""Relay encoder simulation.
 
-The capacity formulas take each hop's rate as an exact set fraction of
-the codeword partition. The relay encoder adds the amplitude layer to a
-phase-encoded block only with success probability p_e2; on failure the
-receiver cannot decode the block. Each trial draws from its own
+The relay encoder adds the amplitude layer to a phase-encoded block only
+with success probability p_e2; on failure the receiver cannot decode the
+block. Each trial draws from its own
 counter-based stream keyed by (seed, trial index), so a simulation
 depends only on its seed and trial count.
 """
@@ -45,33 +44,6 @@ class RelayTrialResult:
         if self.successes > self.trials:
             raise ValueError("successes cannot exceed trials")
 
-
-# ---------------------------------------------------------------------------
-# Capacity formulas
-# ---------------------------------------------------------------------------
-
-def relay_capacity_min(c_12: float, c_1d: float, c_2d: float) -> float:
-    """Cut-set form min{c_12, c_1d + c_2d}."""
-    if min(c_12, c_1d, c_2d) < 0.0:
-        raise ValueError("capacities must be nonnegative")
-    return min(c_12, c_1d + c_2d)
-
-
-def relay_private_capacity(part: IndexSetPartition) -> float:
-    """Private rate of the relay-to-receiver hop: (|good_phase| - |p2|)/n.
-
-    Because good_phase is the disjoint union of p2 and s_in, this always
-    equals |s_in|/n; both forms are evaluated and must agree exactly.
-    """
-    via_phase = set_size(part.good_phase) - set_size(part.p2)
-    if via_phase != set_size(part.s_in):
-        raise AssertionError("good_phase decomposition violated")
-    return via_phase / part.n
-
-
-# ---------------------------------------------------------------------------
-# Relay encoder simulation
-# ---------------------------------------------------------------------------
 
 def simulate_relay(spec: RelayChannelSpec, trials: int,
                    seed: int) -> RelayTrialResult:

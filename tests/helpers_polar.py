@@ -48,23 +48,25 @@ def polar_encode(message, k):
     return _encode_block(u.astype(np.uint8)[None, :])[0]
 
 
-def sc_decode(likelihoods, sets, frozen_values=None):
+def sc_decode(likelihoods, good, frozen_values=None):
     """SC decoding of likelihood ratios P(y|0)/P(y|1), shape (n,) or
     (batch, n), through ``_sc_decode_block``: np.inf marks certainty of
-    bit 0, 0 certainty of bit 1 and 1 an erasure. The bad positions of
-    ``sets`` are frozen to ``frozen_values`` (all zero by default)."""
+    bit 0, 0 certainty of bit 1 and 1 an erasure. The positions outside
+    the ``good`` mask are frozen to ``frozen_values`` (all zero by
+    default)."""
+    n = len(good)
     lam = np.asarray(likelihoods, dtype=float)
     single = lam.ndim == 1
     if single:
         lam = lam[None, :]
-    if lam.ndim != 2 or lam.shape[1] != sets.n:
-        raise ValueError(f"need {sets.n} likelihoods per codeword")
+    if lam.ndim != 2 or lam.shape[1] != n:
+        raise ValueError(f"need {n} likelihoods per codeword")
     if np.any(np.isnan(lam)) or np.any(lam < 0.0):
         raise ValueError("likelihood ratios must be nonnegative and not NaN")
     with np.errstate(divide="ignore"):
         log_lam = np.clip(np.log(lam), -LLR_CLIP, LLR_CLIP)
-    bits, _ = _sc_decode_block(log_lam, sets.bad,
-                               _resolve_frozen(sets.n, frozen_values))
+    bits, _ = _sc_decode_block(log_lam, ~good,
+                               _resolve_frozen(n, frozen_values))
     return bits[0] if single else bits
 
 

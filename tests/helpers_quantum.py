@@ -1,10 +1,11 @@
-"""Seeded random states, channels, and tables, index-mask builders, and
-the dense reference routes (channel action, dilation, joint channel) that
-the Kraus-form runtime is checked against, shared across test modules."""
+"""Seeded random states, channels, and tables, index-mask builders, the
+capacity row in the paper's literal set forms, and the dense reference
+routes (channel action, dilation, joint channel) that the Kraus-form
+runtime is checked against, shared across test modules."""
 
 import numpy as np
 
-from qrelay.codeword_sets import DualPolarization, build_partition
+from qrelay.codeword_sets import build_partition, set_size
 from qrelay.density_ops import (DensityMatrix, KrausChannel,
                                 coherent_information, tensor_channels)
 from qrelay.polar_core import BDMC
@@ -21,9 +22,34 @@ def index_mask(n, indices):
 
 def make_partition(n, good_amp, good_phase):
     """Partition of range(n) from two iterables of good indices."""
-    return build_partition(DualPolarization(
-        n=n, good_amp=index_mask(n, good_amp),
-        good_phase=index_mask(n, good_phase)))
+    return build_partition((index_mask(n, good_amp),
+                            index_mask(n, good_phase)))
+
+
+def capacity_row_oracle(part):
+    """The capacity row with every rate in the paper's literal set form,
+    each set counted from its own mask: the formulas ``rate_report``
+    replaced, kept so its reductions are checked, not assumed."""
+    n = part.n
+    s_in, p1, p2, b = (set_size(m) for m in (part.s_in, part.p1, part.p2,
+                                              part.b))
+    bad_amp = set_size(~part.good_amp)
+    good_phase = set_size(part.good_phase)
+    c_12 = good_phase / n                       # source to relay
+    c_1d = p2 / n                               # source to receiver
+    c_2d = (good_phase - p2) / n                # relay to receiver, private
+    return {"n": n, "size_s_in": s_in, "size_p1": p1, "size_p2": p2,
+            "size_b": b,
+            "p_sym_degraded": s_in / n,
+            "p_sym_nondegraded": (s_in - b) / n,
+            "r_sym": (s_in + b - bad_amp + p2) / n,
+            "c_bob": 1.0 - p1 / n,
+            "c_eve_total": (p1 + p2) / n,
+            "c_eve_p1": p1 / n,
+            "eve_section_e1e2": set_size(part.p2 | part.s_in) / n,
+            "eve_section_e2d": s_in / n,
+            "relay_private_capacity": c_2d,
+            "relay_capacity_min": min(c_12, c_1d + c_2d)}
 
 
 def random_density_matrix(dim, rng, rank=None):

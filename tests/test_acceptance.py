@@ -11,21 +11,21 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from helpers_polar import symmetric_capacity
-from helpers_quantum import coherent_info_oracle, \
+from helpers_quantum import capacity_row_oracle, coherent_info_oracle, \
     joint_coherent_info_oracle, make_partition, random_bdmc, \
     random_density_matrix, random_kraus_channel
-from qrelay.cli import load_config, run
-from qrelay.codeword_sets import eve_capacity, r_sym_nondegraded, set_size
+from qrelay.cli import CAPACITY_HEADER, load_config, run
+from qrelay.codeword_sets import rate_report, set_size
 from qrelay.density_ops import (DensityMatrix, bit_flip_channel,
                                 coherent_information, compose_channels,
                                 dephasing_channel, erasure_channel,
                                 identity_channel)
 from qrelay.polar_core import (BDMC, combine_bad, combine_good, error_bound,
                                monte_carlo_block_error, polarize)
-from qrelay.relay import (RelayChannelSpec, expected_throughput,
-                          relay_private_capacity, simulate_relay)
+from qrelay.relay import RelayChannelSpec, expected_throughput, simulate_relay
 from qrelay.superactivation import (P_GRID, branch_terms,
                                     build_switch_channel, compare_assisted,
                                     make_rho_ac, switch_report)
@@ -84,6 +84,7 @@ def test_c03_sc_decoder_block_error_bound():
               f"|info| = {len(info)}")
 
 
+@pytest.mark.filterwarnings("ignore:p_sym_nondegraded is negative")
 def test_c04_set_algebra_identities_exact():
     def check(part):
         classes = (part.s_in, part.p1, part.p2, part.b)
@@ -92,11 +93,15 @@ def test_c04_set_algebra_identities_exact():
         assert (set_size(part.s_in) - set_size(part.b)
                 == set_size(part.good_amp) + set_size(part.good_phase)
                 - part.n)
-        assert r_sym_nondegraded(part) == set_size(part.s_in) / part.n
-        assert relay_private_capacity(part) == set_size(part.s_in) / part.n
         assert np.array_equal(part.good_phase, part.p2 | part.s_in)
         assert not (part.p2 & part.s_in).any()
-        eve_capacity(part)  # must never raise
+        # the row from the four class counts equals the literal set forms,
+        # bit for bit, in CSV column order
+        row = rate_report(part)
+        assert tuple(row) == CAPACITY_HEADER
+        assert row == capacity_row_oracle(part)
+        assert (row["r_sym"] == row["relay_private_capacity"]
+                == set_size(part.s_in) / part.n)
 
     # exhaustive over every good-set pair for small blocks
     pairs = 0
@@ -131,7 +136,7 @@ def test_c04_set_algebra_identities_exact():
         phase = {int(x) for x in np.flatnonzero(rng.random(n) < rng.random())}
         check(make_partition(n, amp, phase))
     report(4, f"{pairs} exhaustive pairs, {triples} canonical triples, "
-              f"1000 random pairs, all exact")
+              f"1000 random pairs, all exact and equal to the literal forms")
 
 
 def test_c05_flag_decomposition_and_erasure_term():

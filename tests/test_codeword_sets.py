@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_quantum import index_mask, make_partition
-from qrelay.codeword_sets import (DualPolarization, IndexSetPartition,
-                                  build_partition, eve_capacity,
-                                  from_polarizations, partition_rows,
-                                  pauli_induced_channels, p_sym_degraded,
-                                  p_sym_nondegraded, rate_report,
-                                  r_sym_nondegraded, set_size)
+from helpers_quantum import capacity_row_oracle, index_mask, make_partition
+from qrelay.codeword_sets import (IndexSetPartition, build_partition,
+                                  class_sizes, from_polarizations,
+                                  partition_rows, pauli_induced_channels,
+                                  rate_report, set_size)
 from qrelay.polar_core import BDMC, polarize
 
 
@@ -82,18 +80,22 @@ def test_partition_invariants_random(args):
     assert not (part.p2 & part.s_in).any()
 
 
+@pytest.mark.filterwarnings("ignore:p_sym_nondegraded is negative")
 @settings(max_examples=200)
 @given(subset_pair())
 def test_rate_identities_random(args):
     n, good_amp, good_phase = args
     part = make_partition(n, good_amp, good_phase)
+    row = rate_report(part)
     # inclusion-exclusion form agrees exactly
-    direct = set_size(part.s_in) - set_size(part.b)
+    direct = row["size_s_in"] - row["size_b"]
     assert direct == len(good_amp) + len(good_phase) - n
-    # the four-term rate always collapses to the private fraction
-    assert r_sym_nondegraded(part) == set_size(part.s_in) / n
-    # the relay-hop difference form equals the private fraction
-    assert set_size(part.good_phase) - set_size(part.p2) == set_size(part.s_in)
+    assert row["p_sym_nondegraded"] == direct / n
+    # the four-term rate and the relay-hop difference form always
+    # collapse to the private fraction
+    assert row["r_sym"] == row["relay_private_capacity"] == len(
+        set(good_amp) & set(good_phase)) / n
+    assert row == capacity_row_oracle(part)
 
 
 @settings(max_examples=200)
@@ -106,49 +108,47 @@ def test_monotonicity_in_good_amp(args, extra):
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):  # overlap
-        IndexSetPartition(n=2, s_in=index_mask(2, {0}), p1=index_mask(2, {0}),
-                          p2=index_mask(2, ()), b=index_mask(2, {1}))
-    with pytest.raises(ValueError):  # gap
-        IndexSetPartition(n=3, s_in=index_mask(3, {0}), p1=index_mask(3, {1}),
-                          p2=index_mask(3, ()), b=index_mask(3, ()))
-    with pytest.raises(ValueError):  # overlap hiding a gap: sizes sum to n
-        IndexSetPartition(n=2, s_in=index_mask(2, {0}), p1=index_mask(2, {0}),
-                          p2=index_mask(2, ()), b=index_mask(2, ()))
+    # the classes are derived from the two good masks, so overlapping or
+    # gapped classes cannot be built; only the masks themselves are checked
     with pytest.raises(ValueError):  # wrong length
-        IndexSetPartition(n=2, s_in=index_mask(3, {0}), p1=index_mask(3, {1}),
-                          p2=index_mask(3, ()), b=index_mask(3, {2}))
+        IndexSetPartition(n=4, good_amp=index_mask(8, {7}),
+                          good_phase=index_mask(4, ()))
+    with pytest.raises(ValueError):  # the pair disagrees on n
+        build_partition((index_mask(4, {1}), index_mask(3, ())))
     with pytest.raises(ValueError):  # not a bool mask
-        IndexSetPartition(n=2, s_in=np.array([1, 0]), p1=np.array([0, 1]),
-                          p2=index_mask(2, ()), b=index_mask(2, ()))
+        IndexSetPartition(n=2, good_amp=np.array([1, 0]),
+                          good_phase=index_mask(2, ()))
     with pytest.raises(ValueError):
-        DualPolarization(n=4, good_amp=index_mask(8, {7}),
-                         good_phase=index_mask(4, ()))
-    with pytest.raises(ValueError):
-        DualPolarization(n=4, good_amp=frozenset({1}),
-                         good_phase=index_mask(4, ()))
+        IndexSetPartition(n=4, good_amp=frozenset({1}),
+                          good_phase=index_mask(4, ()))
+    with pytest.raises(ValueError):  # empty block
+        build_partition((index_mask(0, ()), index_mask(0, ())))
 
 
 # ---------------------------------------------------------------------------
 # Rates
 # ---------------------------------------------------------------------------
 
+def degraded_rates(part):
+    row = rate_report(part)
+    return row["p_sym_degraded"], row["p_sym_nondegraded"]
+
+
 def test_p_sym_degraded_extremes():
-    assert p_sym_degraded(make_partition(8, range(8), range(8))) == 1.0
-    assert p_sym_degraded(make_partition(8, (), range(8))) == 0.0
+    assert degraded_rates(make_partition(8, range(8), range(8)))[0] == 1.0
+    assert degraded_rates(make_partition(8, (), range(8)))[0] == 0.0
 
 
 def test_p_sym_nondegraded_cases():
     # empty b: equals the degraded rate
-    part = make_partition(8, range(4), range(4, 8))
-    assert p_sym_nondegraded(part) == p_sym_degraded(part) == 0.0
-    part = make_partition(8, range(8), range(6))
-    assert p_sym_nondegraded(part) == p_sym_degraded(part) == 0.75
+    assert degraded_rates(make_partition(8, range(4), range(4, 8))) == (0.0, 0.0)
+    assert degraded_rates(make_partition(8, range(8), range(6))) == (0.75, 0.75)
     # all-useless block reports -1
-    with pytest.warns(UserWarning, match="negative"):
-        assert p_sym_nondegraded(make_partition(8, (), ())) == -1.0
+    with pytest.warns(UserWarning, match="p_sym_nondegraded is negative"):
+        assert degraded_rates(make_partition(8, (), ()))[1] == -1.0
 
 
+@pytest.mark.filterwarnings("ignore:p_sym_nondegraded is negative")
 def test_dual_bec_partition_matches_recursion_oracle():
     def bec_z(eps, k):
         z = [eps]
@@ -163,15 +163,16 @@ def test_dual_bec_partition_matches_recursion_oracle():
     threshold = (1.0 / n) * 2.0 ** (-(n ** beta))
     good_amp = set(np.flatnonzero(bec_z(0.3, k) < threshold))
     good_phase = set(np.flatnonzero(bec_z(0.4, k) < threshold))
-    assert p_sym_degraded(part) == len(good_amp & good_phase) / n
+    assert rate_report(part)["p_sym_degraded"] == len(good_amp & good_phase) / n
     assert indices(part.s_in) == good_amp & good_phase
 
 
 def test_rate_report_bounds():
-    report = rate_report(make_partition(16, range(10), range(4, 16)))
-    for value in (report.p_sym_degraded, report.p_sym_nondegraded,
-                  report.r_sym, report.c_bob, report.c_eve):
-        assert -1.0 <= value <= 1.0
+    part = make_partition(16, range(10), range(4, 16))
+    row = rate_report(part)
+    assert list(row)[:5] == list(class_sizes(part))
+    for value in list(row.values())[5:]:
+        assert type(value) is float and -1.0 <= value <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -179,25 +180,26 @@ def test_rate_report_bounds():
 # ---------------------------------------------------------------------------
 
 def test_eve_capacity_no_partial_sets():
-    report = eve_capacity(make_partition(8, range(8), range(8)))
-    assert report.c_eve_total == 0.0
-    assert report.c_bob == 1.0
+    row = rate_report(make_partition(8, range(8), range(8)))
+    assert row["c_eve_total"] == 0.0
+    assert row["c_bob"] == 1.0
 
 
 def test_eve_capacity_all_p1():
-    report = eve_capacity(make_partition(8, range(8), ()))
-    assert report.c_eve_p1 == 1.0
-    assert report.c_bob == 0.0
+    row = rate_report(make_partition(8, range(8), ()))
+    assert row["c_eve_p1"] == 1.0
+    assert row["c_bob"] == 0.0
 
 
 def test_eve_capacity_forms_agree_iff_b_empty():
-    # c_bob = 1 - |p1|/n equals the direct form |s_in u p2|/n, short by |b|/n
+    # c_bob = 1 - |p1|/n exceeds the direct form |s_in u p2|/n by |b|/n
     for part in (make_partition(8, range(6), range(4, 8)),    # b empty
                  make_partition(8, range(4), range(2, 6))):   # |b| = 2
         direct = set_size(part.s_in | part.p2) / 8
-        assert eve_capacity(part).c_bob - direct == set_size(part.b) / 8
+        assert rate_report(part)["c_bob"] - direct == set_size(part.b) / 8
 
 
+@pytest.mark.filterwarnings("ignore:p_sym_nondegraded is negative")
 def test_eve_capacity_exhaustive_small_blocks():
     # every good-set pair on small blocks, checked against bitmask popcounts
     for n in (1, 2, 3, 4, 6):
@@ -210,9 +212,9 @@ def test_eve_capacity_exhaustive_small_blocks():
                 union = bin(amp_mask | phase_mask).count("1")
                 assert set_size(part.s_in) == inter
                 assert set_size(part.b) == n - union
-                report = eve_capacity(part)
-                assert report.eve_section_e2d == inter / n
-                assert report.eve_section_e1e2 == bin(phase_mask).count("1") / n
+                row = rate_report(part)
+                assert row["eve_section_e2d"] == inter / n
+                assert row["eve_section_e1e2"] == bin(phase_mask).count("1") / n
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from helpers_polar import (boxplus_oracle, generator_matrix, polar_encode,
                            sc_decode, sc_decode_oracle, symmetric_capacity)
 from helpers_quantum import index_mask, random_bdmc
 from helpers_rng import merge_oracle, monte_carlo_oracle
-from qrelay.polar_core import (BDMC, LLR_CLIP, GoodBadSets,
-                               PolarizationResult,
+from qrelay.polar_core import (BDMC, LLR_CLIP, PolarizationResult,
                                _boxplus, _log1p_exp_neg,
-                               _output_llr_sampler, _sc_decode_block,
+                               _output_llr_sampler, _polarize_erasure,
+                               _polarize_tables, _sc_decode_block,
                                _table_index,
                                bhattacharyya, combine_bad, combine_good,
                                error_bound, merge_equal_likelihood_outputs,
@@ -251,11 +251,11 @@ def test_merge_matches_dict_oracle(monkeypatch):
         for table in (w, combine_bad(w), combine_good(w)):
             assert np.array_equal(merge_equal_likelihood_outputs(table).w,
                                   merge_oracle(table).w)
-    fast = [polarize(w, k, method="tables").z for w, k in cases]
+    fast = [_polarize_tables(w, k) for w, k in cases]
     monkeypatch.setattr(qrelay.polar_core, "merge_equal_likelihood_outputs",
                         merge_oracle)
     for (w, k), z in zip(cases, fast):
-        assert np.array_equal(z, polarize(w, k, method="tables").z)
+        assert np.array_equal(z, _polarize_tables(w, k))
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +290,9 @@ def test_polarize_bec_bits_match_recursion_oracle(eps):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_polarize_tables_match_closed_form(k):
     w = BDMC.bec(0.35)
-    closed = polarize(w, k, method="bec")
-    tables = polarize(w, k, method="tables")
-    assert np.max(np.abs(closed.z - tables.z)) < 1e-12
+    closed = _polarize_erasure(w, k)
+    tables = _polarize_tables(w, k)
+    assert np.max(np.abs(closed - tables)) < 1e-12
 
 
 def test_polarize_detects_relabeled_erasure_channel():
@@ -300,8 +300,8 @@ def test_polarize_detects_relabeled_erasure_channel():
     # closed form must agree with the full-table recursion
     w = BDMC([[0.7, 0.0, 0.2, 0.1], [0.0, 0.7, 0.2, 0.1]])
     auto = polarize(w, 4)
-    tables = polarize(w, 4, method="tables")
-    assert np.max(np.abs(auto.z - tables.z)) < 1e-12
+    tables = _polarize_tables(w, 4)
+    assert np.max(np.abs(auto.z - tables)) < 1e-12
     oracle = bec_recursion_oracle(0.3, 4)
     assert np.max(np.abs(auto.z - oracle)) < 1e-12
 
@@ -316,20 +316,13 @@ def test_polarize_one_level_ordering_random_channels():
         assert pr.z[1] <= z + 1e-12
 
 
-def test_polarize_alphabet_cap():
+def test_polarize_alphabet_cap(monkeypatch):
     # merging pools the first good split's 128 outputs to 94, still past 64
     rng = np.random.default_rng(61)
     w = random_bdmc(8, rng)
+    monkeypatch.setattr(qrelay.polar_core, "ALPHABET_CAP", 64)
     with pytest.raises(ValueError, match="alphabet 94 exceeds cap 64"):
-        polarize(w, 3, alphabet_cap=64)
-
-
-def test_polarize_method_validation():
-    rng = np.random.default_rng(63)
-    with pytest.raises(ValueError, match="erasure-like"):
-        polarize(random_bdmc(3, rng), 2, method="bec")
-    with pytest.raises(ValueError, match="method"):
-        polarize(BDMC.bec(0.5), 2, method="fast")
+        polarize(w, 3)
 
 
 def test_bdmc_factory_validation():
@@ -352,12 +345,11 @@ def test_polarization_result_validation():
 
 def test_select_sets_extremes():
     all_zero = PolarizationResult(n=8, z=np.zeros(8))
-    sets = select_sets(all_zero, 0.4)
-    assert sets.good.dtype == bool and sets.good.shape == (8,)
-    assert sets.good.all() and not sets.bad.any()
+    good = select_sets(all_zero, 0.4)
+    assert good.dtype == bool and good.shape == (8,)
+    assert good.all()
     all_one = PolarizationResult(n=8, z=np.ones(8))
-    sets = select_sets(all_one, 0.4)
-    assert sets.bad.all() and not sets.good.any()
+    assert not select_sets(all_one, 0.4).any()
 
 
 def test_select_sets_beta_validation():
@@ -370,34 +362,17 @@ def test_select_sets_beta_validation():
 def test_select_sets_tie_goes_to_bad():
     threshold = 0.5 * 2.0 ** (-(2 ** 0.4))
     pr = PolarizationResult(n=2, z=np.array([threshold, threshold / 2]))
-    sets = select_sets(pr, 0.4)
-    assert sets.bad.tolist() == [True, False]
-    assert sets.good.tolist() == [False, True]
+    assert select_sets(pr, 0.4).tolist() == [False, True]
 
 
 def test_select_sets_bec_half_large_block():
     pr = polarize(BDMC.bec(0.5), 12)
-    sets = select_sets(pr, 0.45)
+    good = select_sets(pr, 0.45)
     # independent recursion oracle
     z = bec_recursion_oracle(0.5, 12)
     threshold = (1.0 / 4096) * 2.0 ** (-(4096 ** 0.45))
-    assert np.array_equal(sets.good, z < threshold)
-    assert np.count_nonzero(sets.good) / 4096 <= 0.5  # capacity ceiling
-
-
-def test_good_bad_sets_partition_enforced():
-    with pytest.raises(ValueError):  # overlap
-        GoodBadSets(good=index_mask(2, {0}), bad=index_mask(2, {0, 1}),
-                    beta=0.4, threshold=0.1, n=2)
-    with pytest.raises(ValueError):  # gap
-        GoodBadSets(good=index_mask(2, {0}), bad=index_mask(2, ()),
-                    beta=0.4, threshold=0.1, n=2)
-    with pytest.raises(ValueError):  # wrong length
-        GoodBadSets(good=index_mask(3, {0}), bad=index_mask(3, {1, 2}),
-                    beta=0.4, threshold=0.1, n=2)
-    with pytest.raises(ValueError):  # not bool masks
-        GoodBadSets(good=np.array([1, 0]), bad=np.array([0, 1]),
-                    beta=0.4, threshold=0.1, n=2)
+    assert np.array_equal(good, z < threshold)
+    assert np.count_nonzero(good) / 4096 <= 0.5  # capacity ceiling
 
 
 # ---------------------------------------------------------------------------
@@ -430,19 +405,14 @@ def _noiseless_likelihoods(codeword):
     return np.where(np.asarray(codeword) == 0, np.inf, 0.0)
 
 
-def _sets_from_info(n, info):
-    good = index_mask(n, info)
-    return GoodBadSets(good=good, bad=~good, beta=0.25, threshold=0.0, n=n)
-
-
 def test_sc_decode_noiseless_recovery():
     rng = np.random.default_rng(67)
     k = 6
     n = 2 ** k
-    sets = _sets_from_info(n, range(n))
+    good = index_mask(n, range(n))
     for _ in range(20):
         msg = rng.integers(0, 2, size=n)
-        decoded = sc_decode(_noiseless_likelihoods(polar_encode(msg, k)), sets)
+        decoded = sc_decode(_noiseless_likelihoods(polar_encode(msg, k)), good)
         assert np.array_equal(decoded, msg)
 
 
@@ -451,10 +421,10 @@ def test_sc_decode_with_frozen_positions():
     k = 5
     n = 2 ** k
     info = sorted(rng.choice(n, size=12, replace=False))
-    sets = _sets_from_info(n, info)
+    good = index_mask(n, info)
     msg = np.zeros(n, dtype=np.uint8)
     msg[info] = rng.integers(0, 2, size=len(info))
-    decoded = sc_decode(_noiseless_likelihoods(polar_encode(msg, k)), sets)
+    decoded = sc_decode(_noiseless_likelihoods(polar_encode(msg, k)), good)
     assert np.array_equal(decoded, msg)
 
 
@@ -462,46 +432,46 @@ def test_sc_decode_bec_without_erasures():
     rng = np.random.default_rng(73)
     k = 4
     n = 2 ** k
-    sets = _sets_from_info(n, range(n))
+    good = index_mask(n, range(n))
     msg = rng.integers(0, 2, size=n)
     # erasure-free BEC observation carries full certainty
-    decoded = sc_decode(_noiseless_likelihoods(polar_encode(msg, k)), sets)
+    decoded = sc_decode(_noiseless_likelihoods(polar_encode(msg, k)), good)
     assert np.array_equal(decoded, msg)
 
 
 def test_sc_decode_rate_zero_returns_frozen_vector():
     rng = np.random.default_rng(79)
     n = 16
-    sets = _sets_from_info(n, [])
+    good = index_mask(n, [])
     frozen = rng.integers(0, 2, size=n)
     lam = np.ones(n)  # all erasures: no information at all
-    decoded = sc_decode(lam, sets, frozen_values=frozen)
+    decoded = sc_decode(lam, good, frozen_values=frozen)
     assert np.array_equal(decoded, frozen)
 
 
 def test_sc_decode_missing_frozen_values():
-    sets = _sets_from_info(4, [0, 1])
+    good = index_mask(4, [0, 1])
     with pytest.raises(ValueError, match="cover all 4 positions"):
-        sc_decode(np.ones(4), sets, frozen_values=[0, 0, 0])
+        sc_decode(np.ones(4), good, frozen_values=[0, 0, 0])
 
 
 def test_sc_decode_rejects_nan_and_negative():
-    sets = _sets_from_info(2, [0, 1])
+    good = index_mask(2, [0, 1])
     with pytest.raises(ValueError):
-        sc_decode(np.array([np.nan, 1.0]), sets)
+        sc_decode(np.array([np.nan, 1.0]), good)
     with pytest.raises(ValueError):
-        sc_decode(np.array([-1.0, 1.0]), sets)
+        sc_decode(np.array([-1.0, 1.0]), good)
 
 
 def test_sc_decode_batched_matches_single():
     rng = np.random.default_rng(83)
     k = 4
     n = 2 ** k
-    sets = _sets_from_info(n, range(0, n, 2))
+    good = index_mask(n, range(0, n, 2))
     lam = rng.random((5, n)) * 4.0
-    batch = sc_decode(lam, sets)
+    batch = sc_decode(lam, good)
     for row in range(5):
-        assert np.array_equal(batch[row], sc_decode(lam[row], sets))
+        assert np.array_equal(batch[row], sc_decode(lam[row], good))
 
 
 # LLRs at which exp(-|a +- b|) crosses into underflow (745.13 to 745.14),
@@ -659,13 +629,13 @@ def test_sc_decode_masks_reproduce_frozenset_results():
     digest = hashlib.sha256()
     for _ in range(10):
         info = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
-        sets = _sets_from_info(n, info)
+        good = index_mask(n, info)
         frozen = rng.integers(0, 2, size=n)
         lam = rng.random((8, n)) * 3.0
         # frozen bits given at the bad positions only, zero elsewhere
-        bad_only = np.where(sets.bad, frozen, 0)
+        bad_only = np.where(~good, frozen, 0)
         for values in (None, frozen, bad_only):
-            digest.update(sc_decode(lam, sets, frozen_values=values).tobytes())
+            digest.update(sc_decode(lam, good, frozen_values=values).tobytes())
     assert digest.hexdigest() == SC_DECODE_DIGEST
 
 
@@ -703,15 +673,16 @@ def test_monte_carlo_bench_op_count_and_peak():
     assert peak <= 11 * 2 ** 20
 
 
-def test_monte_carlo_independent_of_batching():
+def test_monte_carlo_independent_of_batching(monkeypatch):
     w = BDMC.bec(0.4)
     pr = polarize(w, 5)
     info = index_mask(32, np.argsort(pr.z)[:8])
-    small = monte_carlo_block_error(w, 32, info, trials=300, seed=4,
-                                    batch_size=7)
-    large = monte_carlo_block_error(w, 32, info, trials=300, seed=4,
-                                    batch_size=256)
-    assert small == large
+    results = []
+    for batch in (7, 256):
+        monkeypatch.setattr(qrelay.polar_core, "MC_BATCH", batch)
+        results.append(monte_carlo_block_error(w, 32, info, trials=300,
+                                               seed=4))
+    assert results[0] == results[1]
 
 
 def test_monte_carlo_respects_union_bound():
@@ -808,7 +779,7 @@ def test_output_llr_sampler_matches_searchsorted():
                                   llr[y])
 
 
-def test_monte_carlo_matches_per_trial_oracle():
+def test_monte_carlo_matches_per_trial_oracle(monkeypatch):
     # the batched streams reproduce one Generator per trial: message bits
     # from integers(0, 2), then uniforms, for |info| of 1, odd, even and n
     rng = np.random.default_rng(5)
@@ -820,10 +791,11 @@ def test_monte_carlo_matches_per_trial_oracle():
             frozen = rng.integers(0, 2, size=n) if m == 7 else None
             want = monte_carlo_oracle(w, n, info, trials, seed=40 + c,
                                       frozen_values=frozen)
-            for batch_size in (1, 7, 2048):
+            for batch in (1, 7, 2048):
+                monkeypatch.setattr(qrelay.polar_core, "MC_BATCH", batch)
                 assert monte_carlo_block_error(
-                    w, n, info, trials, seed=40 + c, frozen_values=frozen,
-                    batch_size=batch_size) == want
+                    w, n, info, trials, seed=40 + c,
+                    frozen_values=frozen) == want
             rates.add(want.block_error_rate)
     assert any(0.0 < r < 1.0 for r in rates)
 
@@ -834,9 +806,9 @@ def test_monte_carlo_matches_per_trial_oracle():
 
 def test_polarization_rows_labels():
     pr = polarize(BDMC.bec(0.5), 2)
-    sets = select_sets(pr, 0.4)
-    index, z, labels = polarization_rows(pr, sets)
+    good = select_sets(pr, 0.4)
+    index, z, labels = polarization_rows(pr, good)
     assert list(index) == list(range(4))
     assert np.array_equal(z, pr.z)
-    assert labels.tolist() == [b"good" if g else b"bad" for g in sets.good]
+    assert labels.tolist() == [b"good" if g else b"bad" for g in good]
     assert set(labels.tolist()) == {b"good", b"bad"}

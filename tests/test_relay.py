@@ -8,11 +8,10 @@ import pytest
 
 from helpers_quantum import make_partition
 from helpers_rng import relay_success_flags
-from qrelay.codeword_sets import set_size
+from qrelay.codeword_sets import rate_report, set_size
 from qrelay.polar_core import trial_rng
 from qrelay.relay import (RELAY_CHUNK, RelayChannelSpec, RelayTrialResult,
-                          expected_throughput, relay_capacity_min,
-                          relay_private_capacity, simulate_relay,
+                          expected_throughput, simulate_relay,
                           simulation_rows)
 
 
@@ -22,25 +21,32 @@ def make_spec(p_e2=0.3, n=16, amp=range(8), phase=range(4, 12)):
 
 
 # ---------------------------------------------------------------------------
-# Capacity formulas
+# Capacity columns of the rate report
 # ---------------------------------------------------------------------------
 
+def relay_rates(n, amp, phase):
+    row = rate_report(make_partition(n, amp, phase))
+    return row["relay_capacity_min"], row["relay_private_capacity"]
+
+
+@pytest.mark.filterwarnings("ignore:p_sym_nondegraded is negative")
 def test_relay_capacity_min_cases():
-    assert relay_capacity_min(1.0, 0.2, 0.3) == 0.5
-    assert relay_capacity_min(0.0, 0.2, 0.3) == 0.0
-    with pytest.raises(ValueError):
-        relay_capacity_min(-0.1, 0.2, 0.3)
+    assert relay_rates(8, range(8), range(8))[0] == 1.0
+    assert relay_rates(8, range(8), ())[0] == 0.0
+    assert relay_rates(8, (), range(8))[0] == 1.0   # all through p2
+    assert relay_rates(16, range(6), range(2, 10))[0] == 0.5
 
 
+@pytest.mark.filterwarnings("ignore:p_sym_nondegraded is negative")
 def test_relay_capacity_min_monotone():
+    # growing either good set never lowers the cut-set bound
     rng = np.random.default_rng(97)
     for _ in range(50):
-        args = rng.random(3)
-        base = relay_capacity_min(*args)
-        for i in range(3):
-            bumped = args.copy()
-            bumped[i] += 0.1
-            assert relay_capacity_min(*bumped) >= base
+        amp, phase, extra = (set(np.flatnonzero(rng.random(16) < 0.4))
+                             for _ in range(3))
+        base = relay_rates(16, amp, phase)[0]
+        assert relay_rates(16, amp | extra, phase)[0] >= base
+        assert relay_rates(16, amp, phase | extra)[0] >= base
 
 
 def test_relay_capacity_min_from_set_fractions():
@@ -48,22 +54,27 @@ def test_relay_capacity_min_from_set_fractions():
     n = part.n
     c_12 = set_size(part.good_phase) / n
     c_1d = set_size(part.p2) / n
-    c_2d = relay_private_capacity(part)
-    assert relay_capacity_min(c_12, c_1d, c_2d) == min(c_12, c_1d + c_2d)
+    c_2d = set_size(part.s_in) / n
+    row = rate_report(part)
+    assert row["relay_capacity_min"] == min(c_12, c_1d + c_2d)
+    assert row["relay_private_capacity"] == c_2d
     assert c_1d + c_2d == c_12  # p2 and s_in tile good_phase
 
 
+@pytest.mark.filterwarnings("ignore:p_sym_nondegraded is negative")
 def test_relay_private_capacity_forms():
-    assert relay_private_capacity(make_partition(8, (), range(8))) == 0.0
+    assert relay_rates(8, (), range(8))[1] == 0.0
     part = make_partition(8, range(8), range(3))
-    assert relay_private_capacity(part) == set_size(part.good_phase) / 8
+    assert rate_report(part)["relay_private_capacity"] == set_size(
+        part.good_phase) / 8
     rng = np.random.default_rng(101)
     for _ in range(1000):
         n = 12
         amp = {int(i) for i in np.flatnonzero(rng.random(n) < 0.5)}
         phase = {int(i) for i in np.flatnonzero(rng.random(n) < 0.5)}
         part = make_partition(n, amp, phase)
-        assert relay_private_capacity(part) == set_size(part.s_in) / n
+        assert rate_report(part)["relay_private_capacity"] == (
+            set_size(part.good_phase) - set_size(part.p2)) / n
 
 
 # ---------------------------------------------------------------------------
