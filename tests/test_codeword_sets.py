@@ -129,23 +129,23 @@ def test_partition_validation():
 # Rates
 # ---------------------------------------------------------------------------
 
-def degraded_rates(part):
+def private_rates(part):
     row = rate_report(part)
     return row["p_sym_degraded"], row["p_sym_nondegraded"]
 
 
 def test_p_sym_degraded_extremes():
-    assert degraded_rates(make_partition(8, range(8), range(8)))[0] == 1.0
-    assert degraded_rates(make_partition(8, (), range(8)))[0] == 0.0
+    assert private_rates(make_partition(8, range(8), range(8)))[0] == 1.0
+    assert private_rates(make_partition(8, (), range(8)))[0] == 0.0
 
 
 def test_p_sym_nondegraded_cases():
     # empty b: equals the degraded rate
-    assert degraded_rates(make_partition(8, range(4), range(4, 8))) == (0.0, 0.0)
-    assert degraded_rates(make_partition(8, range(8), range(6))) == (0.75, 0.75)
+    assert private_rates(make_partition(8, range(4), range(4, 8))) == (0.0, 0.0)
+    assert private_rates(make_partition(8, range(8), range(6))) == (0.75, 0.75)
     # all-useless block reports -1
     with pytest.warns(UserWarning, match="p_sym_nondegraded is negative"):
-        assert degraded_rates(make_partition(8, (), ()))[1] == -1.0
+        assert private_rates(make_partition(8, (), ()))[1] == -1.0
 
 
 @pytest.mark.filterwarnings("ignore:p_sym_nondegraded is negative")
