@@ -353,10 +353,54 @@ def _digit_quads():
 
 _QUAD = np.uint64(10000)
 _DIGIT_QUADS = _digit_quads()
-# sign, SIGNIFICANT_DIGITS digits, point and an exponent such as "e-308"
-_FLOAT_WIDTH = SIGNIFICANT_DIGITS + 7
-_FLOAT_CODE = f"%{_FLOAT_WIDTH}.{SIGNIFICANT_DIGITS}g"
 _COMMA, _NEWLINE = ord(","), ord("\n")
+
+# A float cell is three little-endian uint64 words with NUL gaps: the sign
+# and a "0.000" prefix in bytes 0-5, the SIGNIFICANT_DIGITS (12) digits
+# and the point in bytes 6-18, an exponent such as "e-308" in bytes 19-23.
+_FLOAT_WIDTH = 24
+_FLOAT_CODE = f"%{_FLOAT_WIDTH}.{SIGNIFICANT_DIGITS}g"
+# Rows per kernel pass. At 2^16 rows each int64 temporary is 512 KB, which
+# glibc returns to the OS on free, so every pass faults its pages in again.
+_FLOAT_ROWS = 2 ** 14
+# Above 4 * 2^-52 * r for r < 2^40: the error of the scaled value r.
+_SLACK = 2.0 ** -10
+_POW10 = np.array([float(f"1e{k}") for k in range(-300, 301)])
+_U8, _U16, _U32, _U48, _U56 = (np.uint64(s) for s in (8, 16, 32, 48, 56))
+_MINUS = np.uint64(ord("-"))
+
+
+def _float_tables():
+    """The kernel's lookup tables. By decimal exponent x + 324, x = -324..
+    308: the digit-string index of the point (x + 1 for fixed notation
+    with x >= 0, 1 for exponent notation, 13 for none), the digits fixed
+    notation keeps (x + 1), and the prefix and exponent words. By a count
+    c = 0..12 of digit-string bytes, or 13 for all of them: the two words'
+    masks of the first c bytes and of a '.' at byte c. The trailing zeros
+    of 0..9999 as four digits. The small tables are built in Python, as
+    numpy would page in more of its own code than they hold."""
+    xs = range(-324, 309)
+    point = [1 if x < -4 or x >= 12 else 13 if x < 0 else x + 1 for x in xs]
+    digits = [x + 1 if 0 <= x < 12 else 0 for x in xs]
+    prefix = b"".join((b"\0" + b"0.000"[:1 - x] if -4 <= x < 0 else b"")
+                      .ljust(8, b"\0") for x in xs)
+    exponent = b"".join(bytes(8) if -4 <= x < 12 else b"\0\0\0e" + (
+        b"-" if x < 0 else b"+") + (b"\0%02d" if abs(x) < 100 else b"%d")
+        % abs(x) for x in xs)
+    counts = [*range(13), 16]
+    masks = [(b"\xff" * c).ljust(16, b"\0") for c in counts]
+    dots = [(bytes(c) + b".").ljust(16, b"\0")[:16] for c in counts]
+    keep, dot = (np.frombuffer(b"".join(t), dtype=np.uint64).reshape(-1, 2)
+                 .T.copy() for t in (masks, dots))
+    quads = np.arange(10000)
+    zeros = sum(quads % 10 ** p == 0 for p in range(1, 5))
+    return (np.array(point), np.array(digits),
+            *(np.frombuffer(t, dtype=np.uint64) for t in (prefix, exponent)),
+            *keep, *dot, zeros)
+
+
+(_POINT, _FIXED_DIGITS, _PREFIX, _EXPONENT, _KEEP0, _KEEP1, _DOT0, _DOT1,
+ _TRAILING_ZEROS) = _float_tables()
 
 
 def _int_table(values):
@@ -380,19 +424,79 @@ def _int_table(values):
     return data, None
 
 
+def _python_floats(values):
+    """Float64 values formatted by Python's ``%.12g`` as (k, 3) words, the
+    pad spaces turned NUL, as no value contains a space or a NUL."""
+    text = (_FLOAT_CODE * len(values)) % tuple(values.tolist())
+    return np.frombuffer(text.encode("ascii").replace(b" ", b"\0"),
+                         dtype=np.uint64).reshape(len(values), 3)
+
+
+def _float_words(v, out):
+    """``%.12g`` of the float64 array ``v`` into its (len(v), 3) words.
+
+    The exponent e is floor(log10|v|), and r = |v| 10^(11 - e) is reached
+    by two multiplications by correctly rounded powers of ten (the second
+    only past 10^300), so |r - exact| < _SLACK. A lane whose r lies within
+    _SLACK of a half-integer (every exact tie does) or outside [10^11,
+    10^12) by more than _SLACK, and each NaN or infinity, is formatted by
+    ``_python_floats``. Otherwise r rounds like the exact value, to 12
+    digits n, and an n of 10^12 is 10^11 with exponent e + 1; this also
+    holds where r is within _SLACK of a power of ten but the exact value
+    lies on its other side."""
+    finite = np.isfinite(v)
+    a = np.abs(v, out=np.zeros_like(v), where=finite)
+    zero = a == 0
+    e = np.floor(np.log10(a, out=np.zeros_like(a), where=~zero)).astype(
+        np.int64)
+    t = 311 - e   # the index of 10^(11 - e) in _POW10
+    high = np.minimum(t, 600)
+    r = a * _POW10.take(high) * _POW10.take(t - high + 300)
+    n = np.rint(r)
+    exact = ((r >= 1e11 - _SLACK) & (r < 1e12 + _SLACK)
+             & (np.abs(r - n) < 0.5 - _SLACK) | zero) & finite
+    n = n.astype(np.int64)
+    top = n == 10 ** 12
+    n -= top * (9 * 10 ** 11)
+    x = e + top + 324
+    # the 12 digits in three quads; q0 leaves 0..9999 only in lanes that
+    # _python_floats redoes
+    q0 = n // 10 ** 8
+    n -= q0 * 10 ** 8
+    q1 = n // 10 ** 4
+    q2 = n - q1 * 10 ** 4
+    zeros = _TRAILING_ZEROS
+    kept = np.maximum(12 - (zeros.take(q2) + (q2 == 0) * (
+        zeros.take(q1) + (q1 == 0) * zeros.take(q0, mode="clip"))),
+        _FIXED_DIGITS.take(x))
+    point = _POINT.take(x)
+    point[kept <= point] = 13   # no point before nothing
+    # the kept digits as a 16-byte string in w0 and w1; then the '.' goes
+    # in at byte `point` and the bytes from there move up by one
+    w0 = ((_DIGIT_QUADS.take(q0, mode="clip") | _DIGIT_QUADS.take(q1) << _U32)
+          & _KEEP0.take(kept))
+    w1 = _DIGIT_QUADS.take(q2) & _KEEP1.take(kept)
+    low0 = w0 & _KEEP0.take(point)
+    high0 = w0 ^ low0
+    w0 = low0 | _DOT0.take(point) | high0 << _U8
+    low1 = w1 & _KEEP1.take(point)
+    w1 = low1 | _DOT1.take(point) | (w1 ^ low1) << _U8 | high0 >> _U56
+    out[:, 0] = _PREFIX.take(x) | np.signbit(v) * _MINUS | w0 << _U48
+    out[:, 1] = w0 >> _U16 | w1 << _U48
+    out[:, 2] = w1 >> _U16 | _EXPONENT.take(x)
+    slow = np.flatnonzero(~exact)
+    if len(slow):
+        out[slow] = _python_floats(v[slow])
+
+
 def _float_table(values):
-    """Each distinct float64 bit pattern formatted once by ``%.12g`` (so
-    -0.0, 0.0 and NaN stay apart), gathered back to the rows. The
-    conversion pads every value to the widest ``%.12g`` can give, so the
-    text is already a table; the pad spaces become NUL, as no value
-    contains a space or a NUL."""
-    bits, inverse = np.unique(
-        values.astype(np.float64, copy=False).view(np.int64),
-        return_inverse=True)
-    text = (_FLOAT_CODE * len(bits)) % tuple(bits.view(np.float64).tolist())
-    table = np.frombuffer(text.encode("ascii").replace(b" ", b"\0"),
-                          dtype=np.uint8).reshape(len(bits), _FLOAT_WIDTH)
-    return table.take(inverse, axis=0), None
+    """The byte table of a float64 array, ``_FLOAT_WIDTH`` NUL-gapped bytes
+    a row, converted ``_FLOAT_ROWS`` rows at a time by ``_float_words``."""
+    words = np.empty((len(values), 3), dtype=np.uint64)
+    for start in range(0, len(values), _FLOAT_ROWS):
+        stop = start + _FLOAT_ROWS
+        _float_words(values[start:stop], words[start:stop])
+    return words.view(np.uint8)
 
 
 def _padded_cells(data, lengths):
@@ -407,10 +511,10 @@ def _padded_cells(data, lengths):
 def _cell_table(column):
     """The NUL-padded byte table of one block of one column, a (rows,
     width) uint8 array, and the mask of its real bytes, or None when they
-    are exactly its non-NUL bytes. Int64 ranges and int, byte-string and
-    float arrays are converted in numpy; any other column (bool and str
-    arrays, values past int64, lists) goes through ``_format_value`` cell
-    by cell."""
+    are exactly its non-NUL bytes. Int64 ranges and int and byte-string
+    arrays are converted in numpy (float arrays by ``_csv_block``); any
+    other column (bool and str arrays, values past int64, lists) goes
+    through ``_format_value`` cell by cell."""
     if isinstance(column, range) and all(
             _INT64_MIN <= v <= _INT64_MAX
             for v in (column.start, column.step, *column[-1:])):
@@ -421,8 +525,6 @@ def _cell_table(column):
         kind = column.dtype.kind
         if kind == "i" or kind == "u" and column.max() <= _INT64_MAX:
             return _int_table(column)
-        if kind == "f":
-            return _float_table(column)
         if kind == "S":
             column = np.ascontiguousarray(column)
             data = column.view(np.uint8).reshape(len(column),
@@ -440,8 +542,17 @@ def _cell_table(column):
 def _csv_block(columns):
     """One block of rows as a uint8 array: the columns' byte tables side
     by side with ',' and '\n' columns between them, compressed to their
-    real bytes by one boolean mask."""
-    tables = [_cell_table(c) for c in columns]
+    real bytes by one boolean mask. All float arrays among the columns
+    go through one ``_float_table`` call, as its fixed cost is that of a
+    whole column of a small table."""
+    is_float = [isinstance(c, np.ndarray) and c.dtype.kind == "f"
+                for c in columns]
+    floats = [c for c, f in zip(columns, is_float) if f]
+    if floats:
+        floats = iter(np.split(_float_table(
+            np.concatenate(floats, dtype=np.float64)), len(floats)))
+    tables = [(next(floats), None) if f else _cell_table(c)
+              for c, f in zip(columns, is_float)]
     rows = len(tables[0][0])
     parts = []
     for i, (cells, _) in enumerate(tables):

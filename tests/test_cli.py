@@ -16,19 +16,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_csv import csv_bytes_from_columns
+from helpers_csv import csv_bytes_from_columns, format_cell
 from qrelay import cli
+from qrelay.polar_core import polarize
 from qrelay.cli import (COMMANDS, CSV_BLOCK_ROWS, ConfigError,
                         ExperimentConfig, _format_value, _write_csv,
                         build_classical_channel, build_quantum_channel,
                         load_config, main, render_report, run)
 
-# SHA-256 of the k = 20 outputs of polarize on BEC(0.3) and of sets on
-# BEC(0.3)/BEC(0.4), both at beta = 0.35.
+# SHA-256 of the k = 20 outputs of polarize on BEC(0.3) and of sets and
+# capacity on BEC(0.3)/BEC(0.4), and of polarize on BSC(0.11) at k = 5,
+# all at beta = 0.35: the files the benchmark pins.
 POLARIZATION_K20_SHA256 = (
     "0cad72e4d89d1eef6ee87e70c7ea547589356b1577b75b353453e7a471e6b8ea")
 PARTITION_K20_SHA256 = (
     "f9b9c2b282f435c068d9a55092b55499ab51841b97a7ce32e3ccc251a7896659")
+CAPACITY_K20_SHA256 = (
+    "6ecb9e3a3854c36ac6b22d8be2748d2eaaaf5ac538f3ae1de2315969d92af299")
+POLARIZATION_BSC_K5_SHA256 = (
+    "23a01e77ab389c563c49b0acc4698f2d1545dd7a27c313a8bb742013d36ec1ea")
 
 
 def write_config(tmp_path, name, payload):
@@ -499,15 +505,21 @@ def test_render_report_pinned_text(tmp_path, command, payload, body, sha256):
         "data files:", f"  {out['path']}  sha256 {out['sha256'][:12]}"]
 
 
+@pytest.mark.filterwarnings("ignore:p_sym_nondegraded is negative")
 def test_run_k20_outputs_match_pinned_digests(tmp_path):
     cases = (("polarize", polarize_config(
                  tmp_path, channel={"kind": "bec", "epsilon": 0.3}, k=20,
                  beta=0.35), POLARIZATION_K20_SHA256),
              ("sets", dual_config(tmp_path, k=20, beta=0.35),
-              PARTITION_K20_SHA256))
-    for command, path, want in cases:
+              PARTITION_K20_SHA256),
+             ("capacity", dual_config(tmp_path, k=20, beta=0.35),
+              CAPACITY_K20_SHA256),
+             ("polarize", write_config(tmp_path, "bsc.json", {
+                 "channel": {"kind": "bsc", "p": 0.11}, "k": 5,
+                 "beta": 0.35}), POLARIZATION_BSC_K5_SHA256))
+    for i, (command, path, want) in enumerate(cases):
         cfg = load_config(path, command=command,
-                          output_dir=str(tmp_path / command))
+                          output_dir=str(tmp_path / str(i)))
         (entry,) = run(cfg).outputs
         with open(entry["path"], "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == want
@@ -704,6 +716,100 @@ def test_write_csv_matches_row_oracle_property(tmp_path_factory, rows):
     want = csv_bytes_from_columns(("i", "f", "s"), columns)
     assert path.read_bytes() == want
     assert digest == hashlib.sha256(want).hexdigest()
+
+
+def _ulps(values, reach):
+    """Each positive float64 value and its neighbours within ``reach``
+    units in the last place, both signs."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    near = (bits[:, None] + np.arange(-reach, reach + 1)).ravel()
+    near = near[(near >= 0) & (near < 0x7FF0000000000000)].view(np.float64)
+    return np.concatenate([near, -near])
+
+
+def _float_volume_case(name):
+    rng = np.random.default_rng(FLOAT_VOLUME_CASES.index(name))
+    if name == "bit_patterns":
+        bits = rng.integers(-2 ** 63, 2 ** 63 - 1, size=200_000,
+                            dtype=np.int64, endpoint=True)
+        mantissa = rng.integers(1, 2 ** 52, size=20_000, dtype=np.int64)
+        sign = np.int64(-2 ** 63) * rng.integers(0, 2, size=20_000)
+        special = np.array([0.0, -0.0, math.inf, -math.inf]).view(np.int64)
+        return np.concatenate([
+            bits, mantissa | sign,                  # subnormals
+            mantissa | 0x7FF0000000000000 | sign,   # NaN payloads
+            special]).view(np.float64)
+    if name == "decimal_ties":
+        # 13-digit integers ending in 5 over 10^j, exact in binary when
+        # 5^j divides them, and their neighbours
+        j = rng.integers(0, 19, size=20_000)
+        step = 5 ** j
+        odd = 2 * rng.integers(10 ** 12 // (2 * step), 10 ** 13 // (2 * step),
+                               size=len(j)) + 1
+        ties = [odd * step / 10.0 ** j, odd * step * 10.0, odd * 0.5]
+        return _ulps(np.concatenate(ties), 2)
+    if name == "nearest_to_ties":
+        # the doubles nearest 13-digit decimal ties at every exponent, where
+        # the scaled value lies within about an ulp of a half-integer
+        digits = rng.integers(10 ** 11, 10 ** 12, size=20_000) * 10 + 5
+        powers = rng.integers(-310, 296, size=len(digits))
+        return _ulps([float(f"{d}e{p}") for d, p in
+                      zip(digits.tolist(), powers.tolist())], 2)
+    if name == "powers_of_ten":
+        return _ulps([float(f"1e{k}") for k in range(-323, 309)], 1)
+    if name == "g_switch_points":
+        return _ulps([1e-5, 1e-4, 1e11, 1e12], 2000)
+    if name == "round_up_to_1e12":
+        return _ulps([float(f"9.999999999999{d}e{k}") for d in range(5, 10)
+                      for k in range(-309, 308)], 3)
+    if name == "float32":
+        return rng.integers(0, 2 ** 32, size=100_000,
+                            dtype=np.uint32).view(np.float32)
+    if name == "integers":
+        return rng.integers(0, 10 ** 13, size=100_000).astype(np.float64)
+    return rng.random(100_000) * 10.0 ** rng.integers(-320, 309, 100_000)
+
+
+FLOAT_VOLUME_CASES = ("bit_patterns", "decimal_ties", "nearest_to_ties",
+                      "powers_of_ten", "g_switch_points", "round_up_to_1e12",
+                      "float32", "integers", "spread_exponents")
+
+
+@pytest.mark.parametrize("name", FLOAT_VOLUME_CASES)
+def test_float_cells_match_oracle_in_volume(name):
+    column = _float_volume_case(name)
+    with np.errstate(invalid="ignore"):   # float32 signaling NaNs, cast
+        text = cli._csv_block([column]).tobytes().decode("ascii")
+    assert text.split("\n")[:-1] == [format_cell(v) for v in column.tolist()]
+
+
+def test_python_formats_under_one_percent_of_bec_k20_lanes(monkeypatch):
+    z = polarize(build_classical_channel({"kind": "bec", "epsilon": 0.3}),
+                 20).z
+    lanes = []
+    original = cli._python_floats
+    monkeypatch.setattr(cli, "_python_floats",
+                        lambda v: lanes.append(len(v)) or original(v))
+    for start in range(0, len(z), CSV_BLOCK_ROWS):
+        cli._csv_block([z[start:start + CSV_BLOCK_ROWS]])
+    assert sum(lanes) < 0.01 * len(z)
+
+
+def test_sweep_shaped_block_makes_one_kernel_pass(monkeypatch):
+    # nine float columns of 99 rows, as in sweep.csv, and an int column
+    rng = np.random.default_rng(0)
+    columns = [np.linspace(0.01, 0.99, 99)] + [
+        rng.random(99) * 10.0 ** rng.integers(-8, 3, 99) for _ in range(8)]
+    columns.append(np.arange(99))
+    calls = []
+    original = cli._float_words
+    monkeypatch.setattr(cli, "_float_words", lambda v, out: (
+        calls.append(len(v)) or original(v, out)))
+    data = cli._csv_block(columns)
+    assert calls == [9 * 99]
+    header = tuple(f"c{i}" for i in range(len(columns)))
+    want = csv_bytes_from_columns(header, columns)
+    assert data.tobytes() == want[want.index(b"\n") + 1:]
 
 
 def test_write_csv_rejects_ragged_columns(tmp_path):
