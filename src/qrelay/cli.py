@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import json
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -285,9 +286,9 @@ def load_config(path, command: Optional[str] = None,
         violations.append(f"output_dir must be a string, got {cfg.output_dir!r}")
     if cfg.k is not None and (not _is_int(cfg.k) or not 1 <= cfg.k <= 20):
         violations.append(f"k must be an integer in [1, 20], got {cfg.k!r}")
-    # trial indices fill one 64-bit counter word of the Philox stream
-    if not _is_int(cfg.trials) or not 1 <= cfg.trials <= 2 ** 64:
-        violations.append(f"trials must be an integer in [1, 2^64], "
+    # a uint64 count, as trial indices fill a 64-bit Philox counter word
+    if not _is_int(cfg.trials) or not 1 <= cfg.trials < 2 ** 64:
+        violations.append(f"trials must be an integer in [1, 2^64 - 1], "
                           f"got {cfg.trials!r}")
     for name, upper in (("beta", 0.5), ("p_e2", 1.0), ("p", 1.0)):
         val = getattr(cfg, name)
@@ -327,19 +328,6 @@ def load_config(path, command: Optional[str] = None,
 # Command implementations
 # ---------------------------------------------------------------------------
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.{SIGNIFICANT_DIGITS}g}"
-    if isinstance(v, bytes):   # as its UTF-8 text, like an S array cell
-        return v.decode("utf-8")
-    return str(v)
-
-
-_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-
-
 def _digit_quads():
     """The four ASCII digits of 0..9999 as one uint32 word each: indices
     0..9999 zero-padded (a quad below a value's leading one), 10000..19999
@@ -353,14 +341,13 @@ def _digit_quads():
 
 _QUAD = np.uint64(10000)
 _DIGIT_QUADS = _digit_quads()
-_COMMA, _NEWLINE = ord(","), ord("\n")
 
 # A float cell is three little-endian uint64 words with NUL gaps: the sign
 # and a "0.000" prefix in bytes 0-5, the SIGNIFICANT_DIGITS (12) digits
 # and the point in bytes 6-18, an exponent such as "e-308" in bytes 19-23.
 _FLOAT_WIDTH = 24
 _FLOAT_CODE = f"%{_FLOAT_WIDTH}.{SIGNIFICANT_DIGITS}g"
-# Rows per kernel pass. At 2^16 rows each int64 temporary is 512 KB, which
+# Values per kernel pass. At 2^16 each int64 temporary is 512 KB, which
 # glibc returns to the OS on free, so every pass faults its pages in again.
 _FLOAT_ROWS = 2 ** 14
 # Above 4 * 2^-52 * r for r < 2^40: the error of the scaled value r.
@@ -403,14 +390,16 @@ def _float_tables():
  _TRAILING_ZEROS) = _float_tables()
 
 
-def _int_table(values):
-    """Decimal digits of an int array whose values fit int64, by numpy
-    arithmetic four at a time from ``_DIGIT_QUADS``, right-aligned and
-    NUL-padded, with a '-' before the first digit of negative values."""
-    values = values.astype(np.int64, copy=False)
-    magnitude = np.abs(values).view(np.uint64)   # 2^63 for int64 min
-    quads = -(-len(str(int(magnitude.max()))) // 4)
-    words = np.zeros((len(values), quads + 1), dtype=np.uint32)
+def _int_cells(values, cells):
+    """Decimal digits of an int array into ``cells``, the zeroed (rows, 4 +
+    4 * quads) bytes of its slot, by numpy arithmetic four at a time from
+    ``_DIGIT_QUADS`` on uint64 magnitudes: right-aligned and NUL-padded,
+    with a '-' before the first digit of negative values."""
+    signed = values.dtype.kind == "i"
+    magnitude = (np.abs(values.astype(np.int64, copy=False)).view(np.uint64)
+                 if signed else values.astype(np.uint64, copy=False))
+    words = cells.view(np.uint32)   # word 0 holds only the sign byte
+    quads = words.shape[1] - 1
     for quad in range(quads, 0, -1):
         high = magnitude // _QUAD    # far faster than np.divmod
         index = magnitude - high * _QUAD + _QUAD * (high == 0)
@@ -418,10 +407,9 @@ def _int_table(values):
             index += _QUAD * (magnitude == 0)
         words[:, quad] = _DIGIT_QUADS.take(index)
         magnitude = high
-    data = words.view(np.uint8)[:, 3:]   # the sign byte, then the digits
-    rows = np.flatnonzero(values < 0)
-    data[rows, (data[rows] != 0).argmax(axis=1) - 1] = ord("-")
-    return data, None
+    if signed:
+        rows = np.flatnonzero(values < 0)
+        cells[rows, (cells[rows] != 0).argmax(axis=1) - 1] = ord("-")
 
 
 def _python_floats(values):
@@ -433,7 +421,8 @@ def _python_floats(values):
 
 
 def _float_words(v, out):
-    """``%.12g`` of the float64 array ``v`` into its (len(v), 3) words.
+    """``%.12g`` of the float64 array ``v`` into ``out``, three words per
+    value (shape ``v.shape + (3,)``).
 
     The exponent e is floor(log10|v|), and r = |v| 10^(11 - e) is reached
     by two multiplications by correctly rounded powers of ten (the second
@@ -481,91 +470,74 @@ def _float_words(v, out):
     w0 = low0 | _DOT0.take(point) | high0 << _U8
     low1 = w1 & _KEEP1.take(point)
     w1 = low1 | _DOT1.take(point) | (w1 ^ low1) << _U8 | high0 >> _U56
-    out[:, 0] = _PREFIX.take(x) | np.signbit(v) * _MINUS | w0 << _U48
-    out[:, 1] = w0 >> _U16 | w1 << _U48
-    out[:, 2] = w1 >> _U16 | _EXPONENT.take(x)
-    slow = np.flatnonzero(~exact)
-    if len(slow):
+    out[..., 0] = _PREFIX.take(x) | np.signbit(v) * _MINUS | w0 << _U48
+    out[..., 1] = w0 >> _U16 | w1 << _U48
+    out[..., 2] = w1 >> _U16 | _EXPONENT.take(x)
+    slow = np.nonzero(~exact)
+    if len(slow[0]):
         out[slow] = _python_floats(v[slow])
 
 
-def _float_table(values):
-    """The byte table of a float64 array, ``_FLOAT_WIDTH`` NUL-gapped bytes
-    a row, converted ``_FLOAT_ROWS`` rows at a time by ``_float_words``."""
-    words = np.empty((len(values), 3), dtype=np.uint64)
-    for start in range(0, len(values), _FLOAT_ROWS):
-        stop = start + _FLOAT_ROWS
-        _float_words(values[start:stop], words[start:stop])
-    return words.view(np.uint8)
+def _byte_cells(column, cells):
+    """A byte-string array into the (rows, itemsize) bytes of its slot. A
+    NUL byte before another byte of its cell would be dropped as padding,
+    so it raises ValueError."""
+    cells.view(column.dtype)[:, 0] = column
+    nul = np.ascontiguousarray(column).view(np.uint8) == 0
+    inner = nul[:-1] > nul[1:]    # a NUL, then a non-NUL byte
+    inner[column.itemsize - 1::column.itemsize] = False   # pairs across cells
+    if inner.any():
+        raise ValueError("a byte-string cell holds a NUL byte")
 
 
-def _padded_cells(data, lengths):
-    """A left-aligned NUL-padded table with the ``lengths`` of its cells:
-    no mask when every NUL byte is padding, else the mask of each cell's
-    bytes."""
-    if np.count_nonzero(data) == lengths.sum():
-        return data, None
-    return data, np.arange(data.shape[1]) < lengths[:, None]
-
-
-def _cell_table(column):
-    """The NUL-padded byte table of one block of one column, a (rows,
-    width) uint8 array, and the mask of its real bytes, or None when they
-    are exactly its non-NUL bytes. Int64 ranges and int and byte-string
-    arrays are converted in numpy (float arrays by ``_csv_block``); any
-    other column (bool and str arrays, values past int64, lists) goes
-    through ``_format_value`` cell by cell."""
-    if isinstance(column, range) and all(
-            _INT64_MIN <= v <= _INT64_MAX
-            for v in (column.start, column.step, *column[-1:])):
-        # from its exact length: np.arange sizes by float division, and
-        # turns float64 when the stop passes int64
-        column = column.start + column.step * np.arange(len(column))
-    if isinstance(column, np.ndarray):
-        kind = column.dtype.kind
-        if kind == "i" or kind == "u" and column.max() <= _INT64_MAX:
-            return _int_table(column)
-        if kind == "S":
-            column = np.ascontiguousarray(column)
-            data = column.view(np.uint8).reshape(len(column),
-                                                 column.dtype.itemsize)
-            return _padded_cells(data, np.char.str_len(column))
-        column = column.tolist()
-    cells = [_format_value(v).encode("utf-8") for v in column]
-    lengths = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
-    width = int(lengths.max(initial=0))
-    text = b"".join(c.ljust(width, b"\0") for c in cells)
-    data = np.frombuffer(text, dtype=np.uint8).reshape(len(cells), width)
-    return _padded_cells(data, lengths)
-
-
-def _csv_block(columns):
-    """One block of rows as a uint8 array: the columns' byte tables side
-    by side with ',' and '\n' columns between them, compressed to their
-    real bytes by one boolean mask. All float arrays among the columns
-    go through one ``_float_table`` call, as its fixed cost is that of a
-    whole column of a small table."""
-    is_float = [isinstance(c, np.ndarray) and c.dtype.kind == "f"
-                for c in columns]
-    floats = [c for c, f in zip(columns, is_float) if f]
-    if floats:
-        floats = iter(np.split(_float_table(
-            np.concatenate(floats, dtype=np.float64)), len(floats)))
-    tables = [(next(floats), None) if f else _cell_table(c)
-              for c, f in zip(columns, is_float)]
-    rows = len(tables[0][0])
-    parts = []
-    for i, (cells, _) in enumerate(tables):
-        sep = _NEWLINE if i == len(tables) - 1 else _COMMA
-        parts += [cells, np.full((rows, 1), sep, dtype=np.uint8)]
-    block = np.concatenate(parts, axis=1)
-    keep = block != 0
-    start = 0
-    for cells, real in tables:
-        if real is not None:
-            keep[:, start:start + cells.shape[1]] = real
-        start += cells.shape[1] + 1
-    return block[keep]
+def _csv_block(columns) -> bytearray:
+    """One block of rows as CSV bytes from ranges within int64 and int,
+    float and byte-string arrays. Each column's kernel fills its slot of
+    one zeroed (rows, width) uint8 array in place, and one ``translate``
+    drops the NUL padding. Adjacent float slots lie 32 bytes apart, so a
+    run of float columns takes one ``_float_words`` call per
+    ``_FLOAT_ROWS`` values, as its fixed cost is that of a small table's
+    column."""
+    rows = len(columns[0])
+    slots, end = [], 0
+    for column in columns:
+        if isinstance(column, range):
+            if not all(-2 ** 63 <= v < 2 ** 63
+                       for v in (column.start, column.step, column[-1])):
+                raise ValueError(f"{column} passes int64")
+            # from its exact length: np.arange sizes by float division
+            column = column.start + column.step * np.arange(len(column))
+        kind = getattr(column, "dtype", np.dtype(object)).kind
+        if kind == "f":
+            start, size = -(-end // 8) * 8, _FLOAT_WIDTH
+        elif kind == "S":
+            start, size = end, column.itemsize
+        elif kind in "iu":
+            top = max(int(column.max()), -int(column.min()))
+            start, size = -(-end // 4) * 4, 4 + 4 * -(-len(str(top)) // 4)
+        else:
+            raise TypeError(f"cannot write a {type(column).__name__} column "
+                            f"of kind {kind!r}")
+        slots.append((kind, column, start, size))
+        end = start + size + 1
+    buf = bytearray(rows * -(-end // 8) * 8)   # translated with no copy
+    block = np.frombuffer(buf, dtype=np.uint8).reshape(rows, -1)
+    block[:, [start + size for *_, start, size in slots]] = ord(",")
+    block[:, end - 1] = ord("\n")
+    for kind, run in itertools.groupby(slots, key=lambda slot: slot[0]):
+        run = list(run)
+        if kind == "f":
+            v = np.stack([slot[1] for slot in run], axis=1, dtype=np.float64)
+            first, step = run[0][2], max(1, _FLOAT_ROWS // len(run))
+            out = block[:, first:first + 32 * len(run)].view(
+                np.uint64).reshape(rows, len(run), 4)[..., :3]
+            for i in range(0, rows, step):
+                _float_words(v[i:i + step], out[i:i + step])
+        else:
+            for _, column, start, size in run:
+                (_byte_cells if kind == "S" else _int_cells)(
+                    column, block[:, start:start + size])
+    return buf.translate(None, b"\0")
 
 
 def _create(path: Path, mode: str, **kwargs):
@@ -579,19 +551,41 @@ def _create(path: Path, mode: str, **kwargs):
 
 def _write_csv(path: Path, header, columns) -> str:
     """Write a CSV from equal-length columns, CSV_BLOCK_ROWS rows at a
-    time, and return the SHA-256 of the bytes written."""
+    time, and return the SHA-256 of the bytes written. Each block but the
+    last is hashed and written on a background thread (both release the
+    GIL) while the next one is built, so a one-block table starts none."""
     rows = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(len(c) != rows for c in columns):
         raise ValueError("need one equal-length column per header field")
-    digest = hashlib.sha256()
-    with _create(path, "wb") as fh:
-        blocks = itertools.chain(
-            [(",".join(header) + "\n").encode("utf-8")],
-            (_csv_block([c[start:start + CSV_BLOCK_ROWS] for c in columns])
-             for start in range(0, rows, CSV_BLOCK_ROWS)))
-        for data in blocks:
+    digest, failed, writer = hashlib.sha256(), [], None
+
+    def sink(data):
+        try:
             digest.update(data)
             fh.write(data)
+        except BaseException as exc:   # raised again below
+            failed.append(exc)
+
+    with _create(path, "wb") as fh:
+        sink((",".join(header) + "\n").encode("utf-8"))
+        try:
+            for start in range(0, rows, CSV_BLOCK_ROWS):
+                data = _csv_block([c[start:start + CSV_BLOCK_ROWS]
+                                   for c in columns])
+                if writer:   # one block in flight keeps the bytes in order
+                    writer.join()
+                if failed:
+                    break
+                if start + CSV_BLOCK_ROWS < rows:
+                    writer = threading.Thread(target=sink, args=(data,))
+                    writer.start()
+                else:
+                    sink(data)
+        finally:
+            if writer:
+                writer.join()
+    if failed:
+        raise failed[0]
     return digest.hexdigest()
 
 
@@ -628,16 +622,17 @@ RELAY_SIM_HEADER = ("p_e2", "trials", "successes", "rate",
 def _cmd_capacity(cfg: ExperimentConfig):
     row = rate_report(_partition_from_config(cfg))
     return ([("capacity.csv", CAPACITY_HEADER,
-              [[row[key]] for key in CAPACITY_HEADER])], row)
+              [np.array([row[key]]) for key in CAPACITY_HEADER])], row)
 
 
 def _cmd_relay_sim(cfg: ExperimentConfig):
     part = _partition_from_config(cfg)
     spec = RelayChannelSpec(p_e2=cfg.p_e2, partition=part)
     result = simulate_relay(spec, cfg.trials, cfg.seed)
-    rows = simulation_rows(spec, result)
-    return ([("relay_sim.csv", RELAY_SIM_HEADER, list(zip(*rows)))],
-            {**class_sizes(part), **dict(zip(RELAY_SIM_HEADER, rows[0]))})
+    (row,) = simulation_rows(spec, result)
+    return ([("relay_sim.csv", RELAY_SIM_HEADER,
+              [np.array([v]) for v in row])],
+            {**class_sizes(part), **dict(zip(RELAY_SIM_HEADER, row))})
 
 
 SWEEP_HEADER = ("p", "i_coh_joint", "term_mm", "term_me", "term_em",
@@ -666,7 +661,7 @@ def _switch_sweep(cfg: ExperimentConfig, p, name: str):
     columns = np.broadcast_arrays(
         p, report.i_coh_joint, *(branches.terms[key] for key in BRANCH_KEYS),
         report.bound_2p1p, comparison.b, comparison.b_star,
-        comparison.advantage)
+        np.where(comparison.advantage, b"true", b"false"))
     return [(name, SWEEP_HEADER, columns)], counters
 
 
@@ -736,6 +731,10 @@ def run(cfg: ExperimentConfig) -> RunManifest:
 # Reporting
 # ---------------------------------------------------------------------------
 
+def _report_value(v) -> str:
+    return f"{v:.{SIGNIFICANT_DIGITS}g}" if isinstance(v, float) else str(v)
+
+
 def render_report(manifest: RunManifest) -> str:
     """Plain-text summary of a finished run."""
     lines = [f"qrelay {manifest.command} (v{manifest.version}, "
@@ -760,16 +759,15 @@ def render_report(manifest: RunManifest) -> str:
     elif manifest.command in ("capacity", "relay-sim"):
         header = (CAPACITY_HEADER if manifest.command == "capacity"
                   else RELAY_SIM_HEADER)
-        for key in header:
-            lines.append(f"  {key} = {_format_value(counts[key])}")
+        lines += [f"  {key} = {_report_value(counts[key])}" for key in header]
     elif manifest.command in ("superactivate", "sweep"):
         if counts["bound_2p1p_at_half"] is not None:
             lines.append(f"  at p = 0.5: bound_2p1p = "
-                         f"{_format_value(counts['bound_2p1p_at_half'])} "
+                         f"{_report_value(counts['bound_2p1p_at_half'])} "
                          f"(half the main coherent information)")
         if counts["advantage_flip_p"] is not None:
             lines.append(f"  advantage flips at p = "
-                         f"{_format_value(counts['advantage_flip_p'])}")
+                         f"{_report_value(counts['advantage_flip_p'])}")
         lines.append(f"  rows = {counts['p_points']}")
     lines.append("data files:")
     for entry in manifest.outputs:

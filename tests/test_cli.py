@@ -1,12 +1,14 @@
 """Tests for config loading, the experiment runner, and reproducibility."""
 
 import dataclasses
+import errno
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -20,7 +22,7 @@ from helpers_csv import csv_bytes_from_columns, format_cell
 from qrelay import cli
 from qrelay.polar_core import polarize
 from qrelay.cli import (COMMANDS, CSV_BLOCK_ROWS, ConfigError,
-                        ExperimentConfig, _format_value, _write_csv,
+                        ExperimentConfig, _write_csv,
                         build_classical_channel, build_quantum_channel,
                         load_config, main, render_report, run)
 
@@ -83,15 +85,17 @@ def test_load_config_rejects_zero_trials(tmp_path):
 
 
 def test_load_config_rejects_trials_past_the_counter_space(tmp_path):
-    # trial indices fill one 64-bit counter word: 2^64 trials fit, and a
-    # larger count used to loop for hours before the stream raised
-    path = dual_config(tmp_path, p_e2=0.3, trials=2 ** 64)
-    assert load_config(path, command="relay-sim").trials == 2 ** 64
-    path = dual_config(tmp_path, p_e2=0.3, trials=2 ** 64 + 5)
-    with pytest.raises(ConfigError) as err:
-        load_config(path, command="relay-sim")
-    assert err.value.violations == [
-        f"trials must be an integer in [1, 2^64], got {2 ** 64 + 5}"]
+    # trial indices fill one 64-bit counter word and the count is a uint64
+    # CSV cell: 2^64 - 1 trials fit, and a larger count used to loop for
+    # hours before the stream raised
+    path = dual_config(tmp_path, p_e2=0.3, trials=2 ** 64 - 1)
+    assert load_config(path, command="relay-sim").trials == 2 ** 64 - 1
+    for trials in (2 ** 64, 2 ** 64 + 5):
+        path = dual_config(tmp_path, p_e2=0.3, trials=trials)
+        with pytest.raises(ConfigError) as err:
+            load_config(path, command="relay-sim")
+        assert err.value.violations == [
+            f"trials must be an integer in [1, 2^64 - 1], got {trials}"]
 
 
 def test_load_config_collects_all_violations(tmp_path):
@@ -412,7 +416,7 @@ def test_manifest_counters_match_outputs(tmp_path):
     manifest = run(cfg)
     header, row = _csv_row(manifest.outputs[0]["path"])
     assert list(manifest.counters) == header
-    assert [_format_value(manifest.counters[key]) for key in header] == row
+    assert [format_cell(manifest.counters[key]) for key in header] == row
     assert {key: manifest.counters[key] for key in sizes} == sizes
     assert manifest.counters["n"] == 256
 
@@ -423,7 +427,7 @@ def test_manifest_counters_match_outputs(tmp_path):
     header, row = _csv_row(manifest.outputs[0]["path"])
     assert set(manifest.counters) == {"n", *sizes, *header}
     assert {key: manifest.counters[key] for key in sizes} == sizes
-    assert [_format_value(manifest.counters[key]) for key in header] == row
+    assert [format_cell(manifest.counters[key]) for key in header] == row
     assert manifest.counters["trials"] == 5000
     assert manifest.counters["successes"] == int(row[2])
 
@@ -439,7 +443,7 @@ def test_manifest_counters_match_outputs(tmp_path):
     assert manifest.counters == {
         "p_points": 99, "main_kraus": 2, "main_in_dim": 2, "main_out_dim": 2,
         "coherent_information_calls": 5, "advantage_flip_p": 0.5}
-    assert _format_value(bound) == mid[0][6]
+    assert format_cell(bound) == mid[0][6]
 
 
 def _csv_row(path):
@@ -626,14 +630,13 @@ SPECIAL_FLOATS = [0.0, 1.0, 5e-324, 1e-300, 0.1 + 0.2, 1.0 - 2.0 ** -53,
 def _writer_columns(rows, rng):
     floats = rng.random(rows) * 10.0 ** rng.integers(-320, 300, size=rows)
     floats[:min(rows, len(SPECIAL_FLOATS))] = SPECIAL_FLOATS[:rows]
-    mixed = [(True, 7, 0.25, "x", None)[i % 5] for i in range(rows)]
     return (np.arange(rows), rng.integers(-2 ** 62, 2 ** 62, size=rows),
             np.arange(rows, dtype=np.uint8), floats, rng.random(rows),
-            rng.random(rows).astype(np.float32), rng.random(rows) < 0.5,
-            np.where(rng.random(rows) < 0.5, "good", "bad"),
+            rng.random(rows).astype(np.float32),
+            rng.integers(2 ** 63, 2 ** 64, size=rows, dtype=np.uint64),
+            np.where(rng.random(rows) < 0.5, b"true", b"false"),
             np.where(rng.random(rows) < 0.5, b"good", b"bad"),
-            range(rows), range(-rows, 3 * rows, 4),
-            [float(v) for v in rng.random(rows)], mixed)
+            range(rows), range(-rows, 3 * rows, 4))
 
 
 @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
@@ -651,7 +654,7 @@ def test_write_csv_matches_row_oracle(tmp_path, rows):
 
 NAN_PAYLOAD = np.array([0x7FF8000000000123], dtype=np.int64).view(np.float64)
 
-# Columns that take the writer's fallbacks or the edges of its numpy paths.
+# Columns at the edges of the writer's kernels, and columns it rejects.
 EDGE_COLUMNS = {
     "non_ascii_str": np.array(["\u00e9", "\u65e5\u672c", "", "plain"]),
     "empty_str": np.array(["", "", "x", ""]),
@@ -677,6 +680,14 @@ EDGE_COLUMNS = {
     "range_stop_below_int64": range(-2 ** 63 + 2 ** 17, -2 ** 63 - 1, -1),
     "range_past_int64": range(2 ** 63 - 2 ** 16 - 4, 2 ** 63 + 4),
 }
+# The writer converts only ranges within int64 and int, float and
+# byte-string arrays; a NUL byte inside a byte-string cell would be
+# dropped as padding.
+REJECTED_COLUMNS = {
+    "non_ascii_str": TypeError, "empty_str": TypeError, "nul_str": TypeError,
+    "nul_list": TypeError, "bytes_list": TypeError, "bool": TypeError,
+    "nul_bytes": ValueError, "range_past_int64": ValueError,
+}
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_COLUMNS))
@@ -695,6 +706,10 @@ def test_write_csv_edge_columns_match_row_oracle(tmp_path, name, rows):
         column = tiled
     columns = (column, np.arange(rows))
     path = tmp_path / "edge.csv"
+    if name in REJECTED_COLUMNS:
+        with pytest.raises(REJECTED_COLUMNS[name]):
+            _write_csv(path, ("c", "i"), columns)
+        return
     digest = _write_csv(path, ("c", "i"), columns)
     want = csv_bytes_from_columns(("c", "i"), columns)
     assert path.read_bytes() == want
@@ -710,8 +725,14 @@ def test_write_csv_edge_columns_match_row_oracle(tmp_path, name, rows):
 def test_write_csv_matches_row_oracle_property(tmp_path_factory, rows):
     ints, floats, strs = zip(*rows)
     columns = (np.array(ints, dtype=np.int64),
-               np.array(floats, dtype=np.float64), np.array(strs))
+               np.array(floats, dtype=np.float64),
+               np.array([s.encode() for s in strs], dtype="S"))
     path = tmp_path_factory.getbasetemp() / "property.csv"
+    # an S array drops trailing NULs, so a NUL left is inside its cell
+    if any(b"\0" in s for s in columns[2].tolist()):
+        with pytest.raises(ValueError, match="NUL"):
+            _write_csv(path, ("i", "f", "s"), columns)
+        return
     digest = _write_csv(path, ("i", "f", "s"), columns)
     want = csv_bytes_from_columns(("i", "f", "s"), columns)
     assert path.read_bytes() == want
@@ -779,7 +800,7 @@ FLOAT_VOLUME_CASES = ("bit_patterns", "decimal_ties", "nearest_to_ties",
 def test_float_cells_match_oracle_in_volume(name):
     column = _float_volume_case(name)
     with np.errstate(invalid="ignore"):   # float32 signaling NaNs, cast
-        text = cli._csv_block([column]).tobytes().decode("ascii")
+        text = cli._csv_block([column]).decode("ascii")
     assert text.split("\n")[:-1] == [format_cell(v) for v in column.tolist()]
 
 
@@ -804,12 +825,98 @@ def test_sweep_shaped_block_makes_one_kernel_pass(monkeypatch):
     calls = []
     original = cli._float_words
     monkeypatch.setattr(cli, "_float_words", lambda v, out: (
-        calls.append(len(v)) or original(v, out)))
+        calls.append(v.size) or original(v, out)))
     data = cli._csv_block(columns)
     assert calls == [9 * 99]
     header = tuple(f"c{i}" for i in range(len(columns)))
     want = csv_bytes_from_columns(header, columns)
-    assert data.tobytes() == want[want.index(b"\n") + 1:]
+    assert data == want[want.index(b"\n") + 1:]
+
+
+def _three_block_columns(rng):
+    """Range, int64, uint64 >= 2^63, float and byte-string columns of 2 *
+    CSV_BLOCK_ROWS + 1 rows: two blocks go to the background thread."""
+    rows = 2 * CSV_BLOCK_ROWS + 1
+    return (range(-5, rows - 5), rng.integers(-2 ** 63, 2 ** 63, size=rows),
+            rng.integers(2 ** 63, 2 ** 64, size=rows, dtype=np.uint64),
+            rng.random(rows) * 10.0 ** rng.integers(-9, 9, size=rows),
+            np.where(rng.random(rows) < 0.5, b"S_in", b"B"))
+
+
+def test_write_csv_multi_block_table_matches_row_oracle(tmp_path):
+    columns = _three_block_columns(np.random.default_rng(7))
+    header = tuple(f"c{i}" for i in range(len(columns)))
+    threads = threading.active_count()
+    path = tmp_path / "three.csv"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads as often as possible
+    try:
+        digest = _write_csv(path, header, columns)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    data = path.read_bytes()
+    assert data == csv_bytes_from_columns(header, columns)
+    assert digest == hashlib.sha256(data).hexdigest()
+
+
+def test_write_csv_one_block_table_starts_no_thread(tmp_path, monkeypatch):
+    started = []
+    thread = threading.Thread
+    monkeypatch.setattr(threading, "Thread", lambda *args, **kwargs: (
+        started.append(kwargs) or thread(*args, **kwargs)))
+    for rows, threads in ((1, 0), (CSV_BLOCK_ROWS, 0),
+                          (CSV_BLOCK_ROWS + 1, 1)):
+        _write_csv(tmp_path / "t.csv", ("i", "f"),
+                   (range(rows), np.arange(rows) / 7))
+        assert len(started) == threads
+        started.clear()
+
+
+class _DiskFullAfter:
+    """An open file whose writes after the first ``writes`` raise ENOSPC."""
+
+    def __init__(self, fh, writes):
+        self.fh, self.writes = fh, writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if self.writes == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.writes -= 1
+        return self.fh.write(data)
+
+
+# the header, then blocks 1 and 2 on the background thread, block 3 inline
+@pytest.mark.parametrize("writes", [0, 1, 2, 3])
+def test_write_csv_raises_a_failed_write(tmp_path, monkeypatch, writes):
+    monkeypatch.setattr(cli, "_create", lambda path, mode: _DiskFullAfter(
+        open(path, mode), writes))
+    columns = _three_block_columns(np.random.default_rng(writes))
+    threads = threading.active_count()
+    with pytest.raises(OSError) as err:
+        _write_csv(tmp_path / "full.csv", tuple("abcde"), columns)
+    assert err.value.errno == errno.ENOSPC
+    assert threading.active_count() == threads
+
+
+def test_main_exits_3_on_a_failed_background_write(tmp_path, capsys,
+                                                   monkeypatch):
+    # polarize at k = 17 writes two blocks, the first on the thread
+    monkeypatch.setattr(cli, "_create", lambda path, mode, **kwargs: (
+        _DiskFullAfter(open(path, mode, **kwargs), 1)))
+    threads = threading.active_count()
+    rc = main(["polarize", "--config", polarize_config(tmp_path, k=17),
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"runtime error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    assert threading.active_count() == threads
 
 
 def test_write_csv_rejects_ragged_columns(tmp_path):
