@@ -23,8 +23,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .codeword_sets import (build_partition, class_sizes, from_polarizations,
-                            partition_rows, rate_report, set_size)
+from .codeword_sets import (build_partition, class_sizes, partition_rows,
+                            rate_report, set_size)
 from .density_ops import (KrausChannel, bit_flip_channel, compose_channels,
                           dephasing_channel, depolarizing_channel,
                           erasure_channel, identity_channel)
@@ -34,11 +34,12 @@ from .superactivation import (BRANCH_KEYS, MAX_BRANCH_BYTES, P_GRID,
                               branch_bytes, branch_terms, compare_assisted,
                               make_rho_ac, switch_report)
 # Not called here: bound for the span names of the benchmark's TRACE_POINTS.
+from .codeword_sets import from_polarizations  # noqa: F401
 from .superactivation import (build_switch_channel,  # noqa: F401
                               joint_coherent_info)
 
 SIGNIFICANT_DIGITS = 12
-CSV_BLOCK_ROWS = 2 ** 16
+CSV_BLOCK_ROWS = 2 ** 15
 
 
 class ConfigError(Exception):
@@ -444,6 +445,7 @@ def _float_words(v, out):
     n = np.rint(r)
     exact = ((r >= 1e11 - _SLACK) & (r < 1e12 + _SLACK)
              & (np.abs(r - n) < 0.5 - _SLACK) | zero) & finite
+    del a, t, high, r
     n = n.astype(np.int64)
     top = n == 10 ** 12
     n -= top * (9 * 10 ** 11)
@@ -550,10 +552,10 @@ def _create(path: Path, mode: str, **kwargs):
 
 
 def _write_csv(path: Path, header, columns) -> str:
-    """Write a CSV from equal-length columns, CSV_BLOCK_ROWS rows at a
-    time, and return the SHA-256 of the bytes written. Each block but the
-    last is hashed and written on a background thread (both release the
-    GIL) while the next one is built, so a one-block table starts none."""
+    """Write a CSV from equal-length columns, sliced CSV_BLOCK_ROWS rows
+    at a time, and return the SHA-256 of its bytes; on failure no file is
+    left. Each block but the last is hashed and written on a background
+    thread (both release the GIL) while the next is built."""
     rows = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(len(c) != rows for c in columns):
         raise ValueError("need one equal-length column per header field")
@@ -581,26 +583,30 @@ def _write_csv(path: Path, header, columns) -> str:
                     writer.start()
                 else:
                     sink(data)
+                del data   # the thread's reference alone keeps the block
+        except BaseException as exc:   # a block that cannot be built
+            failed.append(exc)
         finally:
             if writer:
                 writer.join()
     if failed:
+        path.unlink(missing_ok=True)   # no partial table is left at path
         raise failed[0]
     return digest.hexdigest()
 
 
 def _partition_from_config(cfg: ExperimentConfig):
-    pr_amp = polarize(build_classical_channel(cfg.amp_channel), cfg.k)
-    pr_phase = polarize(build_classical_channel(cfg.phase_channel), cfg.k)
-    return build_partition(from_polarizations(pr_amp, pr_phase, cfg.beta))
+    # each z vector is dropped for its good mask before the next is built
+    return build_partition([select_sets(polarize(
+        build_classical_channel(spec), cfg.k), cfg.beta)
+        for spec in (cfg.amp_channel, cfg.phase_channel)])
 
 
 def _cmd_polarize(cfg: ExperimentConfig):
     pr = polarize(build_classical_channel(cfg.channel), cfg.k)
-    good = select_sets(pr, cfg.beta)
-    size = set_size(good)
+    size = set_size(select_sets(pr, cfg.beta))
     return ([("polarization.csv", ("index", "z", "set"),
-              polarization_rows(pr, good))],
+              polarization_rows(pr, cfg.beta))],
             {"n": pr.n, "size_good": size, "size_bad": pr.n - size})
 
 

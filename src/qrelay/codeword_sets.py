@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polar_core import BDMC, PolarizationResult, _is_mask, select_sets
+from .polar_core import BDMC, LabelColumn, PolarizationResult, select_sets
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,9 @@ class IndexSetPartition:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not (_is_mask(self.good_amp, self.n)
-                and _is_mask(self.good_phase, self.n)):
+        if not all(isinstance(m, np.ndarray) and m.dtype == bool
+                   and m.shape == (self.n,)
+                   for m in (self.good_amp, self.good_phase)):
             raise ValueError("good sets must be bool masks of length n")
 
     @property
@@ -123,10 +124,7 @@ def rate_report(part: IndexSetPartition) -> dict:
 
 
 def partition_rows(part: IndexSetPartition):
-    """Columns (index, class-label) for CSV export: the index as a range
-    and the labels as byte strings."""
-    labels = np.full(part.n, b"B", dtype="S4")
-    labels[part.s_in] = b"S_in"
-    labels[part.p1] = b"P1"
-    labels[part.p2] = b"P2"
-    return range(part.n), labels
+    """Columns (index, class-label) for CSV export, labels built per block."""
+    return range(part.n), LabelColumn(part.n, lambda rows: (
+        part.good_amp[rows] + np.uint8(2) * part.good_phase[rows]),
+        (b"B", b"P1", b"P2", b"S_in"))

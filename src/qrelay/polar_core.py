@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 ROW_SUM_TOL = 1e-12
 LLR_CLIP = 700.0
 ALPHABET_CAP = 4096  # largest post-merge output alphabet polarize tracks
-MC_BATCH = 2048  # trials per decoding pass of monte_carlo_block_error
+MC_BATCH, MC_BATCH_LLRS = 2048, 2 ** 21  # trials and LLRs per decoding pass
 
 
 class BDMC:
@@ -79,13 +80,22 @@ class PolarizationResult:
     def __post_init__(self):
         if len(self.z) != self.n:
             raise ValueError(f"expected {self.n} values, got {len(self.z)}")
-        if np.any(self.z < 0.0) or np.any(self.z > 1.0 + 1e-12):
+        if np.min(self.z) < 0.0 or np.max(self.z) > 1.0 + 1e-12:
             raise ValueError("Bhattacharyya values must lie in [0, 1]")
 
 
-def _is_mask(a, n: int) -> bool:
-    """True when ``a`` is an index set of a length-n block: a bool array."""
-    return isinstance(a, np.ndarray) and a.dtype == bool and a.shape == (n,)
+@dataclass(frozen=True)
+class LabelColumn:
+    """n rows of byte strings, built per slice s as labels[code(s)]."""
+    n: int
+    code: Callable[[slice], np.ndarray]
+    labels: tuple
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return np.array(self.labels).take(self.code(rows))
 
 
 @dataclass(frozen=True)
@@ -190,17 +200,20 @@ def polarize(w: BDMC, k: int) -> PolarizationResult:
 
 
 def _polarize_erasure(w: BDMC, k: int) -> np.ndarray:
-    """Closed-form z vector of an erasure-like channel, clipped to [0, 1]."""
-    z = np.array([bhattacharyya(w)])
-    for _ in range(k):
-        # each level written in place, by the same IEEE operations in the
-        # same order as 2z - z^2 and z^2
-        nxt = np.empty(2 * len(z))
-        bad, good = nxt[0::2], nxt[1::2]
-        np.multiply(z, z, out=good)
-        np.multiply(2.0, z, out=bad)
-        np.subtract(bad, good, out=bad)
-        z = nxt
+    """Closed-form z vector of an erasure-like channel, clipped to [0, 1],
+    in one 2^k buffer: a level's h values in [0, h) move up chunk by chunk,
+    [h/2, h) to [h, 2h) first, and the last 2^12 or fewer through a copy."""
+    z = np.empty(2 ** k)
+    z[0] = bhattacharyya(w)
+    for level in range(k):
+        lo = 2 ** level
+        while lo:   # each chunk is read before a lower one overwrites it
+            hi, lo = lo, (lo // 2 if lo > 2 ** 12 else 0)
+            src = z[lo:hi] if lo else z[:hi].copy()
+            bad, good = z[2 * lo:2 * hi].reshape(-1, 2).T
+            np.multiply(src, src, out=good)   # the same IEEE operations in
+            np.multiply(2.0, src, out=bad)    # the same order as 2z - z^2
+            np.subtract(bad, good, out=bad)   # and z^2 level by level
     return np.clip(z, 0.0, 1.0, out=z)
 
 
@@ -229,10 +242,10 @@ def _threshold(n: int, beta: float) -> float:
     return (1.0 / n) * 2.0 ** (-(n ** beta))
 
 
-def select_sets(pr: PolarizationResult, beta: float) -> np.ndarray:
-    """Good index mask: z below the threshold (1/n) 2^(-n^beta); ties go
-    to bad."""
-    return pr.z < _threshold(pr.n, beta)
+def select_sets(pr: PolarizationResult, beta: float, rows=slice(None)):
+    """Good index mask of the given rows (all by default): z below the
+    threshold (1/n) 2^(-n^beta); ties go to bad."""
+    return pr.z[rows] < _threshold(pr.n, beta)
 
 
 def error_bound(n: int, beta: float) -> float:
@@ -515,8 +528,8 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
 
     ``info_set`` is a bool mask of length n or an array of indices. Each
     trial draws from its own (seed, trial_index) stream, so estimates are
-    reproducible and independent of batching (``MC_BATCH`` trials are
-    decoded at a time) or execution order.
+    reproducible and independent of batching (passes of ``MC_BATCH``
+    trials and at most ``MC_BATCH_LLRS`` LLRs) or execution order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -531,9 +544,9 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
     frozen = _resolve_frozen(n, frozen_values)
     breaks, table = _output_llr_sampler(w)
 
-    errors = 0
-    for first in range(0, trials, MC_BATCH):
-        count = min(MC_BATCH, trials - first)
+    errors, batch = 0, max(1, min(MC_BATCH, MC_BATCH_LLRS // n))
+    for first in range(0, trials, batch):
+        count = min(batch, trials - first)
         messages, lam = _mc_batch(info, frozen, breaks, table, seed, first,
                                   count)
         decoded, _ = _sc_decode_block(lam, ~info, frozen)
@@ -548,10 +561,8 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
 # CSV export
 # ---------------------------------------------------------------------------
 
-def polarization_rows(pr: PolarizationResult, good: np.ndarray):
-    """Columns (index, z, set-label) for CSV export: the index as a range
-    and the labels as byte strings, so no n-row index or str array is
-    built."""
-    if not _is_mask(good, pr.n):
-        raise ValueError("good set and polarization result disagree on n")
-    return range(pr.n), pr.z, np.where(good, b"good", b"bad")
+def polarization_rows(pr: PolarizationResult, beta: float):
+    """Columns (index, z, set-label) for CSV export: a range, z and byte
+    strings selected from z a block at a time, so no n-row array is built."""
+    return range(pr.n), pr.z, LabelColumn(
+        pr.n, lambda rows: select_sets(pr, beta, rows), (b"bad", b"good"))

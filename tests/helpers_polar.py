@@ -1,13 +1,14 @@
 """Reference code for the polar coding layer: the generator matrix that
 the butterfly encoder must equal, one-block encode and decode wrappers
 around the batched runtime kernels, the plain recursive SC decoder that
-the runtime decoder must match bit for bit, and the symmetric capacity of
-a binary-input channel."""
+the runtime decoder must match bit for bit, the level-by-level erasure
+recursion that the in-place one must match bit for bit, and the
+symmetric capacity of a binary-input channel."""
 
 import numpy as np
 
 from qrelay.polar_core import (LLR_CLIP, _encode_block, _resolve_frozen,
-                               _sc_decode_block)
+                               _sc_decode_block, bhattacharyya)
 
 KERNEL = np.array([[1, 1], [0, 1]], dtype=np.uint8)
 
@@ -105,6 +106,21 @@ def sc_decode_oracle(lam, frozen_mask, frozen_values):
     x[:, 0::2] = x_first ^ x_second
     x[:, 1::2] = x_second
     return np.concatenate([u_first, u_second], axis=1), x
+
+
+def polarize_erasure_oracle(w, k):
+    """Closed-form z vector of an erasure-like channel, clipped to [0, 1],
+    with a new array for every level: 2z - z^2 at even and z^2 at odd
+    positions, by the IEEE operations z * z, 2 * z and their difference."""
+    z = np.array([bhattacharyya(w)])
+    for _ in range(k):
+        nxt = np.empty(2 * len(z))
+        bad, good = nxt[0::2], nxt[1::2]
+        np.multiply(z, z, out=good)
+        np.multiply(2.0, z, out=bad)
+        np.subtract(bad, good, out=bad)
+        z = nxt
+    return np.clip(z, 0.0, 1.0, out=z)
 
 
 def symmetric_capacity(w):

@@ -241,4 +241,7 @@ def test_partition_rows_cover_block():
     part = make_partition(6, {0, 1}, {1, 2})
     index, labels = partition_rows(part)
     assert list(index) == list(range(6))
-    assert labels.tolist() == [b"P1", b"S_in", b"P2", b"B", b"B", b"B"]
+    # the labels are taken from the two masks one slice at a time
+    assert len(labels) == 6 and labels[:].dtype == "S4"
+    assert labels[:].tolist() == [b"P1", b"S_in", b"P2", b"B", b"B", b"B"]
+    assert labels[1:4].tolist() == [b"S_in", b"P2", b"B"]

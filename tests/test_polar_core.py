@@ -12,7 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 import qrelay.polar_core
 from helpers_polar import (boxplus_oracle, generator_matrix, polar_encode,
-                           sc_decode, sc_decode_oracle, symmetric_capacity)
+                           polarize_erasure_oracle, sc_decode,
+                           sc_decode_oracle, symmetric_capacity)
 from helpers_quantum import index_mask, random_bdmc
 from helpers_rng import merge_oracle, monte_carlo_oracle
 from qrelay.polar_core import (BDMC, LLR_CLIP, PolarizationResult,
@@ -285,6 +286,28 @@ def test_polarize_bec_bits_match_recursion_oracle(eps):
         want = np.clip(bec_recursion_oracle(eps, k), 0.0, 1.0)
         assert np.array_equal(polarize(BDMC.bec(eps), k).z.view(np.int64),
                               want.view(np.int64))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.11, 0.3, 0.4, 0.5, 1.0])
+def test_polarize_erasure_in_place_matches_per_level_oracle(eps):
+    # one 2^k buffer, filled chunk by chunk, against a new array per level
+    w = BDMC.bec(eps)
+    for k in range(1, 21):
+        want = polarize_erasure_oracle(w, k)
+        assert np.array_equal(_polarize_erasure(w, k).view(np.int64),
+                              want.view(np.int64))
+
+
+def test_polarize_k20_holds_one_buffer():
+    # the z vector itself (8 MB) and no second level or bool temporaries
+    tracemalloc.start()
+    try:
+        pr = polarize(BDMC.bec(0.3), 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pr.z.nbytes == 8 * 2 ** 20
+    assert peak <= pr.z.nbytes + 2 ** 16
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -674,15 +697,36 @@ def test_monte_carlo_bench_op_count_and_peak():
 
 
 def test_monte_carlo_independent_of_batching(monkeypatch):
+    # passes bounded by the trial count, then by the LLR count (5 trials)
     w = BDMC.bec(0.4)
     pr = polarize(w, 5)
     info = index_mask(32, np.argsort(pr.z)[:8])
     results = []
-    for batch in (7, 256):
+    for batch, llrs in ((7, 2 ** 21), (256, 2 ** 21), (2048, 5 * 32 + 31)):
         monkeypatch.setattr(qrelay.polar_core, "MC_BATCH", batch)
+        monkeypatch.setattr(qrelay.polar_core, "MC_BATCH_LLRS", llrs)
         results.append(monte_carlo_block_error(w, 32, info, trials=300,
                                                seed=4))
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
+
+
+def test_monte_carlo_llr_bound_keeps_large_blocks_small(monkeypatch):
+    # n = 2^12: 512-trial passes of 2^21 LLRs, where 2048-trial passes
+    # traced about 150 MB, and the same errors as those
+    w = BDMC.bec(0.5)
+    pr = polarize(w, 12)
+    info = np.argsort(pr.z, kind="stable")[:1700]
+    tracemalloc.start()
+    try:
+        res = monte_carlo_block_error(w, 4096, info, trials=2048, seed=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50 * 2 ** 20
+    monkeypatch.setattr(qrelay.polar_core, "MC_BATCH_LLRS", 2048 * 4096)
+    assert monte_carlo_block_error(w, 4096, info, trials=2048,
+                                   seed=12) == res
+    assert 0 < res.errors < 2048
 
 
 def test_monte_carlo_respects_union_bound():
@@ -805,10 +849,13 @@ def test_monte_carlo_matches_per_trial_oracle(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_polarization_rows_labels():
+    # the labels are selected from z one slice at a time
     pr = polarize(BDMC.bec(0.5), 2)
     good = select_sets(pr, 0.4)
-    index, z, labels = polarization_rows(pr, good)
+    index, z, labels = polarization_rows(pr, 0.4)
     assert list(index) == list(range(4))
     assert np.array_equal(z, pr.z)
-    assert labels.tolist() == [b"good" if g else b"bad" for g in good]
-    assert set(labels.tolist()) == {b"good", b"bad"}
+    assert len(labels) == 4 and labels[:].dtype == "S4"
+    assert labels[:].tolist() == [b"good" if g else b"bad" for g in good]
+    assert set(labels[:].tolist()) == {b"good", b"bad"}
+    assert labels[1:3].tolist() == labels[:].tolist()[1:3]
