@@ -29,7 +29,7 @@ from .density_ops import (KrausChannel, bit_flip_channel, compose_channels,
                           dephasing_channel, depolarizing_channel,
                           erasure_channel, identity_channel)
 from .polar_core import BDMC, polarization_rows, polarize, select_sets
-from .relay import RelayChannelSpec, simulate_relay, simulation_rows
+from .relay import simulate_relay
 from .superactivation import (BRANCH_KEYS, MAX_BRANCH_BYTES, P_GRID,
                               branch_bytes, branch_terms, compare_assisted,
                               make_rho_ac, switch_report)
@@ -216,10 +216,12 @@ def build_quantum_channel(spec: dict) -> KrausChannel:
 
 def _joint_input(state_spec: dict, main: KrausChannel):
     """The configured joint input state, its mode defaulting by the main
-    channel's input dimension, which the state's side must match."""
+    channel's input dimension, which the state's side must match. Only
+    ``entangled_flagged`` reads a ``variant``."""
     mode = state_spec.get("mode", "bell" if main.in_dim == 2
                           else "entangled_flagged")
-    _check_keys(state_spec, f"mode {mode!r}", "mode", "variant")
+    reads = ("mode",) if mode == "bell" else ("mode", "variant")
+    _check_keys(state_spec, f"mode {mode!r}", *reads)
     state = make_rho_ac(mode, state_spec.get("variant", "alternating"))
     if state.side_dim != main.in_dim:
         raise ValueError(f"mode {mode!r} needs a main_channel with in_dim "
@@ -633,9 +635,10 @@ def _cmd_capacity(cfg: ExperimentConfig):
 
 def _cmd_relay_sim(cfg: ExperimentConfig):
     part = _partition_from_config(cfg)
-    spec = RelayChannelSpec(p_e2=cfg.p_e2, partition=part)
-    result = simulate_relay(spec, cfg.trials, cfg.seed)
-    (row,) = simulation_rows(spec, result)
+    successes = simulate_relay(cfg.p_e2, cfg.trials, cfg.seed)
+    comparison = compare_assisted(cfg.p_e2, part)
+    row = (cfg.p_e2, cfg.trials, successes, successes / cfg.trials,
+           comparison.b, comparison.b_star)
     return ([("relay_sim.csv", RELAY_SIM_HEADER,
               [np.array([v]) for v in row])],
             {**class_sizes(part), **dict(zip(RELAY_SIM_HEADER, row))})

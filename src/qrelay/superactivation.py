@@ -11,19 +11,21 @@ environment Gram matrix are both block diagonal with blocks w_b sigma_b,
 and S(B) and S(E) each gain the same Shannon entropy H(w), which cancels.
 Neither the branch terms nor the main channel's coherent information
 depend on p, so ``branch_terms`` computes them once and ``switch_report``
-evaluates a whole p grid as array arithmetic; the direct evaluation on
-the assembled joint channel is the test oracle
-(``tests/helpers_quantum.py``). The cross terms carry the rate, giving
-the 2p(1-p) lower bound maximized at p = 1/2. Comparing the resulting
-half-block throughput with the probabilistic encoder's p_e2-scaled
-throughput shows the assisted construction wins exactly when p_e2 < 1/2.
+weighs them with ``branch_weights`` over a whole p grid as array
+arithmetic; the direct evaluation on the assembled joint channel is the
+test oracle (``tests/helpers_quantum.py``). The cross terms carry the
+rate, giving the 2p(1-p) lower bound maximized at p = 1/2.
+``compare_assisted`` is the one place that sets the resulting half-block
+throughput |s_in|/2 against the probabilistic encoder's p_e2 |s_in|, for
+both ``relay-sim`` and the sweep: the assisted construction wins exactly
+when p_e2 < 1/2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -65,8 +67,6 @@ class JointInputState:
     """Two-sided channel input, symmetric under swapping the sides."""
     rho_ac: DensityMatrix
     side_dim: int
-    mode: str
-    variant: Optional[str] = None
 
     def __post_init__(self):
         d = self.side_dim
@@ -93,35 +93,18 @@ class BranchTerms:
     i_main: float
 
 
-@dataclass
-class SuperactivationReport:
-    """Joint coherent information at p, from its branch decomposition.
-
-    ``p`` is one probability or an array of them, and each weight and
-    value derived from it has its shape. ``branch_terms`` maps each branch
-    pair to (weight, coherent information). ``bound_2p1p`` is 2p(1-p)
-    times the single-copy main coherent information at the reduced input.
-    """
-    p: Probability
-    branch_terms: Dict[str, Tuple[Probability, float]]
+class SuperactivationReport(NamedTuple):
+    """Joint coherent information of two switch copies at p, and 2p(1-p)
+    times the single-copy main coherent information at the reduced input;
+    each has the shape of p (one probability or an array of them)."""
+    i_coh_joint: Probability
     bound_2p1p: Probability
 
-    def __post_init__(self):
-        weights = sum(w for w, _ in self.branch_terms.values())
-        if np.any(np.abs(weights - 1.0) > 1e-12):
-            raise ValueError(f"branch weights sum to {weights}, expected 1")
 
-    @property
-    def i_coh_joint(self) -> Probability:
-        return sum(w * v for w, v in self.branch_terms.values())
-
-
-@dataclass(frozen=True)
-class AssistedComparison:
+class AssistedComparison(NamedTuple):
     """Throughput of the assisted construction vs the probabilistic relay,
     at one p_e2 or an array of them (``b`` and ``advantage`` follow its
     shape)."""
-    p_e2: Probability
     b: Probability
     b_star: float
     advantage: Union[bool, np.ndarray]
@@ -176,7 +159,7 @@ def make_rho_ac(mode: str, variant: str = "alternating") -> JointInputState:
         raise ValueError(f"variant must be one of {FLAG_VARIANTS}, "
                          f"got {variant!r}")
     if mode == "bell":
-        return JointInputState(rho_ac=bell_pair(2), side_dim=2, mode=mode)
+        return JointInputState(rho_ac=bell_pair(2), side_dim=2)
     bell = bell_pair(2).entries
     flags = np.zeros((4, 4), dtype=complex)
     if variant == "literal":
@@ -186,8 +169,7 @@ def make_rho_ac(mode: str, variant: str = "alternating") -> JointInputState:
         flags[3, 3] = 0.5                      # |11><11|
     # order (flag_A, flag_C, bell_A, bell_C) -> (flag_A, bell_A, flag_C, bell_C)
     rho = permute_systems(np.kron(flags, bell), [2, 2, 2, 2], (0, 2, 1, 3))
-    return JointInputState(rho_ac=DensityMatrix(rho), side_dim=4,
-                           mode=mode, variant=variant)
+    return JointInputState(rho_ac=DensityMatrix(rho), side_dim=4)
 
 
 def branch_bytes(shape: Tuple[int, int, int]) -> int:
@@ -228,8 +210,12 @@ def branch_terms(main: KrausChannel,
                        i_main=coherent_information(main, reduced))
 
 
-def _bound_2p1p(p: Probability, i_coh_main: float) -> Probability:
-    return 2.0 * p * (1.0 - p) * i_coh_main
+def branch_weights(p: Probability) -> Tuple[Probability, ...]:
+    """The weights (p^2, p(1-p), (1-p)p, (1-p)^2) of the branch pairs of
+    BRANCH_KEYS, for one p or an array of them, all in [0, 1]."""
+    if not np.all((0.0 <= p) & (p <= 1.0)):
+        raise ValueError(f"branch probability must lie in [0, 1], got {p}")
+    return (p * p, p * (1.0 - p), (1.0 - p) * p, (1.0 - p) ** 2)
 
 
 def switch_report(p: Probability,
@@ -245,13 +231,10 @@ def switch_report(p: Probability,
     ``tensor_channels(sc.channel, sc.channel)`` is the test oracle in
     ``tests/helpers_quantum.py``.
     """
-    weights = (p * p, p * (1.0 - p), (1.0 - p) * p, (1.0 - p) ** 2)
     return SuperactivationReport(
-        p=p,
-        branch_terms={key: (w, branches.terms[key])
-                      for key, w in zip(BRANCH_KEYS, weights)},
-        bound_2p1p=_bound_2p1p(p, branches.i_main),
-    )
+        i_coh_joint=sum(w * branches.terms[key] for key, w
+                        in zip(BRANCH_KEYS, branch_weights(p))),
+        bound_2p1p=2.0 * p * (1.0 - p) * branches.i_main)
 
 
 def joint_coherent_info(sc: SwitchChannel,
@@ -277,5 +260,4 @@ def compare_assisted(p_e2: Probability,
     size = set_size(part.s_in)
     b_star = 0.5 * size
     b = p_e2 * size
-    return AssistedComparison(p_e2=p_e2, b=b, b_star=b_star,
-                              advantage=b_star > b)
+    return AssistedComparison(b=b, b_star=b_star, advantage=b_star > b)

@@ -1,5 +1,6 @@
 """Tests for config loading, the experiment runner, and reproducibility."""
 
+import csv
 import dataclasses
 import errno
 import hashlib
@@ -279,6 +280,24 @@ def test_run_relay_sim_reproducible_across_runs(tmp_path):
                           output_dir=str(tmp_path / tag))
         digests.append(run(cfg).outputs[0]["sha256"])
     assert digests[0] == digests[1]
+
+
+def test_relay_sim_and_sweep_share_the_throughput_formula(tmp_path):
+    # relay-sim's two throughputs are the sweep's b and b_star at p = p_e2
+    fields = {"relay-sim": {"p_e2": 0.4, "trials": 10},
+              "sweep": {"main_channel": {"kind": "dephasing", "q": 0.2}}}
+    tables = {}
+    for command, extra in fields.items():
+        path = dual_config(tmp_path, name=f"{command}.json", k=8, **extra)
+        cfg = load_config(path, command=command,
+                          output_dir=str(tmp_path / command))
+        with open(run(cfg).outputs[0]["path"], encoding="utf-8") as fh:
+            tables[command] = list(csv.DictReader(fh))
+    (sim,) = tables["relay-sim"]
+    (at_p_e2,) = [row for row in tables["sweep"] if row["p"] == "0.4"]
+    assert float(sim["b_star_throughput"]) > 0
+    assert (sim["expected_throughput"], sim["b_star_throughput"]) == (
+        at_p_e2["b"], at_p_e2["b_star"])
 
 
 def test_run_sweep_advantage_flip(tmp_path):
@@ -1137,7 +1156,11 @@ def test_main_rejects_malformed_channel_specs(tmp_path, capsys, overrides,
      "got 'phase_set_state'"),
     ({"kind": "identity"}, {"mode": "bell", "foo": 1},
      "input_state.unknown keys 'foo' for mode 'bell', which reads only "
-     "mode, variant")])
+     "mode"),
+    # the Bell pair has no flag register for a variant to select
+    ({"kind": "identity"}, {"mode": "bell", "variant": "literal"},
+     "input_state.unknown keys 'variant' for mode 'bell', which reads only "
+     "mode\n")])
 def test_main_rejects_bad_input_state(tmp_path, capsys, main_channel,
                                       input_state, fragment):
     path = dual_config(tmp_path, name="state.json", k=4,

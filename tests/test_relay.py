@@ -1,5 +1,6 @@
 """Tests for relay capacities and encoder simulation."""
 
+import json
 import math
 import tracemalloc
 
@@ -8,16 +9,11 @@ import pytest
 
 from helpers_quantum import make_partition
 from helpers_rng import relay_success_flags
+from qrelay.cli import load_config, run
 from qrelay.codeword_sets import rate_report, set_size
 from qrelay.polar_core import trial_rng
-from qrelay.relay import (RELAY_CHUNK, RelayChannelSpec, RelayTrialResult,
-                          expected_throughput, simulate_relay,
-                          simulation_rows)
-
-
-def make_spec(p_e2=0.3, n=16, amp=range(8), phase=range(4, 12)):
-    part = make_partition(n, amp, phase)
-    return RelayChannelSpec(p_e2=p_e2, partition=part)
+from qrelay.relay import RELAY_CHUNK, simulate_relay
+from qrelay.superactivation import compare_assisted
 
 
 # ---------------------------------------------------------------------------
@@ -82,41 +78,32 @@ def test_relay_private_capacity_forms():
 # ---------------------------------------------------------------------------
 
 def test_simulate_relay_near_certain_success():
-    spec = make_spec(p_e2=1.0 - 1e-15)
-    result = simulate_relay(spec, trials=500, seed=3)
-    assert result.successes == 500
+    assert simulate_relay(1.0 - 1e-15, trials=500, seed=3) == 500
 
 
 def test_simulate_relay_near_certain_failure():
-    result = simulate_relay(make_spec(p_e2=1e-15), trials=500, seed=3)
-    assert result.successes == 0
+    assert simulate_relay(1e-15, trials=500, seed=3) == 0
 
 
 def test_simulate_relay_binomial_confidence():
-    spec = make_spec(p_e2=0.3)
     trials = 100000
-    result = simulate_relay(spec, trials=trials, seed=11)
+    rate = simulate_relay(0.3, trials=trials, seed=11) / trials
     sigma = math.sqrt(0.3 * 0.7 / trials)
-    assert abs(result.empirical_success_rate - 0.3) <= 3 * sigma
+    assert abs(rate - 0.3) <= 3 * sigma
 
 
 def test_simulate_relay_reproducible():
-    spec = make_spec(p_e2=0.42)
-    a = simulate_relay(spec, trials=2000, seed=77)
-    b = simulate_relay(spec, trials=2000, seed=77)
-    assert a == b
-    c = simulate_relay(spec, trials=2000, seed=78)
-    assert a != c
+    a = simulate_relay(0.42, trials=2000, seed=77)
+    assert simulate_relay(0.42, trials=2000, seed=77) == a
+    assert simulate_relay(0.42, trials=2000, seed=78) != a
 
 
 def test_simulate_relay_counter_stream_contract():
     # trial t succeeds iff the first uniform of stream (seed, t) is below
     # p_e2, and stream (seed, t) is Philox keyed by seed, advanced t << 64
-    spec = make_spec(p_e2=0.42)
     trials, seed = 5000, 5
-    expected = sum(trial_rng(seed, t).random() < spec.p_e2
-                   for t in range(trials))
-    assert simulate_relay(spec, trials, seed).successes == expected
+    expected = sum(trial_rng(seed, t).random() < 0.42 for t in range(trials))
+    assert simulate_relay(0.42, trials, seed) == expected
     for key, t in ((5, 0), (5, 1), (5, 4999), (2 ** 64 - 1, 2 ** 40)):
         ref = np.random.Philox(key=key)
         ref.advance(t << 64)
@@ -127,35 +114,30 @@ def test_simulate_relay_counter_stream_contract():
 def test_simulate_relay_matches_oracle_around_chunk():
     # trial counts one below, at and one above the chunk size equal the
     # per-trial stream count
-    spec = make_spec(p_e2=0.42)
-    flags = relay_success_flags(spec.p_e2, RELAY_CHUNK + 1, seed=12)
+    flags = relay_success_flags(0.42, RELAY_CHUNK + 1, seed=12)
     for trials in (RELAY_CHUNK - 1, RELAY_CHUNK, RELAY_CHUNK + 1):
-        result = simulate_relay(spec, trials, seed=12)
-        assert result.successes == int(np.count_nonzero(flags[:trials]))
+        assert simulate_relay(0.42, trials, seed=12) == int(
+            np.count_nonzero(flags[:trials]))
 
 
 def test_simulate_relay_memory_is_flat():
     # one float64 per trial would take 32 MB at 4e6 trials
-    spec = make_spec(p_e2=0.3)
     tracemalloc.start()
     try:
-        result = simulate_relay(spec, trials=4_000_000, seed=8)
+        successes = simulate_relay(0.3, trials=4_000_000, seed=8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
-    assert abs(result.empirical_success_rate - 0.3) < 5 * math.sqrt(
+    assert abs(successes / 4_000_000 - 0.3) < 5 * math.sqrt(
         0.3 * 0.7 / 4_000_000)
 
 
 def test_simulate_relay_convergence_trend():
-    spec = make_spec(p_e2=0.3)
     medians = []
     for trials in (1000, 10000, 100000):
-        gaps = []
-        for batch in range(20):
-            res = simulate_relay(spec, trials=trials, seed=1000 + batch)
-            gaps.append(abs(res.empirical_success_rate - 0.3))
+        gaps = [abs(simulate_relay(0.3, trials=trials, seed=1000 + batch)
+                    / trials - 0.3) for batch in range(20)]
         medians.append(float(np.median(gaps)))
     assert medians[0] >= medians[1] >= medians[2]
 
@@ -163,37 +145,44 @@ def test_simulate_relay_convergence_trend():
 def test_expected_throughput():
     part = make_partition(1024, range(640), range(128, 768))
     assert set_size(part.s_in) == 512
-    spec = RelayChannelSpec(p_e2=0.4, partition=part)
-    assert expected_throughput(spec) == pytest.approx(204.8)
-    empty = make_spec(amp=range(8), phase=range(8, 16))
-    assert expected_throughput(empty) == 0.0
+    assert compare_assisted(0.4, part).b == pytest.approx(204.8)
+    empty = make_partition(16, range(8), range(8, 16))
+    assert compare_assisted(0.4, empty).b == 0.0
 
 
 def test_expected_throughput_matches_monte_carlo():
-    spec = make_spec(p_e2=0.4, n=16, amp=range(10), phase=range(4, 14))
-    s_in = set_size(spec.partition.s_in)
+    part = make_partition(16, range(10), range(4, 14))
+    s_in = set_size(part.s_in)
     trials = 20000
-    result = simulate_relay(spec, trials=trials, seed=21)
-    empirical = result.empirical_success_rate * s_in
+    empirical = simulate_relay(0.4, trials=trials, seed=21) / trials * s_in
     sigma = math.sqrt(0.4 * 0.6 / trials) * s_in
-    assert abs(empirical - expected_throughput(spec)) <= 3 * sigma
+    assert abs(empirical - compare_assisted(0.4, part).b) <= 3 * sigma
 
 
-def test_relay_spec_validation():
-    with pytest.raises(ValueError, match="probability"):
-        make_spec(p_e2=0.0)
-    with pytest.raises(ValueError, match="probability"):
-        make_spec(p_e2=1.0)
-    with pytest.raises(ValueError):
-        RelayTrialResult(trials=10, successes=11, empirical_success_rate=1.1)
+def test_simulate_relay_validation():
+    for p_e2 in (0.0, 1.0):
+        with pytest.raises(ValueError, match="probability"):
+            simulate_relay(p_e2, trials=10, seed=1)
+    with pytest.raises(ValueError, match="trials"):
+        simulate_relay(0.3, trials=0, seed=1)
 
 
-def test_simulation_rows_schema():
-    spec = make_spec(p_e2=0.25)
-    result = simulate_relay(spec, trials=100, seed=1)
-    ((p_e2, trials, successes, rate, throughput, b_star),) = simulation_rows(
-        spec, result)
-    assert p_e2 == 0.25 and trials == 100
-    assert successes == result.successes and rate == result.empirical_success_rate
-    assert throughput == expected_throughput(spec)
-    assert b_star == 0.5 * set_size(spec.partition.s_in)
+def test_simulation_rows_schema(tmp_path):
+    # relay_sim.csv is (p_e2, trials, successes, rate) from simulate_relay
+    # and the two throughputs of compare_assisted; the counters hold it
+    payload = {"amp_channel": {"kind": "bec", "epsilon": 0.3},
+               "phase_channel": {"kind": "bec", "epsilon": 0.4}, "k": 6,
+               "beta": 0.3, "p_e2": 0.25, "trials": 100, "seed": 1}
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    manifest = run(load_config(path, command="relay-sim",
+                               output_dir=str(tmp_path / "o")))
+    with open(manifest.outputs[0]["path"], encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+    size = manifest.counters["size_s_in"]
+    successes = simulate_relay(0.25, trials=100, seed=1)
+    row = {"p_e2": 0.25, "trials": 100, "successes": successes,
+           "rate": successes / 100, "expected_throughput": 0.25 * size,
+           "b_star_throughput": 0.5 * size}
+    assert header == list(row)
+    assert {key: manifest.counters[key] for key in header} == row

@@ -21,10 +21,10 @@ from qrelay.density_ops import (DensityMatrix, bit_flip_channel,
                                 dephasing_channel, identity_channel,
                                 tensor_channels, trace_out)
 from qrelay.superactivation import (BRANCH_KEYS, P_GRID, BranchTerms,
-                                    branch_terms, build_switch_channel,
-                                    compare_assisted, joint_coherent_info,
-                                    make_rho_ac, switch_report,
-                                    JointInputState)
+                                    branch_terms, branch_weights,
+                                    build_switch_channel, compare_assisted,
+                                    joint_coherent_info, make_rho_ac,
+                                    switch_report, JointInputState)
 
 # ---------------------------------------------------------------------------
 # Switch channel
@@ -118,7 +118,7 @@ def test_joint_input_state_rejects_asymmetric():
     asym[0, 0] = 0.7  # |0>_A |0>_C weighted differently than |1>_A... no pair
     asym[1, 1] = 0.3  # |0>_A |1>_C without the mirrored |1>_A |0>_C weight
     with pytest.raises(ValueError, match="symmetric"):
-        JointInputState(rho_ac=DensityMatrix(asym), side_dim=2, mode="custom")
+        JointInputState(rho_ac=DensityMatrix(asym), side_dim=2)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +161,10 @@ def test_joint_coherent_info_degenerate_probabilities():
     for p, key in ((0.0, "erasure_erasure"), (1.0, "main_main")):
         sc = build_switch_channel(p, main)
         report = joint_coherent_info(sc, branches)
-        weight, value = report.branch_terms[key]
-        assert weight == 1.0
+        assert dict(zip(BRANCH_KEYS, branch_weights(p)))[key] == 1.0
         assert abs(report.i_coh_joint
                    - joint_coherent_info_oracle(sc, state.rho_ac)) < 1e-9
-        assert abs(report.i_coh_joint - value) < 1e-9
+        assert abs(report.i_coh_joint - branches.terms[key]) < 1e-9
     # both erasure branches are self-complementary
     assert abs(branches.terms["erasure_erasure"]) < 1e-9
 
@@ -180,12 +179,10 @@ def test_flag_decomposition_identity(p):
         report = joint_coherent_info(sc, branch_terms(main, state))
         assert abs(report.i_coh_joint
                    - joint_coherent_info_oracle(sc, state.rho_ac)) < 1e-9
-        weights = [w for w, _ in report.branch_terms.values()]
-        assert abs(sum(weights) - 1.0) < 1e-12
-        assert report.branch_terms["main_erasure"][0] == pytest.approx(
-            p * (1 - p), abs=1e-15)
-        assert report.branch_terms["erasure_main"][0] == pytest.approx(
-            p * (1 - p), abs=1e-15)
+    weights = dict(zip(BRANCH_KEYS, branch_weights(p)))
+    assert abs(sum(weights.values()) - 1.0) < 1e-12
+    assert weights["main_erasure"] == pytest.approx(p * (1 - p), abs=1e-15)
+    assert weights["erasure_main"] == pytest.approx(p * (1 - p), abs=1e-15)
 
 
 def test_flag_decomposition_with_flagged_register_input():
@@ -326,11 +323,19 @@ def test_sweep_and_superactivate_build_no_switch_channel(tmp_path,
     assert entry["rows"] == 1
 
 
-def test_switch_report_rejects_weights_that_miss_one():
-    # each weight array is checked as a whole: at p = 1e9 the four weights
+def test_branch_weights_sum_to_one_on_unit_interval():
+    p = np.linspace(0.0, 1.0, 1001)
+    assert np.max(np.abs(sum(branch_weights(p)) - 1.0)) <= 1e-12
+
+
+def test_branch_weights_reject_p_outside_unit_interval():
+    # each p array is checked as a whole; at p = 1e9 the four weights would
     # cancel to rounding error instead of summing to one
+    for p in (1e9, -0.1, np.array([0.5, 1e9]), np.array([-0.1, 0.5])):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            branch_weights(p)
     branches = branch_terms(dephasing_channel(0.2), make_rho_ac("bell"))
-    with pytest.raises(ValueError, match="branch weights"):
+    with pytest.raises(ValueError, match="branch probability"):
         switch_report(np.array([0.5, 1e9]), branches)
 
 
