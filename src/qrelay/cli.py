@@ -222,7 +222,7 @@ def _joint_input(state_spec: dict, main: KrausChannel):
                           else "entangled_flagged")
     reads = ("mode",) if mode == "bell" else ("mode", "variant")
     _check_keys(state_spec, f"mode {mode!r}", *reads)
-    state = make_rho_ac(mode, state_spec.get("variant", "alternating"))
+    state = make_rho_ac(mode, state_spec.get("variant"))
     if state.side_dim != main.in_dim:
         raise ValueError(f"mode {mode!r} needs a main_channel with in_dim "
                          f"{state.side_dim}, got {main.in_dim}")

@@ -31,17 +31,20 @@ class IndexSetPartition:
     """The four disjoint codeword classes covering range(n), held as the
     amplitude and phase good masks that decide them; each class is a bool
     mask derived on access."""
-    n: int
     good_amp: np.ndarray
     good_phase: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not all(isinstance(m, np.ndarray) and m.dtype == bool
-                   and m.shape == (self.n,)
-                   for m in (self.good_amp, self.good_phase)):
-            raise ValueError("good sets must be bool masks of length n")
+        masks = (self.good_amp, self.good_phase)
+        if not (all(isinstance(m, np.ndarray) and m.dtype == bool
+                    and m.ndim == 1 for m in masks)
+                and 0 < len(self.good_amp) == len(self.good_phase)):
+            raise ValueError("good sets must be two nonempty bool masks of "
+                             "one length")
+
+    @property
+    def n(self) -> int:
+        return len(self.good_amp)
 
     @property
     def s_in(self) -> np.ndarray:
@@ -67,9 +70,7 @@ def set_size(mask: np.ndarray) -> int:
 
 def build_partition(goods) -> IndexSetPartition:
     """The partition decided by a (good_amp, good_phase) mask pair."""
-    good_amp, good_phase = goods
-    return IndexSetPartition(n=len(good_amp), good_amp=good_amp,
-                             good_phase=good_phase)
+    return IndexSetPartition(*goods)
 
 
 def from_polarizations(pr_amp: PolarizationResult, pr_phase: PolarizationResult,

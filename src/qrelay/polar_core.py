@@ -74,12 +74,13 @@ class BDMC:
 @dataclass(frozen=True)
 class PolarizationResult:
     """Bhattacharyya parameters of the n synthesized channels."""
-    n: int
     z: np.ndarray
 
+    @property
+    def n(self) -> int:
+        return len(self.z)
+
     def __post_init__(self):
-        if len(self.z) != self.n:
-            raise ValueError(f"expected {self.n} values, got {len(self.z)}")
         if np.min(self.z) < 0.0 or np.max(self.z) > 1.0 + 1e-12:
             raise ValueError("Bhattacharyya values must lie in [0, 1]")
 
@@ -103,7 +104,10 @@ class MonteCarloResult:
     """Block error estimate from uniformly sampled messages."""
     trials: int
     errors: int
-    block_error_rate: float
+
+    @property
+    def block_error_rate(self) -> float:
+        return self.errors / self.trials
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +166,17 @@ def merge_equal_likelihood_outputs(w: BDMC) -> BDMC:
     likelihood ratios and drop zero-probability symbols.
 
     Pooled columns appear in increasing ratio order (np.inf for outputs
-    that rule out input 1), each summed in output order.
+    that rule out input 1), each summed in output order. A ratio past
+    float64 overflows to np.inf and pools with those outputs: that only
+    degrades the channel, and moves Z by less than 1e-154, since such an
+    output has P(y|1) < 2^-1024.
     """
     w0, w1 = w.w[0], w.w[1]
     seen = (w0 != 0.0) | (w1 != 0.0)
     p0, p1 = w0[seen], w1[seen]
     ratio = np.full_like(p0, np.inf)
-    np.divide(p0, p1, out=ratio, where=p1 != 0.0)
+    with np.errstate(over="ignore"):
+        np.divide(p0, p1, out=ratio, where=p1 != 0.0)
     keys, group = np.unique(ratio, return_inverse=True)
     table = np.vstack([np.bincount(group, weights=p0, minlength=len(keys)),
                        np.bincount(group, weights=p1, minlength=len(keys))])
@@ -196,7 +204,7 @@ def polarize(w: BDMC, k: int) -> PolarizationResult:
     if k < 1:
         raise ValueError(f"recursion level must be >= 1, got {k}")
     recursion = _polarize_erasure if _erasure_like(w) else _polarize_tables
-    return PolarizationResult(n=2 ** k, z=recursion(w, k))
+    return PolarizationResult(recursion(w, k))
 
 
 def _polarize_erasure(w: BDMC, k: int) -> np.ndarray:
@@ -305,23 +313,20 @@ def _clip(lam: np.ndarray) -> np.ndarray:
     return np.clip(lam, -LLR_CLIP, LLR_CLIP, out=lam)
 
 
-def _sc_decode_block(lam, frozen_mask, frozen_values):
-    """SC decoding of a (batch, n) array of finite LLRs; returns (message
-    bits, re-encoded codeword), both (batch, n) uint8. The input of every
-    node below the root is clipped to +-LLR_CLIP.
+def _sc_decode_block(lam, info):
+    """SC decoding of a (batch, n) array of finite LLRs, with every bit
+    outside the ``info`` mask frozen to 0; returns the (batch, n) uint8
+    message bits. The input of every node below the root is clipped to
+    +-LLR_CLIP.
 
     A subtree whose positions are all frozen takes no LLR work: its bits
-    are the frozen values and its codeword their encoding, so its parent
-    computes no input for it. This is exact, because SC never reads the
-    LLRs at frozen leaves.
+    stay 0 and its codeword is the scalar 0, so its parent computes no
+    input for it. This is exact, because SC never reads the LLRs at
+    frozen leaves.
     """
     batch, n = lam.shape
-    u = np.empty((batch, n), dtype=np.uint8)
-    info_before = [0] + np.cumsum(~frozen_mask).tolist()
-
-    def frozen_code(lo, hi):
-        u[:, lo:hi] = frozen_values[lo:hi]
-        return _encode_block(frozen_values[None, lo:hi])
+    u = np.zeros((batch, n), dtype=np.uint8)
+    info_before = [0] + np.cumsum(info).tolist()
 
     def decode(lam, lo, hi):
         """Bits lo..hi-1, at least one of them not frozen, into u; returns
@@ -330,13 +335,10 @@ def _sc_decode_block(lam, frozen_mask, frozen_values):
             return np.less(lam, 0.0, out=u[:, lo:hi])  # L >= 1 decides 0
         mid = (lo + hi) // 2
         even, odd = lam[:, 0::2], lam[:, 1::2]
-        if info_before[mid] == info_before[lo]:
-            x_first = frozen_code(lo, mid)
-        else:
+        x_first = x_second = np.uint8(0)
+        if info_before[mid] > info_before[lo]:
             x_first = decode(_clip(_boxplus(even, odd)), lo, mid)
-        if info_before[hi] == info_before[mid]:
-            x_second = frozen_code(mid, hi)
-        else:
+        if info_before[hi] > info_before[mid]:
             # odd + even where the first codeword bit is 0 and odd - even
             # where it is 1: even * (1 - 2x) negates exactly
             lam_second = np.multiply(x_first, -2.0, out=np.empty(even.shape))
@@ -349,20 +351,9 @@ def _sc_decode_block(lam, frozen_mask, frozen_values):
         x[:, 1::2] = x_second
         return x
 
-    if info_before[n] == 0:
-        return u, np.repeat(frozen_code(0, n), batch, axis=0)
-    return u, decode(lam, 0, n)
-
-
-def _resolve_frozen(n: int, frozen_values) -> np.ndarray:
-    """The frozen bits of a length-n block: all zero by default, else the
-    low bit of each of the n given values."""
-    if frozen_values is None:
-        return np.zeros(n, dtype=np.uint8)
-    arr = np.asarray(frozen_values)
-    if arr.shape != (n,):
-        raise ValueError(f"frozen values must cover all {n} positions")
-    return arr.astype(np.uint8) & 1
+    if info_before[n]:
+        decode(lam, 0, n)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +467,8 @@ def _output_llr_sampler(w: BDMC):
     k = searchsorted(breaks, u, side="right") over those values, sorted,
     fixes y for both bits: table[2k + x] = llr[y].
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = w.w[0] / w.w[1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = w.w[0] / w.w[1]  # past float64 is past LLR_CLIP too
         ratio[np.isnan(ratio)] = 1.0
         llr = np.clip(np.log(ratio), -LLR_CLIP, LLR_CLIP)
     cdf = np.cumsum(w.w, axis=1)
@@ -498,8 +489,8 @@ def _table_index(breaks: np.ndarray, u: np.ndarray,
     return index
 
 
-def _mc_batch(info: np.ndarray, frozen: np.ndarray, breaks: np.ndarray,
-              table: np.ndarray, seed: int, first: int, count: int):
+def _mc_batch(info: np.ndarray, breaks: np.ndarray, table: np.ndarray,
+              seed: int, first: int, count: int):
     """Messages and channel LLRs of trials first..first+count-1.
 
     Each trial draws its message bits as ``Generator.integers(0, 2, m)``
@@ -513,7 +504,7 @@ def _mc_batch(info: np.ndarray, frozen: np.ndarray, breaks: np.ndarray,
     halves = np.empty((count, 2 * half), dtype=np.uint8)
     halves[:, 0::2] = (raw[:, :half] >> np.uint64(31)) & np.uint64(1)
     halves[:, 1::2] = raw[:, :half] >> np.uint64(63)
-    messages = np.tile(frozen, (count, 1))
+    messages = np.zeros((count, n), dtype=np.uint8)
     messages[:, info] = halves[:, :m]
     u = uniforms(raw[:, half:])
     del raw, halves  # the raw words would set the batch's peak memory
@@ -522,14 +513,15 @@ def _mc_batch(info: np.ndarray, frozen: np.ndarray, breaks: np.ndarray,
     return messages, np.take(table, index)
 
 
-def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
-                            frozen_values=None) -> MonteCarloResult:
+def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int,
+                            seed: int) -> MonteCarloResult:
     """Estimate the average block error rate over uniform messages.
 
-    ``info_set`` is a bool mask of length n or an array of indices. Each
-    trial draws from its own (seed, trial_index) stream, so estimates are
-    reproducible and independent of batching (passes of ``MC_BATCH``
-    trials and at most ``MC_BATCH_LLRS`` LLRs) or execution order.
+    ``info_set`` is a bool mask of length n or an array of indices; every
+    other bit is frozen to 0. Each trial draws from its own (seed,
+    trial_index) stream, so estimates are reproducible and independent of
+    batching (passes of ``MC_BATCH`` trials and at most ``MC_BATCH_LLRS``
+    LLRs) or execution order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -541,20 +533,17 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int, seed: int,
         raise ValueError("info set indices out of range")
     info = np.zeros(n, dtype=bool)
     info[sel] = True
-    frozen = _resolve_frozen(n, frozen_values)
     breaks, table = _output_llr_sampler(w)
 
     errors, batch = 0, max(1, min(MC_BATCH, MC_BATCH_LLRS // n))
     for first in range(0, trials, batch):
         count = min(batch, trials - first)
-        messages, lam = _mc_batch(info, frozen, breaks, table, seed, first,
-                                  count)
-        decoded, _ = _sc_decode_block(lam, ~info, frozen)
+        messages, lam = _mc_batch(info, breaks, table, seed, first, count)
+        decoded = _sc_decode_block(lam, info)
         del lam
         errors += int(np.sum(np.any(decoded[:, info] != messages[:, info],
                                     axis=1)))
-    return MonteCarloResult(trials=trials, errors=errors,
-                            block_error_rate=errors / trials)
+    return MonteCarloResult(trials=trials, errors=errors)
 
 
 # ---------------------------------------------------------------------------

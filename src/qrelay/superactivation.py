@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class SwitchChannel:
     outputs are isometrically embedded into a common space before the
     flag is attached."""
     p: float
-    branch_main: KrausChannel
     channel: KrausChannel
 
 
@@ -85,10 +84,8 @@ class BranchTerms:
 
     ``terms`` maps each key of BRANCH_KEYS to the coherent information of
     that branch pair at the joint input; ``i_main`` is the main channel's
-    coherent information at the reduced single-side input. ``main`` is the
-    channel they were computed for.
+    coherent information at the reduced single-side input.
     """
-    main: KrausChannel
     terms: Dict[str, float]
     i_main: float
 
@@ -134,10 +131,10 @@ def build_switch_channel(p: float, main: KrausChannel) -> SwitchChannel:
            for k in main.kraus_ops]
     ops += [np.kron(math.sqrt(1.0 - p) * (embed_er @ k), flag1)
             for k in erasure.kraus_ops]
-    return SwitchChannel(p=p, branch_main=main, channel=KrausChannel(ops))
+    return SwitchChannel(p=p, channel=KrausChannel(ops))
 
 
-def make_rho_ac(mode: str, variant: str = "alternating") -> JointInputState:
+def make_rho_ac(mode: str, variant: Optional[str] = None) -> JointInputState:
     """Construct a side-symmetric joint input state.
 
     Modes
@@ -148,23 +145,25 @@ def make_rho_ac(mode: str, variant: str = "alternating") -> JointInputState:
         A classical flag register pair tensored with a maximally entangled
         pair, for channels with two-qubit inputs. ``variant`` selects the
         flag register content: ``literal`` pins both flags to |0>;
-        ``alternating`` mixes |00> and |11> evenly.
+        ``alternating`` (the default) mixes |00> and |11> evenly.
 
-    Both names are checked for every mode.
+    Only ``entangled_flagged`` takes a ``variant``.
     """
     if mode not in JOINT_INPUT_MODES:
         raise ValueError(f"mode must be one of {JOINT_INPUT_MODES}, "
                          f"got {mode!r}")
-    if variant not in FLAG_VARIANTS:
+    if mode == "bell":
+        if variant is not None:
+            raise ValueError(f"mode 'bell' takes no variant, got {variant!r}")
+        return JointInputState(rho_ac=bell_pair(2), side_dim=2)
+    if variant not in (None,) + FLAG_VARIANTS:
         raise ValueError(f"variant must be one of {FLAG_VARIANTS}, "
                          f"got {variant!r}")
-    if mode == "bell":
-        return JointInputState(rho_ac=bell_pair(2), side_dim=2)
     bell = bell_pair(2).entries
     flags = np.zeros((4, 4), dtype=complex)
     if variant == "literal":
         flags[0, 0] = 1.0                      # |00><00| on the flag pair
-    else:
+    else:                                      # alternating
         flags[0, 0] = 0.5                      # |00><00|
         flags[3, 3] = 0.5                      # |11><11|
     # order (flag_A, flag_C, bell_A, bell_C) -> (flag_A, bell_A, flag_C, bell_C)
@@ -206,8 +205,7 @@ def branch_terms(main: KrausChannel,
             tensor_channels(sides[first], sides[second]), rho)
     side = input_state.side_dim
     reduced = trace_out(rho, [side, side], keep={0})
-    return BranchTerms(main=main, terms=terms,
-                       i_main=coherent_information(main, reduced))
+    return BranchTerms(terms, coherent_information(main, reduced))
 
 
 def branch_weights(p: Probability) -> Tuple[Probability, ...]:
@@ -241,9 +239,6 @@ def joint_coherent_info(sc: SwitchChannel,
                         branches: BranchTerms) -> SuperactivationReport:
     """``switch_report`` at ``sc.p``, for branch terms of ``sc``'s main
     channel."""
-    if sc.branch_main is not branches.main:
-        raise ValueError("branch terms were computed for a different main "
-                         "channel than the switch channel's")
     return switch_report(sc.p, branches)
 
 

@@ -7,8 +7,8 @@ symmetric capacity of a binary-input channel."""
 
 import numpy as np
 
-from qrelay.polar_core import (LLR_CLIP, _encode_block, _resolve_frozen,
-                               _sc_decode_block, bhattacharyya)
+from qrelay.polar_core import (LLR_CLIP, _encode_block, _sc_decode_block,
+                               bhattacharyya)
 
 KERNEL = np.array([[1, 1], [0, 1]], dtype=np.uint8)
 
@@ -49,12 +49,11 @@ def polar_encode(message, k):
     return _encode_block(u.astype(np.uint8)[None, :])[0]
 
 
-def sc_decode(likelihoods, good, frozen_values=None):
+def sc_decode(likelihoods, good):
     """SC decoding of likelihood ratios P(y|0)/P(y|1), shape (n,) or
     (batch, n), through ``_sc_decode_block``: np.inf marks certainty of
     bit 0, 0 certainty of bit 1 and 1 an erasure. The positions outside
-    the ``good`` mask are frozen to ``frozen_values`` (all zero by
-    default)."""
+    the ``good`` mask are frozen to 0."""
     n = len(good)
     lam = np.asarray(likelihoods, dtype=float)
     single = lam.ndim == 1
@@ -66,8 +65,7 @@ def sc_decode(likelihoods, good, frozen_values=None):
         raise ValueError("likelihood ratios must be nonnegative and not NaN")
     with np.errstate(divide="ignore"):
         log_lam = np.clip(np.log(lam), -LLR_CLIP, LLR_CLIP)
-    bits, _ = _sc_decode_block(log_lam, ~good,
-                               _resolve_frozen(n, frozen_values))
+    bits = _sc_decode_block(log_lam, good)
     return bits[0] if single else bits
 
 
@@ -79,14 +77,14 @@ def boxplus_oracle(a, b):
             - np.log1p(np.exp(-np.abs(a - b))))
 
 
-def sc_decode_oracle(lam, frozen_mask, frozen_values):
-    """Recursive SC decoding of (batch, n) LLRs that visits every node and
-    concatenates at every level; returns (message bits, re-encoded
-    codeword)."""
+def sc_decode_oracle(lam, info):
+    """Recursive SC decoding of (batch, n) LLRs, with the bits outside the
+    ``info`` mask frozen to 0, that visits every node and concatenates at
+    every level; returns (message bits, re-encoded codeword)."""
     batch, n = lam.shape
     if n == 1:
-        if frozen_mask[0]:
-            u = np.full(batch, frozen_values[0], dtype=np.uint8)
+        if not info[0]:
+            u = np.zeros(batch, dtype=np.uint8)
         else:
             u = (lam[:, 0] < 0.0).astype(np.uint8)  # L >= 1 decides bit 0
         col = u[:, None]
@@ -96,12 +94,10 @@ def sc_decode_oracle(lam, frozen_mask, frozen_values):
     lam_odd = lam[:, 1::2]
     lam_first = np.clip(boxplus_oracle(lam_even, lam_odd), -LLR_CLIP,
                         LLR_CLIP)
-    u_first, x_first = sc_decode_oracle(lam_first, frozen_mask[:half],
-                                        frozen_values[:half])
+    u_first, x_first = sc_decode_oracle(lam_first, info[:half])
     lam_second = lam_odd + np.where(x_first == 0, lam_even, -lam_even)
     lam_second = np.clip(lam_second, -LLR_CLIP, LLR_CLIP)
-    u_second, x_second = sc_decode_oracle(lam_second, frozen_mask[half:],
-                                          frozen_values[half:])
+    u_second, x_second = sc_decode_oracle(lam_second, info[half:])
     x = np.empty((batch, n), dtype=np.uint8)
     x[:, 0::2] = x_first ^ x_second
     x[:, 1::2] = x_second

@@ -8,7 +8,7 @@ import numpy as np
 
 from helpers_polar import sc_decode_oracle
 from qrelay.polar_core import (BDMC, LLR_CLIP, MonteCarloResult,
-                               _encode_block, _resolve_frozen, trial_rng)
+                               _encode_block, trial_rng)
 
 
 def relay_success_flags(p_e2, trials, seed):
@@ -29,15 +29,13 @@ def sample_outputs(w, codeword, rng):
     return np.minimum(y, w.output_alphabet_size - 1)
 
 
-def monte_carlo_oracle(w, n, info_set, trials, seed, frozen_values=None,
-                       batch_size=2048):
+def monte_carlo_oracle(w, n, info_set, trials, seed, batch_size=2048):
     """Block error estimate with one Generator per trial: message bits from
     ``integers(0, 2, size=|info|)``, then n uniforms for the outputs, and
-    the recursive oracle decoder."""
+    the recursive oracle decoder; every other bit is frozen to 0."""
     info = np.zeros(n, dtype=bool)
     info[np.asarray(info_set)] = True
     info_size = np.count_nonzero(info)
-    frozen = _resolve_frozen(n, frozen_values)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = w.w[0] / w.w[1]
     ratio[np.isnan(ratio)] = 1.0
@@ -45,7 +43,7 @@ def monte_carlo_oracle(w, n, info_set, trials, seed, frozen_values=None,
     done = 0
     while done < trials:
         count = min(batch_size, trials - done)
-        messages = np.tile(frozen, (count, 1))
+        messages = np.zeros((count, n), dtype=np.uint8)
         lam = np.empty((count, n))
         for j in range(count):
             rng = trial_rng(seed, done + j)
@@ -55,12 +53,11 @@ def monte_carlo_oracle(w, n, info_set, trials, seed, frozen_values=None,
         log_lam = np.clip(np.log(lam, where=lam > 0,
                                  out=np.full_like(lam, -np.inf)),
                           -LLR_CLIP, LLR_CLIP)
-        decoded, _ = sc_decode_oracle(log_lam, ~info, frozen)
+        decoded, _ = sc_decode_oracle(log_lam, info)
         errors += int(np.sum(np.any(decoded[:, info] != messages[:, info],
                                     axis=1)))
         done += count
-    return MonteCarloResult(trials=trials, errors=errors,
-                            block_error_rate=errors / trials)
+    return MonteCarloResult(trials=trials, errors=errors)
 
 
 def merge_oracle(w):

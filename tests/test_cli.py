@@ -1280,6 +1280,19 @@ def test_main_rejects_non_finite_table(tmp_path, capsys):
         assert not (tmp_path / "o").exists()
 
 
+def test_cli_writes_nothing_to_stderr_on_overflowing_ratios(tmp_path):
+    # 1 / 1e-320 overflows float64 in the merge of every level; the run
+    # must still print no numpy warning
+    path = polarize_config(tmp_path, k=3, channel={
+        "kind": "table", "w": [[1e-320, 1.0], [1.0, 1e-320]]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrelay", "polarize", "--config", path,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 def test_main_missing_config_exit_code(tmp_path, capsys):
     rc = main(["polarize", "--config", str(tmp_path / "nope.json")])
     assert rc == 2

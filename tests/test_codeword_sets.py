@@ -110,17 +110,17 @@ def test_monotonicity_in_good_amp(args, extra):
 def test_partition_validation():
     # the classes are derived from the two good masks, so overlapping or
     # gapped classes cannot be built; only the masks themselves are checked
-    with pytest.raises(ValueError):  # wrong length
-        IndexSetPartition(n=4, good_amp=index_mask(8, {7}),
-                          good_phase=index_mask(4, ()))
-    with pytest.raises(ValueError):  # the pair disagrees on n
+    assert IndexSetPartition(index_mask(4, {1}), index_mask(4, ())).n == 4
+    with pytest.raises(ValueError):  # masks of two lengths
+        IndexSetPartition(index_mask(8, {7}), index_mask(4, ()))
+    with pytest.raises(ValueError):
         build_partition((index_mask(4, {1}), index_mask(3, ())))
     with pytest.raises(ValueError):  # not a bool mask
-        IndexSetPartition(n=2, good_amp=np.array([1, 0]),
-                          good_phase=index_mask(2, ()))
+        IndexSetPartition(np.array([1, 0]), index_mask(2, ()))
     with pytest.raises(ValueError):
-        IndexSetPartition(n=4, good_amp=frozenset({1}),
-                          good_phase=index_mask(4, ()))
+        IndexSetPartition(frozenset({1}), index_mask(4, ()))
+    with pytest.raises(ValueError):  # not one-dimensional
+        IndexSetPartition(np.ones((2, 2), dtype=bool), index_mask(2, ()))
     with pytest.raises(ValueError):  # empty block
         build_partition((index_mask(0, ()), index_mask(0, ())))
 
@@ -223,8 +223,8 @@ def test_eve_capacity_exhaustive_small_blocks():
 
 def test_from_polarizations_requires_matching_blocks():
     from qrelay.polar_core import PolarizationResult
-    pr_a = PolarizationResult(n=2, z=np.zeros(2))
-    pr_b = PolarizationResult(n=4, z=np.zeros(4))
+    pr_a = PolarizationResult(np.zeros(2))
+    pr_b = PolarizationResult(np.zeros(4))
     with pytest.raises(ValueError, match="disagree"):
         from_polarizations(pr_a, pr_b, 0.3)
 

@@ -224,6 +224,16 @@ def test_merge_pools_equal_ratios():
     assert abs(symmetric_capacity(merged) - symmetric_capacity(w)) < 1e-12
 
 
+def test_ratios_past_float64_pool_with_infinity_without_a_warning():
+    # 0.5 / 1e-320 overflows: that output pools with the one that rules
+    # out input 1, and the sampler clips both to LLR_CLIP (warnings raise)
+    w = BDMC([[0.5, 0.5, 0.0], [1e-320, 0.0, 1.0 - 1e-320]])
+    merged = merge_equal_likelihood_outputs(w)
+    assert merged.output_alphabet_size == 2
+    assert abs(bhattacharyya(merged) - bhattacharyya(w)) < 1e-154
+    _, table = _output_llr_sampler(w)
+    assert set(table.tolist()) == {LLR_CLIP, -LLR_CLIP}
+
 
 def _sparse_table(m, rng):
     """Random 2 x m table with repeated columns (equal ratios), revealing
@@ -357,9 +367,14 @@ def test_bdmc_factory_validation():
 
 def test_polarization_result_validation():
     with pytest.raises(ValueError):
-        PolarizationResult(n=2, z=np.array([0.5, 1.5]))
+        PolarizationResult(np.array([0.5, 1.5]))
     with pytest.raises(ValueError):
-        PolarizationResult(n=3, z=np.array([0.5, 0.5]))
+        PolarizationResult(np.array([-0.5, 0.5]))
+
+
+def test_polarization_result_n_is_the_length_of_z():
+    for z in (np.zeros(1), np.full(8, 0.5), polarize(BDMC.bsc(0.1), 3).z):
+        assert PolarizationResult(z).n == len(z)
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +382,16 @@ def test_polarization_result_validation():
 # ---------------------------------------------------------------------------
 
 def test_select_sets_extremes():
-    all_zero = PolarizationResult(n=8, z=np.zeros(8))
+    all_zero = PolarizationResult(np.zeros(8))
     good = select_sets(all_zero, 0.4)
     assert good.dtype == bool and good.shape == (8,)
     assert good.all()
-    all_one = PolarizationResult(n=8, z=np.ones(8))
+    all_one = PolarizationResult(np.ones(8))
     assert not select_sets(all_one, 0.4).any()
 
 
 def test_select_sets_beta_validation():
-    pr = PolarizationResult(n=2, z=np.zeros(2))
+    pr = PolarizationResult(np.zeros(2))
     for beta in (0.0, 0.5, 0.7, -0.1):
         with pytest.raises(ValueError, match="beta"):
             select_sets(pr, beta)
@@ -384,7 +399,7 @@ def test_select_sets_beta_validation():
 
 def test_select_sets_tie_goes_to_bad():
     threshold = 0.5 * 2.0 ** (-(2 ** 0.4))
-    pr = PolarizationResult(n=2, z=np.array([threshold, threshold / 2]))
+    pr = PolarizationResult(np.array([threshold, threshold / 2]))
     assert select_sets(pr, 0.4).tolist() == [False, True]
 
 
@@ -466,16 +481,11 @@ def test_sc_decode_rate_zero_returns_frozen_vector():
     rng = np.random.default_rng(79)
     n = 16
     good = index_mask(n, [])
-    frozen = rng.integers(0, 2, size=n)
-    lam = np.ones(n)  # all erasures: no information at all
-    decoded = sc_decode(lam, good, frozen_values=frozen)
-    assert np.array_equal(decoded, frozen)
-
-
-def test_sc_decode_missing_frozen_values():
-    good = index_mask(4, [0, 1])
-    with pytest.raises(ValueError, match="cover all 4 positions"):
-        sc_decode(np.ones(4), good, frozen_values=[0, 0, 0])
+    # all erasures, and LLRs that would decide 1 at every leaf
+    for lam in (np.ones(n), rng.random((3, n)) * 1e-3):
+        decoded = sc_decode(lam, good)
+        assert decoded.dtype == np.uint8 and decoded.shape == lam.shape
+        assert not decoded.any()
 
 
 def test_sc_decode_rejects_nan_and_negative():
@@ -543,28 +553,25 @@ def _frozen_masks(rng, n):
 
 
 def test_sc_decode_block_matches_recursive_oracle():
-    # message bits and codewords equal the recursive decoder's bit for bit
-    # for n = 1..256 and batches of 1, 7 and 2048, with frozen subtrees at
-    # every depth, nonzero frozen values and LLRs that reach the underflow
-    # edge of exp, subnormals and both zeros
+    # message bits equal the recursive decoder's bit for bit for
+    # n = 1..256 and batches of 1, 7 and 2048, with frozen subtrees at
+    # every depth and LLRs that reach the underflow edge of exp,
+    # subnormals and both zeros
     rng = np.random.default_rng(131)
     checked = 0
     for k in range(9):
         n = 2 ** k
         for i, mask in enumerate(_frozen_masks(rng, n)):
-            frozen = rng.integers(0, 2, size=n).astype(np.uint8)
             cases = [(1, kind) for kind in ("bec", "gauss", "edge")]
             cases.append((7, "mixed"))
             if i < 6:  # all frozen, all information and the random masks
                 cases.append((2048, "mixed"))
             for batch, kind in cases:
                 lam = _random_llrs(rng, kind, (batch, n))
-                u, x = _sc_decode_block(lam, mask, frozen)
-                u_want, x_want = sc_decode_oracle(lam, mask, frozen)
-                assert u.dtype == x.dtype == np.uint8
-                assert u.shape == x.shape == (batch, n)
+                u = _sc_decode_block(lam, ~mask)
+                u_want, _ = sc_decode_oracle(lam, ~mask)
+                assert u.dtype == np.uint8 and u.shape == (batch, n)
                 assert np.array_equal(u, u_want)
-                assert np.array_equal(x, x_want)
                 checked += 1
     assert checked > 400
 
@@ -640,9 +647,10 @@ def test_monte_carlo_is_deterministic():
 
 
 # Pinned from the frozenset implementation of the index sets: the SHA-256
-# of every decoded block below, and the error count of the MC run.
+# of every decoded block below (all frozen bits 0), and the error count of
+# the MC run.
 SC_DECODE_DIGEST = (
-    "b15a7a26eed9bea6f5a40ce72a37fd80fa49206962af7f20cb9e37eeb390961c")
+    "2781ac4c8d8d1d3998240b675db44a123d717f71312b46c4caa3fb105780343c")
 MC_ERRORS_PINNED = 11
 
 
@@ -653,12 +661,8 @@ def test_sc_decode_masks_reproduce_frozenset_results():
     for _ in range(10):
         info = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
         good = index_mask(n, info)
-        frozen = rng.integers(0, 2, size=n)
         lam = rng.random((8, n)) * 3.0
-        # frozen bits given at the bad positions only, zero elsewhere
-        bad_only = np.where(~good, frozen, 0)
-        for values in (None, frozen, bad_only):
-            digest.update(sc_decode(lam, good, frozen_values=values).tobytes())
+        digest.update(sc_decode(lam, good).tobytes())
     assert digest.hexdigest() == SC_DECODE_DIGEST
 
 
@@ -832,14 +836,11 @@ def test_monte_carlo_matches_per_trial_oracle(monkeypatch):
     for c, w in enumerate(MC_ORACLE_CHANNELS):
         for m in (1, 7, 12, n):
             info = rng.choice(n, size=m, replace=False)
-            frozen = rng.integers(0, 2, size=n) if m == 7 else None
-            want = monte_carlo_oracle(w, n, info, trials, seed=40 + c,
-                                      frozen_values=frozen)
+            want = monte_carlo_oracle(w, n, info, trials, seed=40 + c)
             for batch in (1, 7, 2048):
                 monkeypatch.setattr(qrelay.polar_core, "MC_BATCH", batch)
                 assert monte_carlo_block_error(
-                    w, n, info, trials, seed=40 + c,
-                    frozen_values=frozen) == want
+                    w, n, info, trials, seed=40 + c) == want
             rates.add(want.block_error_rate)
     assert any(0.0 < r < 1.0 for r in rates)
 

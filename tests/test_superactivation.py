@@ -71,6 +71,15 @@ def test_switch_channel_probability_validation():
         build_switch_channel(-0.1, identity_channel(2))
 
 
+def test_branch_terms_are_the_terms_and_i_main_only():
+    # any switch channel's p weighs them; no main channel is stored
+    branches = BranchTerms(terms=dict.fromkeys(BRANCH_KEYS, 0.25),
+                           i_main=0.5)
+    report = joint_coherent_info(
+        build_switch_channel(0.5, identity_channel(2)), branches)
+    assert report == (0.25, 0.25)
+
+
 # ---------------------------------------------------------------------------
 # Joint input states
 # ---------------------------------------------------------------------------
@@ -111,6 +120,13 @@ def test_make_rho_ac_validation():
         make_rho_ac("unknown")
     with pytest.raises(ValueError, match="variant"):
         make_rho_ac("entangled_flagged", variant="bogus")
+    # the Bell pair has no flag register for a variant to select
+    for variant in ("literal", "alternating", "bogus"):
+        with pytest.raises(ValueError, match="takes no variant"):
+            make_rho_ac("bell", variant)
+    default = make_rho_ac("entangled_flagged").rho_ac.entries
+    alternating = make_rho_ac("entangled_flagged", "alternating")
+    assert np.array_equal(default, alternating.rho_ac.entries)
 
 
 def test_joint_input_state_rejects_asymmetric():
@@ -221,11 +237,6 @@ def test_coefficient_extraction_from_p_sweep():
 def test_joint_coherent_info_dimension_mismatch():
     with pytest.raises(ValueError, match="input dim"):
         branch_terms(identity_channel(2), make_rho_ac("entangled_flagged"))
-    # branch terms of one main channel do not describe another's switch
-    branches = branch_terms(identity_channel(2), make_rho_ac("bell"))
-    with pytest.raises(ValueError, match="different main"):
-        joint_coherent_info(build_switch_channel(0.5, identity_channel(2)),
-                            branches)
 
 
 def test_joint_coherent_info_random_two_qubit_main_matches_oracle():
@@ -346,7 +357,7 @@ def test_branch_weights_reject_p_outside_unit_interval():
 def _bound(p, i_main):
     """The sweep's bound_2p1p column at p for a main channel whose coherent
     information is i_main."""
-    branches = BranchTerms(main=None, terms=dict.fromkeys(BRANCH_KEYS, 0.0),
+    branches = BranchTerms(terms=dict.fromkeys(BRANCH_KEYS, 0.0),
                            i_main=i_main)
     return switch_report(p, branches).bound_2p1p
 
