@@ -1,7 +1,7 @@
 """Classical polar coding machinery.
 
-Butterfly encoding with the 2x2 kernel [[1,1],[0,1]] and even/odd
-interleaving, channel combining into 'bad' (first input unknown) and 'good'
+Butterfly encoding in place with bit-reversed codeword rows, channel
+combining into 'bad' (first input unknown) and 'good'
 (first input known) halves, Bhattacharyya parameter tracking through the
 recursion, threshold selection of good/bad index sets, successive
 cancellation decoding, and Monte Carlo block error estimation.
@@ -16,7 +16,6 @@ split.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,24 +107,6 @@ class MonteCarloResult:
     @property
     def block_error_rate(self) -> float:
         return self.errors / self.trials
-
-
-# ---------------------------------------------------------------------------
-# Encoding
-# ---------------------------------------------------------------------------
-
-def _encode_block(u: np.ndarray) -> np.ndarray:
-    """Butterfly encoding of a (batch, n) bit array."""
-    n = u.shape[1]
-    if n == 1:
-        return u
-    half = n // 2
-    a = _encode_block(u[:, :half])
-    b = _encode_block(u[:, half:])
-    x = np.empty_like(u)
-    x[:, 0::2] = a ^ b
-    x[:, 1::2] = b
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -308,52 +289,60 @@ def _boxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.subtract(out, _log1p_exp_neg(tmp, mask), out=out)
 
 
-def _clip(lam: np.ndarray) -> np.ndarray:
-    """Clip LLRs to +-LLR_CLIP in place."""
-    return np.clip(lam, -LLR_CLIP, LLR_CLIP, out=lam)
+def _encode_in_place(x: np.ndarray) -> np.ndarray:
+    """Encode C-contiguous (n, batch) message bits in place by the F^(x)k
+    butterflies; row r then holds codeword position rev(r), as the
+    generator matrix is B_N F^(x)k (Arikan 2009, section VII)."""
+    n, s = x.shape[0], 1
+    while s < n:
+        v = x.reshape(n // (2 * s), 2, s, -1)
+        v[:, 0] ^= v[:, 1]
+        s *= 2
+    return x
 
 
 def _sc_decode_block(lam, info):
-    """SC decoding of a (batch, n) array of finite LLRs, with every bit
-    outside the ``info`` mask frozen to 0; returns the (batch, n) uint8
-    message bits. The input of every node below the root is clipped to
-    +-LLR_CLIP.
-
-    A subtree whose positions are all frozen takes no LLR work: its bits
-    stay 0 and its codeword is the scalar 0, so its parent computes no
-    input for it. This is exact, because SC never reads the LLRs at
-    frozen leaves.
-    """
-    batch, n = lam.shape
-    u = np.zeros((batch, n), dtype=np.uint8)
+    """SC decoding of (n, batch) finite LLRs, row r at codeword position
+    rev(r), with every bit outside the ``info`` mask frozen to 0; returns
+    the (n, batch) uint8 message bits. Inputs of nodes between the root
+    and the leaves, which read only their sign, are clipped to +-LLR_CLIP.
+    A node's halves are the row blocks lam[:h] and lam[h:]. Rows lo..hi-1
+    of x take the codeword of bits lo..hi-1, except at the root; the
+    butterflies, their own inverse, turn each half back into bits. An
+    all-frozen subtree takes no LLR work: SC never reads its LLRs."""
+    n = lam.shape[0]
+    x = np.zeros(lam.shape, dtype=np.uint8)
     info_before = [0] + np.cumsum(info).tolist()
 
     def decode(lam, lo, hi):
-        """Bits lo..hi-1, at least one of them not frozen, into u; returns
-        their codeword."""
+        """The codeword of bits lo..hi-1, not all frozen, into x."""
         if hi - lo == 1:
-            return np.less(lam, 0.0, out=u[:, lo:hi])  # L >= 1 decides 0
+            np.less(lam, 0.0, out=x[lo:hi])  # L >= 1 decides 0
+            return
+        if hi - lo < n:
+            np.clip(lam, -LLR_CLIP, LLR_CLIP, out=lam)
         mid = (lo + hi) // 2
-        even, odd = lam[:, 0::2], lam[:, 1::2]
-        x_first = x_second = np.uint8(0)
+        first, second = lam[:mid - lo], lam[mid - lo:]
         if info_before[mid] > info_before[lo]:
-            x_first = decode(_clip(_boxplus(even, odd)), lo, mid)
+            decode(_boxplus(first, second), lo, mid)
         if info_before[hi] > info_before[mid]:
-            # odd + even where the first codeword bit is 0 and odd - even
-            # where it is 1: even * (1 - 2x) negates exactly
-            lam_second = np.multiply(x_first, -2.0, out=np.empty(even.shape))
+            # second + first where the first codeword bit is 0 and
+            # second - first where it is 1: first * (1 - 2x) negates exactly
+            lam_second = np.multiply(x[lo:mid], -2.0,
+                                     out=np.empty(first.shape))
             np.add(lam_second, 1.0, out=lam_second)
-            np.multiply(even, lam_second, out=lam_second)
-            np.add(odd, lam_second, out=lam_second)
-            x_second = decode(_clip(lam_second), mid, hi)
-        x = np.empty((batch, hi - lo), dtype=np.uint8)
-        np.bitwise_xor(x_first, x_second, out=x[:, 0::2])
-        x[:, 1::2] = x_second
-        return x
+            np.multiply(first, lam_second, out=lam_second)
+            np.add(second, lam_second, out=lam_second)
+            decode(lam_second, mid, hi)
+            if hi - lo < n:
+                x[lo:mid] ^= x[mid:hi]
 
     if info_before[n]:
         decode(lam, 0, n)
-    return u
+    del decode  # it refers to itself: the cycle would hold x until a gc pass
+    _encode_in_place(x[:n // 2])
+    _encode_in_place(x[n // 2:])
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +446,16 @@ def uniforms(raw: np.ndarray) -> np.ndarray:
 
 
 def _output_llr_sampler(w: BDMC):
-    """Breakpoints and a flat lookup table that turn a uniform draw u and
-    a sent bit x into the clipped LLR log(P(y|0)/P(y|1)) of the output y
-    they sample; zero-probability outputs, never sampled, get LLR 0.
-
-    The output is y = min(#{j : cdf[x, j] <= u}, m - 1), as
-    ``searchsorted(cdf[x], u, side="right")`` gives it. That count only
-    changes where u crosses one of the 2m cdf values of either row, so
-    k = searchsorted(breaks, u, side="right") over those values, sorted,
-    fixes y for both bits: table[2k + x] = llr[y].
+    """Breakpoints, guide table and flat lookup table that turn a raw word
+    and a sent bit x into the clipped LLR log(P(y|0)/P(y|1)) of the output
+    y they sample; zero-probability outputs, never sampled, get LLR 0. The
+    output is y = min(#{j : cdf[x, j] <= u}, m - 1) for the word's
+    uniform u, as ``searchsorted(cdf[x], u, side="right")`` gives it. That
+    count only changes where u crosses one of the 2m cdf values of either
+    row, so k = searchsorted(breaks, u, side="right") over those values,
+    sorted, fixes y for both bits: table[2k + x] = llr[y]. The guide table
+    (Chen and Asau 1974) holds 2k at the start of each bucket
+    [b, b + 1) 2^-16 of u, and an odd value where a breakpoint splits it.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = w.w[0] / w.w[1]  # past float64 is past LLR_CLIP too
@@ -476,41 +466,50 @@ def _output_llr_sampler(w: BDMC):
     below = np.concatenate([[-np.inf], breaks])  # the largest value <= u
     y = np.column_stack([np.searchsorted(row, below, side="right")
                          for row in cdf])
-    return breaks, llr[np.minimum(y, w.output_alphabet_size - 1)].ravel()
+    table = llr[np.minimum(y, w.output_alphabet_size - 1)].ravel()
+    start = np.arange(2 ** 16) * 2.0 ** -16
+    k = np.searchsorted(breaks, start, side="right")
+    split = np.searchsorted(breaks, start + 2.0 ** -16) > k
+    guide = (2 * k + split).astype(np.min_scalar_type(len(table)))
+    return breaks, guide, table
 
 
-def _table_index(breaks: np.ndarray, u: np.ndarray,
+def _guide_index(breaks: np.ndarray, guide: np.ndarray, raw: np.ndarray,
                  x: np.ndarray) -> np.ndarray:
-    """Positions 2k + x in the sampler's table for uniforms u and sent
-    bits x."""
-    index = np.searchsorted(breaks, u, side="right")
-    index <<= 1
+    """Positions 2k + x in the sampler's table for the (n, batch) sent
+    bits x, row r at codeword position rev(r) (the reversed axes of the
+    (2,) * k index array), and the (batch, n) raw words of those
+    positions, whose last axis is contiguous. Lanes outside split buckets
+    read only the top 16 bits, floor(u 2^16): the uint16 at offset 3 of a
+    little-endian word."""
+    n = raw.shape[1]
+    rows = np.arange(n).reshape((2,) * (n.bit_length() - 1)).T.ravel()
+    top = raw.astype("<u8", copy=False).view("<u2")[:, 3::4]
+    index = guide[top].T[rows]
+    lanes = np.flatnonzero((index & 1).astype(bool))
+    r, c = np.divmod(lanes, index.shape[1])
+    exact = np.searchsorted(breaks, uniforms(raw[c, rows[r]]), side="right")
     index += x
+    index.flat[lanes] = 2 * exact + x.flat[lanes]
     return index
 
 
-def _mc_batch(info: np.ndarray, breaks: np.ndarray, table: np.ndarray,
-              seed: int, first: int, count: int):
-    """Messages and channel LLRs of trials first..first+count-1.
-
-    Each trial draws its message bits as ``Generator.integers(0, 2, m)``
-    does on Philox (the top bit of each 32-bit half, low half first) and
-    then n uniforms for the channel outputs, from its own stream.
-    """
-    n = len(info)
-    m = int(np.count_nonzero(info))
+def _mc_batch(info: np.ndarray, sampler, seed: int, first: int, count: int):
+    """(n, count) messages and LLRs, row r at codeword position rev(r), of
+    trials first..first+count-1. Each trial draws its message bits as
+    ``Generator.integers(0, 2, m)`` does on Philox (the top bit of each
+    32-bit half, low half first), then n raw words for the outputs."""
+    breaks, guide, table = sampler
+    n, m = len(info), int(np.count_nonzero(info))
     half = -(-m // 2)
     raw = trial_words(seed, first, count, half + n)
-    halves = np.empty((count, 2 * half), dtype=np.uint8)
-    halves[:, 0::2] = (raw[:, :half] >> np.uint64(31)) & np.uint64(1)
-    halves[:, 1::2] = raw[:, :half] >> np.uint64(63)
-    messages = np.zeros((count, n), dtype=np.uint8)
-    messages[:, info] = halves[:, :m]
-    u = uniforms(raw[:, half:])
+    halves = raw[:, :half].astype("<u8", copy=False).view("<u4")[:, :m]
+    messages = np.zeros((n, count), dtype=np.uint8)
+    messages[info] = (halves >> 31).T
+    index = _guide_index(breaks, guide, raw[:, half:],
+                         _encode_in_place(messages.copy()))
     del raw, halves  # the raw words would set the batch's peak memory
-    index = _table_index(breaks, u, _encode_block(messages))
-    del u
-    return messages, np.take(table, index)
+    return messages, table[index]
 
 
 def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int,
@@ -525,24 +524,25 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    k = int(math.log2(n))
-    if 2 ** k != n:
+    if n < 1 or n & (n - 1):
         raise ValueError(f"block length must be a power of 2, got {n}")
     sel = np.asarray(info_set)
+    if sel.dtype == bool and sel.shape != (n,):
+        raise ValueError(f"info mask has shape {sel.shape}, block length {n}")
     if sel.dtype != bool and np.any((sel < 0) | (sel >= n)):
         raise ValueError("info set indices out of range")
     info = np.zeros(n, dtype=bool)
     info[sel] = True
-    breaks, table = _output_llr_sampler(w)
+    sampler = _output_llr_sampler(w)
 
     errors, batch = 0, max(1, min(MC_BATCH, MC_BATCH_LLRS // n))
     for first in range(0, trials, batch):
         count = min(batch, trials - first)
-        messages, lam = _mc_batch(info, breaks, table, seed, first, count)
+        messages, lam = _mc_batch(info, sampler, seed, first, count)
         decoded = _sc_decode_block(lam, info)
         del lam
-        errors += int(np.sum(np.any(decoded[:, info] != messages[:, info],
-                                    axis=1)))
+        errors += int(np.count_nonzero(np.any(
+            decoded[info] != messages[info], axis=0)))
     return MonteCarloResult(trials=trials, errors=errors)
 
 

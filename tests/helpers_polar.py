@@ -1,13 +1,15 @@
 """Reference code for the polar coding layer: the generator matrix that
-the butterfly encoder must equal, one-block encode and decode wrappers
-around the batched runtime kernels, the plain recursive SC decoder that
-the runtime decoder must match bit for bit, the level-by-level erasure
-recursion that the in-place one must match bit for bit, and the
-symmetric capacity of a binary-input channel."""
+the butterfly encoder must equal, the bit-reversal permutation and the
+recursive even/odd encoder that the in-place one must match once
+bit-reversed, one-block encode and decode
+wrappers around the batched runtime kernels, the plain recursive SC
+decoder that the runtime decoder must match bit for bit, the
+level-by-level erasure recursion that the in-place one must match bit for
+bit, and the symmetric capacity of a binary-input channel."""
 
 import numpy as np
 
-from qrelay.polar_core import (LLR_CLIP, _encode_block, _sc_decode_block,
+from qrelay.polar_core import (LLR_CLIP, _encode_in_place, _sc_decode_block,
                                bhattacharyya)
 
 KERNEL = np.array([[1, 1], [0, 1]], dtype=np.uint8)
@@ -38,20 +40,47 @@ def generator_matrix(k):
     return g
 
 
+def bit_reversal(n):
+    """rev(r) for r = 0..n-1, n = 2^k: r's k binary digits reversed, the
+    codeword position that row r of the runtime (n, batch) layout holds."""
+    k = n.bit_length() - 1
+    return np.array([int(format(r, f"0{k}b")[::-1] or "0", 2)
+                     for r in range(n)], dtype=np.intp)
+
+
+def encode_block_oracle(u):
+    """Butterfly encoding of a (batch, n) bit array by the even/odd
+    recursion: the first half-code XOR the second at even positions, the
+    second half-code at odd positions."""
+    n = u.shape[1]
+    if n == 1:
+        return u
+    half = n // 2
+    a = encode_block_oracle(u[:, :half])
+    b = encode_block_oracle(u[:, half:])
+    x = np.empty_like(u)
+    x[:, 0::2] = a ^ b
+    x[:, 1::2] = b
+    return x
+
+
 def polar_encode(message, k):
-    """One length-2^k binary message through ``_encode_block``."""
+    """One length-2^k binary message through ``_encode_in_place``, with
+    the codeword returned in position order."""
     u = np.asarray(message)
     n = 2 ** k
     if u.ndim != 1 or len(u) != n:
         raise ValueError(f"message must have length {n}, got shape {u.shape}")
     if np.any((u != 0) & (u != 1)):
         raise ValueError("message must be binary")
-    return _encode_block(u.astype(np.uint8)[None, :])[0]
+    rows = _encode_in_place(u.astype(np.uint8)[:, None])
+    return rows[bit_reversal(n), 0]  # the reversal is its own inverse
 
 
 def sc_decode(likelihoods, good):
     """SC decoding of likelihood ratios P(y|0)/P(y|1), shape (n,) or
-    (batch, n), through ``_sc_decode_block``: np.inf marks certainty of
+    (batch, n), through ``_sc_decode_block`` on its bit-reversed (n, batch)
+    layout: np.inf marks certainty of
     bit 0, 0 certainty of bit 1 and 1 an erasure. The positions outside
     the ``good`` mask are frozen to 0."""
     n = len(good)
@@ -65,7 +94,7 @@ def sc_decode(likelihoods, good):
         raise ValueError("likelihood ratios must be nonnegative and not NaN")
     with np.errstate(divide="ignore"):
         log_lam = np.clip(np.log(lam), -LLR_CLIP, LLR_CLIP)
-    bits = _sc_decode_block(log_lam, good)
+    bits = _sc_decode_block(log_lam.T[bit_reversal(n)], good).T
     return bits[0] if single else bits
 
 

@@ -1,14 +1,14 @@
 """Per-trial reference implementations: the oracles for the batched
-Philox evaluation of the relay simulation and the Monte Carlo block error
-estimate, and the dict-based output merge."""
+Philox evaluation of the relay simulation, the output sampler's table
+lookup and the Monte Carlo block error estimate, and the dict-based output
+merge."""
 
 import math
 
 import numpy as np
 
-from helpers_polar import sc_decode_oracle
-from qrelay.polar_core import (BDMC, LLR_CLIP, MonteCarloResult,
-                               _encode_block, trial_rng)
+from helpers_polar import encode_block_oracle, sc_decode_oracle
+from qrelay.polar_core import BDMC, LLR_CLIP, MonteCarloResult, trial_rng
 
 
 def relay_success_flags(p_e2, trials, seed):
@@ -27,6 +27,14 @@ def sample_outputs(w, codeword, rng):
         if np.any(mask):
             y[mask] = np.searchsorted(cdf[bit], r[mask], side="right")
     return np.minimum(y, w.output_alphabet_size - 1)
+
+
+def table_index_oracle(breaks, raw, x):
+    """Positions 2k + x in the sampler's table for raw words and sent bits
+    x, with k = searchsorted(breaks, u, side="right") over each word's
+    uniform u, as ``Generator.random()`` makes it."""
+    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return 2 * np.searchsorted(breaks, u, side="right") + x
 
 
 def monte_carlo_oracle(w, n, info_set, trials, seed, batch_size=2048):
@@ -48,7 +56,8 @@ def monte_carlo_oracle(w, n, info_set, trials, seed, batch_size=2048):
         for j in range(count):
             rng = trial_rng(seed, done + j)
             messages[j, info] = rng.integers(0, 2, size=info_size)
-            y = sample_outputs(w, _encode_block(messages[j][None, :])[0], rng)
+            y = sample_outputs(w, encode_block_oracle(messages[j][None, :])[0],
+                               rng)
             lam[j] = ratio[y]
         log_lam = np.clip(np.log(lam, where=lam > 0,
                                  out=np.full_like(lam, -np.inf)),

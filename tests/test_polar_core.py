@@ -11,16 +11,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import qrelay.polar_core
-from helpers_polar import (boxplus_oracle, generator_matrix, polar_encode,
+from helpers_polar import (bit_reversal, boxplus_oracle, encode_block_oracle,
+                           generator_matrix, polar_encode,
                            polarize_erasure_oracle, sc_decode,
                            sc_decode_oracle, symmetric_capacity)
 from helpers_quantum import index_mask, random_bdmc
-from helpers_rng import merge_oracle, monte_carlo_oracle
+from helpers_rng import merge_oracle, monte_carlo_oracle, table_index_oracle
 from qrelay.polar_core import (BDMC, LLR_CLIP, PolarizationResult,
-                               _boxplus, _log1p_exp_neg,
+                               _boxplus, _encode_in_place, _guide_index,
+                               _log1p_exp_neg,
                                _output_llr_sampler, _polarize_erasure,
                                _polarize_tables, _sc_decode_block,
-                               _table_index,
                                bhattacharyya, combine_bad, combine_good,
                                error_bound, merge_equal_likelihood_outputs,
                                monte_carlo_block_error, polarization_rows,
@@ -150,6 +151,20 @@ def test_polar_encode_validates_input():
         polar_encode([0, 2], 1)
 
 
+def test_encode_in_place_matches_recursive_oracle():
+    # row r of the in-place (n, batch) encoding holds codeword position
+    # rev(r), the k-bit reversal of r, of the even/odd recursion's codeword
+    rng = np.random.default_rng(53)
+    for k in range(13):
+        n = 2 ** k
+        rev = bit_reversal(n)
+        for batch in (1, 7, 2048):
+            u = rng.integers(0, 2, size=(batch, n), dtype=np.uint8)
+            x = _encode_in_place(u.T.copy())
+            assert x.shape == (n, batch)
+            assert np.array_equal(x, encode_block_oracle(u).T[rev])
+
+
 # ---------------------------------------------------------------------------
 # Combining and channel parameters
 # ---------------------------------------------------------------------------
@@ -231,7 +246,7 @@ def test_ratios_past_float64_pool_with_infinity_without_a_warning():
     merged = merge_equal_likelihood_outputs(w)
     assert merged.output_alphabet_size == 2
     assert abs(bhattacharyya(merged) - bhattacharyya(w)) < 1e-154
-    _, table = _output_llr_sampler(w)
+    table = _output_llr_sampler(w)[-1]
     assert set(table.tolist()) == {LLR_CLIP, -LLR_CLIP}
 
 
@@ -554,7 +569,8 @@ def _frozen_masks(rng, n):
 
 def test_sc_decode_block_matches_recursive_oracle():
     # message bits equal the recursive decoder's bit for bit for
-    # n = 1..256 and batches of 1, 7 and 2048, with frozen subtrees at
+    # n = 1..256 and batches of 1, 7 and 2048, the LLRs given in the
+    # bit-reversed (n, batch) layout, with frozen subtrees at
     # every depth and LLRs that reach the underflow edge of exp,
     # subnormals and both zeros
     rng = np.random.default_rng(131)
@@ -568,10 +584,10 @@ def test_sc_decode_block_matches_recursive_oracle():
                 cases.append((2048, "mixed"))
             for batch, kind in cases:
                 lam = _random_llrs(rng, kind, (batch, n))
-                u = _sc_decode_block(lam, ~mask)
+                u = _sc_decode_block(lam.T[bit_reversal(n)], ~mask)
                 u_want, _ = sc_decode_oracle(lam, ~mask)
-                assert u.dtype == np.uint8 and u.shape == (batch, n)
-                assert np.array_equal(u, u_want)
+                assert u.dtype == np.uint8 and u.shape == (n, batch)
+                assert np.array_equal(u.T, u_want)
                 checked += 1
     assert checked > 400
 
@@ -677,16 +693,20 @@ def test_monte_carlo_mask_matches_index_array():
         assert res.errors == MC_ERRORS_PINNED
     with pytest.raises(ValueError, match="out of range"):
         monte_carlo_block_error(w, 128, [-1, 3], trials=1, seed=0)
-    with pytest.raises(IndexError):
-        monte_carlo_block_error(w, 128, index_mask(64, order[:4]), trials=1,
-                                seed=0)
+    short = index_mask(64, order[order < 64])
+    with pytest.raises(ValueError, match=r"shape \(64,\), block length 128"):
+        monte_carlo_block_error(w, 128, short, trials=1, seed=0)
+    for n in (0, 96):
+        with pytest.raises(ValueError, match=f"power of 2, got {n}$"):
+            monte_carlo_block_error(w, n, [], trials=1, seed=0)
 
 
 def test_monte_carlo_bench_op_count_and_peak():
     # the benchmark's op: BEC(0.4), n = 256, the 128 lowest-Z indices,
     # 2048 trials at seed 31337. Its traced peak was 13.8 MB when each
     # node decoded through temporaries and the uniforms overlapped the
-    # raw words.
+    # raw words, and 9.75 MB with an n-wide float uniforms array and a
+    # separate array of decoded bits; it is 9.38 MB without them.
     w = BDMC.bec(0.4)
     pr = polarize(w, 8)
     info = np.argsort(pr.z, kind="stable")[:128]
@@ -697,7 +717,7 @@ def test_monte_carlo_bench_op_count_and_peak():
     finally:
         tracemalloc.stop()
     assert res.errors == 721
-    assert peak <= 11 * 2 ** 20
+    assert peak <= 10 * 2 ** 20
 
 
 def test_monte_carlo_independent_of_batching(monkeypatch):
@@ -798,15 +818,30 @@ def test_trial_words_batch_rows_are_trial_streams():
         trial_words(0, 2 ** 64 - 1, 2, 1)
 
 
+# the last channel's 2400 breakpoints split about 3.6% of the guide's
+# buckets, so many lanes take the exact searchsorted path
 MC_ORACLE_CHANNELS = (BDMC.bec(0.4), BDMC.bsc(0.08),
                       BDMC([[0.5, 0.3, 0.0, 0.2], [0.1, 0.3, 0.0, 0.6]]),
-                      random_bdmc(9, np.random.default_rng(3)))
+                      random_bdmc(9, np.random.default_rng(3)),
+                      random_bdmc(1200, np.random.default_rng(4)))
+
+
+def _words_at(u, rng):
+    """Raw words whose uniform is u rounded down and up to a multiple of
+    2^-53, at most 1 - 2^-53, with random low 11 bits."""
+    top = np.concatenate([np.floor(u * 2.0 ** 53), np.ceil(u * 2.0 ** 53)])
+    top = np.minimum(top, 2.0 ** 53 - 1).astype(np.uint64) << np.uint64(11)
+    return top | rng.integers(0, 2 ** 11, size=top.shape, dtype=np.uint64)
 
 
 def test_output_llr_sampler_matches_searchsorted():
     # at, just below and just above every cdf value, at 0 and at the
-    # largest uniform: the looked-up LLR is that of the output that
-    # searchsorted(cdf[x], u, side="right") samples
+    # largest uniform, with any low 11 bits: the guide lookup gives the
+    # index that searchsorted over the breakpoints gives, and that index
+    # the LLR of the output that searchsorted(cdf[x], u, side="right")
+    # samples. The words sit in a Monte Carlo batch of 7 trials, behind 3
+    # other words, lane (r, c) at trial c's position rev(r).
+    rng = np.random.default_rng(59)
     for w in MC_ORACLE_CHANNELS + (BDMC.bec(0.0), BDMC.bsc(1.0)):
         cdf = np.cumsum(w.w, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -817,14 +852,23 @@ def test_output_llr_sampler_matches_searchsorted():
         u = np.concatenate([cdf.ravel(), np.nextafter(cdf.ravel(), 0.0),
                             np.nextafter(cdf.ravel(), 2.0),
                             [0.0, 1.0 - 2.0 ** -53]])
-        u = u[u < 1.0]
-        breaks, table = _output_llr_sampler(w)
-        for x in (0, 1):
-            y = np.minimum(np.searchsorted(cdf[x], u, side="right"),
-                           w.output_alphabet_size - 1)
-            sent = np.full(u.shape, x, dtype=np.uint8)
-            assert np.array_equal(table[_table_index(breaks, u, sent)],
-                                  llr[y])
+        words = rng.permutation(_words_at(u[u < 1.0], rng))
+        n = 1 << (-(-len(words) // 7) - 1).bit_length()
+        raw = np.zeros((7, 3 + n), dtype=np.uint64)
+        raw[:, 3:] = np.resize(words, (7, n))
+        lanes = raw[:, 3:][:, bit_reversal(n)].T
+        breaks, guide, table = _output_llr_sampler(w)
+        for x in (np.zeros((n, 7), dtype=np.uint8),
+                  np.ones((n, 7), dtype=np.uint8),
+                  rng.integers(0, 2, size=(n, 7), dtype=np.uint8)):
+            index = _guide_index(breaks, guide, raw[:, 3:], x)
+            assert index.shape == x.shape
+            assert np.array_equal(index, table_index_oracle(breaks, lanes, x))
+            u_lane = (lanes >> np.uint64(11)) * 2.0 ** -53
+            y = np.where(x == 0, np.searchsorted(cdf[0], u_lane, "right"),
+                         np.searchsorted(cdf[1], u_lane, "right"))
+            y = np.minimum(y, w.output_alphabet_size - 1)
+            assert np.array_equal(table[index], llr[y])
 
 
 def test_monte_carlo_matches_per_trial_oracle(monkeypatch):
@@ -843,6 +887,7 @@ def test_monte_carlo_matches_per_trial_oracle(monkeypatch):
                     w, n, info, trials, seed=40 + c) == want
             rates.add(want.block_error_rate)
     assert any(0.0 < r < 1.0 for r in rates)
+
 
 
 # ---------------------------------------------------------------------------
