@@ -25,6 +25,7 @@ ROW_SUM_TOL = 1e-12
 LLR_CLIP = 700.0
 ALPHABET_CAP = 4096  # largest post-merge output alphabet polarize tracks
 MC_BATCH, MC_BATCH_LLRS = 2048, 2 ** 21  # trials and LLRs per decoding pass
+_ROOT_CHUNK = 2 ** 14  # root LLRs read through the codes per boxplus or g
 
 
 class BDMC:
@@ -268,17 +269,17 @@ def _log1p_exp_neg(t: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.multiply(t, mask, out=t)
 
 
-def _boxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _boxplus(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Exact log-domain combination for the unknown-first-input recursion:
     log((1 + e^(a+b)) / (e^a + e^b)), computed stably as
     sign(a) sign(b) min(|a|, |b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|).
 
-    The result array holds the first term and one scratch array takes the
-    two log1p terms in turn. The first term is copysign(min, a*b); it can
-    differ from the sign product only in the sign of a zero, which adding
-    the second term (>= +0.0) erases.
+    The result array (``out`` if given) holds the first term and one
+    scratch array takes the two log1p terms in turn. The first term is
+    copysign(min, a*b); it can differ from the sign product only in the
+    sign of a zero, which adding the second term (>= +0.0) erases.
     """
-    out = np.abs(a)
+    out = np.abs(a, out=out)
     tmp = np.abs(b)
     np.minimum(out, tmp, out=out)
     np.copysign(out, np.multiply(a, b, out=tmp), out=out)
@@ -301,17 +302,31 @@ def _encode_in_place(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _sc_decode_block(lam, info):
-    """SC decoding of (n, batch) finite LLRs, row r at codeword position
-    rev(r), with every bit outside the ``info`` mask frozen to 0; returns
-    the (n, batch) uint8 message bits. Inputs of nodes between the root
-    and the leaves, which read only their sign, are clipped to +-LLR_CLIP.
-    A node's halves are the row blocks lam[:h] and lam[h:]. Rows lo..hi-1
-    of x take the codeword of bits lo..hi-1, except at the root; the
-    butterflies, their own inverse, turn each half back into bits. An
-    all-frozen subtree takes no LLR work: SC never reads its LLRs."""
-    n = lam.shape[0]
-    x = np.zeros(lam.shape, dtype=np.uint8)
+def _signed(lam: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """lam where the codeword bit is 0 and -lam where it is 1, as a new
+    array: lam * (1 - 2 bits) negates exactly."""
+    out = np.multiply(bits, -2.0)
+    np.add(out, 1.0, out=out)
+    return np.multiply(lam, out, out=out)
+
+
+def _sc_decode_block(codes, table, info):
+    """SC decoding of the (n, batch) channel LLRs table[codes], row r at
+    codeword position rev(r), with every bit outside the ``info`` mask
+    frozen to 0; returns the (n, batch) uint8 message bits.
+
+    The root reads its halves through the codes, ``_ROOT_CHUNK`` LLRs at a
+    time, into one (n/2, batch) float array that takes the first child's
+    boxplus and then the second child's g, so no (n, batch) float array
+    exists. Below the root, a node's halves are the row blocks lam[:h]
+    and lam[h:] of its input, which it clips to +-LLR_CLIP (it reads only
+    their sign), and g overwrites lam[h:]. Rows lo..hi-1 of x take the
+    codeword of bits lo..hi-1, except at the root; the butterflies, their
+    own inverse, turn each half back into bits. An all-frozen subtree
+    takes no LLR work: SC never reads its LLRs."""
+    n, batch = codes.shape
+    h = n // 2
+    x = np.zeros(codes.shape, dtype=np.uint8)
     info_before = [0] + np.cumsum(info).tolist()
 
     def decode(lam, lo, hi):
@@ -319,29 +334,36 @@ def _sc_decode_block(lam, info):
         if hi - lo == 1:
             np.less(lam, 0.0, out=x[lo:hi])  # L >= 1 decides 0
             return
-        if hi - lo < n:
-            np.clip(lam, -LLR_CLIP, LLR_CLIP, out=lam)
+        np.clip(lam, -LLR_CLIP, LLR_CLIP, out=lam)
         mid = (lo + hi) // 2
         first, second = lam[:mid - lo], lam[mid - lo:]
         if info_before[mid] > info_before[lo]:
             decode(_boxplus(first, second), lo, mid)
         if info_before[hi] > info_before[mid]:
-            # second + first where the first codeword bit is 0 and
-            # second - first where it is 1: first * (1 - 2x) negates exactly
-            lam_second = np.multiply(x[lo:mid], -2.0,
-                                     out=np.empty(first.shape))
-            np.add(lam_second, 1.0, out=lam_second)
-            np.multiply(first, lam_second, out=lam_second)
-            np.add(second, lam_second, out=lam_second)
-            decode(lam_second, mid, hi)
-            if hi - lo < n:
-                x[lo:mid] ^= x[mid:hi]
+            np.add(second, _signed(first, x[lo:mid]), out=second)
+            decode(second, mid, hi)
+            x[lo:mid] ^= x[mid:hi]
 
-    if info_before[n]:
-        decode(lam, 0, n)
+    if n == 1 and info[0]:
+        np.less(np.take(table, codes), 0.0, out=x)
+    elif n > 1 and info_before[n]:
+        lam = np.empty((h, batch))
+        first, second, bits = codes[:h], codes[h:], x[:h]
+        step = max(1, _ROOT_CHUNK // batch)
+        chunks = [slice(r, r + step) for r in range(0, h, step)]
+        if info_before[h]:
+            for c in chunks:
+                _boxplus(np.take(table, first[c]), np.take(table, second[c]),
+                         out=lam[c])
+            decode(lam, 0, h)
+        if info_before[n] > info_before[h]:
+            for c in chunks:
+                np.add(np.take(table, second[c]),
+                       _signed(np.take(table, first[c]), bits[c]), out=lam[c])
+            decode(lam, h, n)
     del decode  # it refers to itself: the cycle would hold x until a gc pass
-    _encode_in_place(x[:n // 2])
-    _encode_in_place(x[n // 2:])
+    _encode_in_place(x[:h])
+    _encode_in_place(x[h:])
     return x
 
 
@@ -365,7 +387,7 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-_PHILOX_SLICE = 2 ** 14  # counter blocks evaluated per numpy pass
+_PHILOX_SLICE = 2 ** 14  # counter blocks per numpy pass, whole trials each
 _U64 = 2 ** 64
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -392,9 +414,13 @@ def _mulhilo(m: np.uint64, x: np.ndarray):
 
 
 def _philox_blocks(key: int, c0: np.ndarray, c1: np.ndarray):
-    """The four output words of Philox4x64-10 at counters (c0, c1, 0, 0)."""
+    """The four output words of Philox4x64-10 at counters (c0, c1, 0, 0),
+    for c0 and c1 that broadcast together. A word keeps the shape of what
+    it depends on, so for a row of block counters c0 against a column of
+    trials c1 the products of the first two rounds work on the row or
+    the column alone."""
     x0, x1 = c0, c1
-    x2 = x3 = np.zeros_like(c0)
+    x2 = x3 = np.zeros(1, dtype=np.uint64)
     k0, k1 = int(key), 0
     for r in range(_PHILOX_ROUNDS):
         if r:
@@ -402,37 +428,56 @@ def _philox_blocks(key: int, c0: np.ndarray, c1: np.ndarray):
             k1 = (k1 + _PHILOX_W[1]) % _U64
         hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        hi1 ^= x1
+        hi1 = hi1 ^ x1  # not in place: early words have smaller shapes
         hi1 ^= np.uint64(k0)
-        hi0 ^= x3
+        hi0 = hi0 ^ x3
         hi0 ^= np.uint64(k1)
         x0, x1, x2, x3 = hi1, lo1, hi0, lo0
     return x0, x1, x2, x3
 
 
-def trial_words(seed: int, first: int, count: int, words: int) -> np.ndarray:
-    """Raw outputs 0..words-1 of ``trial_rng(seed, t)`` for the trials
-    t = first, ..., first + count - 1, as a (count, words) uint64 array.
-
-    Stream t is keyed by (seed, 0); ``advance(t << 64)`` puts t in counter
-    word 1, and each refill of four outputs first increments word 0, so
-    outputs 4(b-1)..4b-1 come from counter (b, t, 0, 0), b = 1, 2, ....
-    Counters are evaluated in bounded slices.
-    """
+def _trial_slices(seed: int, first: int, count: int, blocks: int):
+    """(start, stop) ranges of the trials first, ..., first + count - 1 for
+    ``_philox_trials`` passes of ``blocks`` counter blocks a trial: the
+    ceil(count * blocks / ``_PHILOX_SLICE``) passes that the counters
+    need, each taking an equal share of the trials, give or take one."""
     if not 0 <= seed < _U64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if first < 0 or count < 0 or first + count > _U64:
         raise ValueError(f"trials [{first}, {first + count}) out of range")
-    blocks = -(-words // 4)
-    out = np.empty((count * blocks, 4), dtype=np.uint64)
+    passes = -(-count * blocks // _PHILOX_SLICE)
+    return [(count * p // passes, count * (p + 1) // passes)
+            for p in range(passes)]
+
+
+def _philox_trials(seed: int, first: int, out: np.ndarray) -> np.ndarray:
+    """Fill the (trials, blocks, 4) uint64 ``out`` with outputs
+    0..4 blocks - 1 of ``trial_rng(seed, t)`` for t = first, first + 1,
+    ..., in one numpy pass; returns them as (trials, 4 blocks) rows.
+
+    Stream t is keyed by (seed, 0); ``advance(t << 64)`` puts t in counter
+    word 1, and each refill of four outputs first increments word 0, so
+    outputs 4(b-1)..4b-1 come from counter (b, t, 0, 0), b = 1, 2, ....
+    """
+    trials, blocks = out.shape[:2]
+    c1 = np.arange(trials, dtype=np.uint64)[:, None]
+    c1 += np.uint64(first)
     with np.errstate(over="ignore"):
-        for start in range(0, count * blocks, _PHILOX_SLICE):
-            flat = np.arange(start, min(start + _PHILOX_SLICE, count * blocks),
-                             dtype=np.uint64)
-            c0 = flat % np.uint64(blocks) + np.uint64(1)
-            c1 = flat // np.uint64(blocks) + np.uint64(first)
-            for j, word in enumerate(_philox_blocks(seed, c0, c1)):
-                out[start:start + len(flat), j] = word
+        outputs = _philox_blocks(
+            seed, np.arange(1, blocks + 1, dtype=np.uint64), c1)
+    for j, word in enumerate(outputs):
+        out[:, :, j] = word
+    return out.reshape(trials, 4 * blocks)
+
+
+def trial_words(seed: int, first: int, count: int, words: int) -> np.ndarray:
+    """Raw outputs 0..words-1 of ``trial_rng(seed, t)`` for the trials
+    t = first, ..., first + count - 1, as a (count, words) uint64 array,
+    evaluated in the bounded passes of ``_trial_slices``."""
+    blocks = -(-words // 4)
+    out = np.empty((count, blocks, 4), dtype=np.uint64)
+    for start, stop in _trial_slices(seed, first, count, blocks):
+        _philox_trials(seed, first + start, out[start:stop])
     return out.reshape(count, 4 * blocks)[:, :words]
 
 
@@ -475,15 +520,12 @@ def _output_llr_sampler(w: BDMC):
 
 
 def _guide_index(breaks: np.ndarray, guide: np.ndarray, raw: np.ndarray,
-                 x: np.ndarray) -> np.ndarray:
+                 x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Positions 2k + x in the sampler's table for the (n, batch) sent
-    bits x, row r at codeword position rev(r) (the reversed axes of the
-    (2,) * k index array), and the (batch, n) raw words of those
-    positions, whose last axis is contiguous. Lanes outside split buckets
-    read only the top 16 bits, floor(u 2^16): the uint16 at offset 3 of a
-    little-endian word."""
-    n = raw.shape[1]
-    rows = np.arange(n).reshape((2,) * (n.bit_length() - 1)).T.ravel()
+    bits x, row r at codeword position rows[r] = rev(r), and the
+    (batch, n) raw words of those positions, whose last axis is
+    contiguous. Lanes outside split buckets read only the top 16 bits,
+    floor(u 2^16): the uint16 at offset 3 of a little-endian word."""
     top = raw.astype("<u8", copy=False).view("<u2")[:, 3::4]
     index = guide[top].T[rows]
     lanes = np.flatnonzero((index & 1).astype(bool))
@@ -495,21 +537,33 @@ def _guide_index(breaks: np.ndarray, guide: np.ndarray, raw: np.ndarray,
 
 
 def _mc_batch(info: np.ndarray, sampler, seed: int, first: int, count: int):
-    """(n, count) messages and LLRs, row r at codeword position rev(r), of
-    trials first..first+count-1. Each trial draws its message bits as
+    """(n, count) uint8 messages and sampler codes 2k + x, row r at
+    codeword position rev(r), of trials first..first+count-1; the LLRs
+    are table[codes]. Each trial draws its message bits as
     ``Generator.integers(0, 2, m)`` does on Philox (the top bit of each
-    32-bit half, low half first), then n raw words for the outputs."""
-    breaks, guide, table = sampler
+    32-bit half, low half first), then n raw words for the outputs. Both
+    are built one ``_trial_slices`` slice of whole trials at a time, so
+    no raw word outlives its slice; each slice's messages are encoded in
+    a copy of their own."""
+    breaks, guide, _ = sampler
     n, m = len(info), int(np.count_nonzero(info))
     half = -(-m // 2)
-    raw = trial_words(seed, first, count, half + n)
-    halves = raw[:, :half].astype("<u8", copy=False).view("<u4")[:, :m]
+    blocks = -(-(half + n) // 4)
+    slices = _trial_slices(seed, first, count, blocks)
+    buf = np.empty((-(-count // len(slices)), blocks, 4), dtype=np.uint64)
+    # rev(r): the reversed axes of the (2,) * k index array
+    rows = np.arange(n).reshape((2,) * (n.bit_length() - 1)).T.ravel()
     messages = np.zeros((n, count), dtype=np.uint8)
-    messages[info] = (halves >> 31).T
-    index = _guide_index(breaks, guide, raw[:, half:],
-                         _encode_in_place(messages.copy()))
-    del raw, halves  # the raw words would set the batch's peak memory
-    return messages, table[index]
+    codes = np.empty((n, count), dtype=guide.dtype)
+    for start, stop in slices:
+        raw = _philox_trials(seed, first + start, buf[:stop - start])
+        cols = slice(start, stop)
+        halves = raw[:, :half].astype("<u8", copy=False).view("<u4")[:, :m]
+        messages[info, cols] = (halves >> 31).T
+        x = _encode_in_place(messages[:, cols].copy())
+        codes[:, cols] = _guide_index(breaks, guide, raw[:, half:half + n],
+                                      x, rows)
+    return messages, codes
 
 
 def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int,
@@ -520,7 +574,10 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int,
     other bit is frozen to 0. Each trial draws from its own (seed,
     trial_index) stream, so estimates are reproducible and independent of
     batching (passes of ``MC_BATCH`` trials and at most ``MC_BATCH_LLRS``
-    LLRs) or execution order.
+    LLRs) or execution order. A pass holds its trials' messages, sampler
+    codes and decoded bits as (n, batch) uint8 arrays and at most
+    n/2 + n/4 + ... float LLRs a trial in the decoder; raw words and root
+    LLRs exist one slice or chunk at a time.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -538,9 +595,9 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int,
     errors, batch = 0, max(1, min(MC_BATCH, MC_BATCH_LLRS // n))
     for first in range(0, trials, batch):
         count = min(batch, trials - first)
-        messages, lam = _mc_batch(info, sampler, seed, first, count)
-        decoded = _sc_decode_block(lam, info)
-        del lam
+        messages, codes = _mc_batch(info, sampler, seed, first, count)
+        decoded = _sc_decode_block(codes, sampler[-1], info)
+        del codes
         errors += int(np.count_nonzero(np.any(
             decoded[info] != messages[info], axis=0)))
     return MonteCarloResult(trials=trials, errors=errors)

@@ -3,14 +3,16 @@ the butterfly encoder must equal, the bit-reversal permutation and the
 recursive even/odd encoder that the in-place one must match once
 bit-reversed, one-block encode and decode
 wrappers around the batched runtime kernels, the plain recursive SC
-decoder that the runtime decoder must match bit for bit, the
-level-by-level erasure recursion that the in-place one must match bit for
-bit, and the symmetric capacity of a binary-input channel."""
+decoder and the float-rooted layout decoder that the runtime decoder must
+match bit for bit, the whole-batch sampler that the streamed one must
+match, the level-by-level erasure recursion that the in-place one must
+match bit for bit, and the symmetric capacity of a binary-input channel."""
 
 import numpy as np
 
-from qrelay.polar_core import (LLR_CLIP, _encode_in_place, _sc_decode_block,
-                               bhattacharyya)
+from qrelay.polar_core import (LLR_CLIP, _boxplus, _encode_in_place,
+                               _guide_index, _sc_decode_block, bhattacharyya,
+                               trial_words)
 
 KERNEL = np.array([[1, 1], [0, 1]], dtype=np.uint8)
 
@@ -94,8 +96,69 @@ def sc_decode(likelihoods, good):
         raise ValueError("likelihood ratios must be nonnegative and not NaN")
     with np.errstate(divide="ignore"):
         log_lam = np.clip(np.log(lam), -LLR_CLIP, LLR_CLIP)
-    bits = _sc_decode_block(log_lam.T[bit_reversal(n)], good).T
+    bits = decode_llrs(log_lam.T[bit_reversal(n)], good).T
     return bits[0] if single else bits
+
+
+def decode_llrs(lam, info):
+    """``_sc_decode_block`` on (n, batch) float LLRs in the bit-reversed
+    layout, read through the codes arange(lam.size) of the table
+    lam.ravel()."""
+    codes = np.arange(lam.size).reshape(lam.shape)
+    return _sc_decode_block(codes, np.ravel(lam), info)
+
+
+def sc_decode_block_oracle(lam, info):
+    """SC decoding of (n, batch) finite LLRs in the bit-reversed layout,
+    with every bit outside the ``info`` mask frozen to 0, from a whole
+    float root array: every node's boxplus and g are new arrays and the
+    root's halves are the row blocks lam[:h] and lam[h:]. Returns the
+    (n, batch) uint8 message bits."""
+    n = lam.shape[0]
+    x = np.zeros(lam.shape, dtype=np.uint8)
+    info_before = [0] + np.cumsum(info).tolist()
+
+    def decode(lam, lo, hi):
+        if hi - lo == 1:
+            np.less(lam, 0.0, out=x[lo:hi])
+            return
+        if hi - lo < n:
+            np.clip(lam, -LLR_CLIP, LLR_CLIP, out=lam)
+        mid = (lo + hi) // 2
+        first, second = lam[:mid - lo], lam[mid - lo:]
+        if info_before[mid] > info_before[lo]:
+            decode(_boxplus(first, second), lo, mid)
+        if info_before[hi] > info_before[mid]:
+            lam_second = np.multiply(x[lo:mid], -2.0,
+                                     out=np.empty(first.shape))
+            np.add(lam_second, 1.0, out=lam_second)
+            np.multiply(first, lam_second, out=lam_second)
+            np.add(second, lam_second, out=lam_second)
+            decode(lam_second, mid, hi)
+            if hi - lo < n:
+                x[lo:mid] ^= x[mid:hi]
+
+    if info_before[n]:
+        decode(lam, 0, n)
+    _encode_in_place(x[:n // 2])
+    _encode_in_place(x[n // 2:])
+    return x
+
+
+def mc_batch_oracle(info, sampler, seed, first, count):
+    """(n, count) messages and sampler codes of trials first..first+count-1
+    from one whole-batch (count, ceil(m/2) + n) array of raw words, the
+    message bits encoded in one copy of the whole batch."""
+    breaks, guide, _ = sampler
+    n, m = len(info), int(np.count_nonzero(info))
+    half = -(-m // 2)
+    raw = trial_words(seed, first, count, half + n)
+    halves = raw[:, :half].astype("<u8", copy=False).view("<u4")[:, :m]
+    messages = np.zeros((n, count), dtype=np.uint8)
+    messages[info] = (halves >> 31).T
+    codes = _guide_index(breaks, guide, raw[:, half:],
+                         _encode_in_place(messages.copy()), bit_reversal(n))
+    return messages, codes
 
 
 def boxplus_oracle(a, b):

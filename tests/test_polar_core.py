@@ -11,17 +11,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import qrelay.polar_core
-from helpers_polar import (bit_reversal, boxplus_oracle, encode_block_oracle,
-                           generator_matrix, polar_encode,
+from helpers_polar import (bit_reversal, boxplus_oracle, decode_llrs,
+                           encode_block_oracle, generator_matrix,
+                           mc_batch_oracle, polar_encode,
                            polarize_erasure_oracle, sc_decode,
-                           sc_decode_oracle, symmetric_capacity)
+                           sc_decode_block_oracle, sc_decode_oracle,
+                           symmetric_capacity)
 from helpers_quantum import index_mask, random_bdmc
 from helpers_rng import merge_oracle, monte_carlo_oracle, table_index_oracle
 from qrelay.polar_core import (BDMC, LLR_CLIP, PolarizationResult,
                                _boxplus, _encode_in_place, _guide_index,
                                _log1p_exp_neg,
                                _output_llr_sampler, _polarize_erasure,
-                               _polarize_tables, _sc_decode_block,
+                               _mc_batch, _polarize_tables,
                                bhattacharyya, combine_bad, combine_good,
                                error_bound, merge_equal_likelihood_outputs,
                                monte_carlo_block_error, polarization_rows,
@@ -584,12 +586,38 @@ def test_sc_decode_block_matches_recursive_oracle():
                 cases.append((2048, "mixed"))
             for batch, kind in cases:
                 lam = _random_llrs(rng, kind, (batch, n))
-                u = _sc_decode_block(lam.T[bit_reversal(n)], ~mask)
+                u = decode_llrs(lam.T[bit_reversal(n)], ~mask)
                 u_want, _ = sc_decode_oracle(lam, ~mask)
                 assert u.dtype == np.uint8 and u.shape == (n, batch)
                 assert np.array_equal(u.T, u_want)
                 checked += 1
     assert checked > 400
+
+
+def test_sc_decode_block_matches_float_rooted_oracle(monkeypatch):
+    # the root read through codes, a few rows at a time, decodes bit for
+    # bit as the decoder that holds the whole float root array, for
+    # n = 1..256 and batches of 1, 7 and 2048, with frozen subtrees at
+    # every depth, LLRs at the underflow edge of exp, subnormals and both
+    # zeros; root chunks of one row, of three rows (the last one short)
+    # and of the default size
+    rng = np.random.default_rng(139)
+    default = qrelay.polar_core._ROOT_CHUNK
+    assert default // 2048 < 128  # n = 256, 2048 trials: several chunks
+    checked = 0
+    for chunk_rows in (1, 3, None):
+        for k in range(9):
+            n = 2 ** k
+            for i, mask in enumerate(_frozen_masks(rng, n)):
+                for batch in (1, 7, 2048) if i < 3 else (7,):
+                    monkeypatch.setattr(
+                        qrelay.polar_core, "_ROOT_CHUNK",
+                        chunk_rows * batch if chunk_rows else default)
+                    lam = _random_llrs(rng, "mixed", (n, batch))
+                    want = sc_decode_block_oracle(lam, ~mask)
+                    assert np.array_equal(decode_llrs(lam, ~mask), want)
+                    checked += 1
+    assert checked > 300
 
 
 _BOXPLUS_FLOATS = st.one_of(
@@ -705,8 +733,9 @@ def test_monte_carlo_bench_op_count_and_peak():
     # the benchmark's op: BEC(0.4), n = 256, the 128 lowest-Z indices,
     # 2048 trials at seed 31337. Its traced peak was 13.8 MB when each
     # node decoded through temporaries and the uniforms overlapped the
-    # raw words, and 9.75 MB with an n-wide float uniforms array and a
-    # separate array of decoded bits; it is 9.38 MB without them.
+    # raw words, 9.75 MB with an n-wide float uniforms array and a
+    # separate array of decoded bits, and 9.38 MB with a whole-batch
+    # raw-word array and a float root array; it is 5.77 MB without them.
     w = BDMC.bec(0.4)
     pr = polarize(w, 8)
     info = np.argsort(pr.z, kind="stable")[:128]
@@ -717,7 +746,7 @@ def test_monte_carlo_bench_op_count_and_peak():
     finally:
         tracemalloc.stop()
     assert res.errors == 721
-    assert peak <= 10 * 2 ** 20
+    assert peak <= 6.3 * 2 ** 20
 
 
 def test_monte_carlo_independent_of_batching(monkeypatch):
@@ -736,7 +765,9 @@ def test_monte_carlo_independent_of_batching(monkeypatch):
 
 def test_monte_carlo_llr_bound_keeps_large_blocks_small(monkeypatch):
     # n = 2^12: 512-trial passes of 2^21 LLRs, where 2048-trial passes
-    # traced about 150 MB, and the same errors as those
+    # traced about 150 MB, and the same errors as those. The peak was
+    # 39.2 MB with a whole-batch raw-word array and a float root array per
+    # pass; it is 24.8 MB without them.
     w = BDMC.bec(0.5)
     pr = polarize(w, 12)
     info = np.argsort(pr.z, kind="stable")[:1700]
@@ -746,11 +777,11 @@ def test_monte_carlo_llr_bound_keeps_large_blocks_small(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 50 * 2 ** 20
+    assert peak <= 27 * 2 ** 20
     monkeypatch.setattr(qrelay.polar_core, "MC_BATCH_LLRS", 2048 * 4096)
     assert monte_carlo_block_error(w, 4096, info, trials=2048,
                                    seed=12) == res
-    assert 0 < res.errors < 2048
+    assert res.errors == 454
 
 
 def test_monte_carlo_respects_union_bound():
@@ -861,7 +892,8 @@ def test_output_llr_sampler_matches_searchsorted():
         for x in (np.zeros((n, 7), dtype=np.uint8),
                   np.ones((n, 7), dtype=np.uint8),
                   rng.integers(0, 2, size=(n, 7), dtype=np.uint8)):
-            index = _guide_index(breaks, guide, raw[:, 3:], x)
+            index = _guide_index(breaks, guide, raw[:, 3:], x,
+                                 bit_reversal(n))
             assert index.shape == x.shape
             assert np.array_equal(index, table_index_oracle(breaks, lanes, x))
             u_lane = (lanes >> np.uint64(11)) * 2.0 ** -53
@@ -869,6 +901,49 @@ def test_output_llr_sampler_matches_searchsorted():
                          np.searchsorted(cdf[1], u_lane, "right"))
             y = np.minimum(y, w.output_alphabet_size - 1)
             assert np.array_equal(table[index], llr[y])
+
+
+def test_mc_batch_matches_whole_batch_oracle(monkeypatch):
+    # messages and codes built one slice of whole trials at a time equal
+    # those of one whole-batch raw-word array, for m of 1, odd, even and
+    # n (so output words start at every offset in a counter block),
+    # counts that no slice divides and first trials past 0; slices of
+    # whole trials take as many Philox passes as the counters need
+    rng = np.random.default_rng(149)
+    passes = []
+    philox = qrelay.polar_core._philox_blocks
+
+    def counted(key, c0, c1):
+        passes.append(np.broadcast(c0, c1).size)  # counters in the pass
+        return philox(key, c0, c1)
+
+    monkeypatch.setattr(qrelay.polar_core, "_philox_blocks", counted)
+    n = 32
+    for c, w in enumerate(MC_ORACLE_CHANNELS):
+        sampler = _output_llr_sampler(w)
+        for m in (1, 7, 12, n):
+            info = index_mask(n, rng.choice(n, size=m, replace=False))
+            blocks = -(-(-(-m // 2) + n) // 4)
+            for slice_counters, count, first in ((2 ** 14, 300, 0),
+                                                 (50, 101, 7),
+                                                 (37, 13, 2 ** 63 + 5)):
+                monkeypatch.setattr(qrelay.polar_core, "_PHILOX_SLICE",
+                                    slice_counters)
+                want = mc_batch_oracle(info, sampler, 50 + c, first, count)
+                del passes[:]
+                got = _mc_batch(info, sampler, 50 + c, first, count)
+                assert len(passes) == -(-count * blocks // slice_counters)
+                assert max(passes) <= slice_counters + blocks
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+    # the benchmark's op: 2048 trials of 80 blocks in 10 passes
+    monkeypatch.undo()
+    w = BDMC.bec(0.4)
+    info = index_mask(256, np.argsort(polarize(w, 8).z, kind="stable")[:128])
+    sampler = _output_llr_sampler(w)
+    for a, b in zip(_mc_batch(info, sampler, 31337, 0, 2048),
+                    mc_batch_oracle(info, sampler, 31337, 0, 2048)):
+        assert np.array_equal(a, b)
 
 
 def test_monte_carlo_matches_per_trial_oracle(monkeypatch):
