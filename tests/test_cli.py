@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_csv import csv_bytes_from_columns, format_cell
+from helpers_csv import (csv_bytes_from_columns, digit_tables_oracle,
+                         format_cell)
 from qrelay import cli
 from qrelay.polar_core import polarize
 from qrelay.cli import (COMMANDS, CSV_BLOCK_ROWS, ConfigError,
@@ -670,7 +671,7 @@ def _writer_columns(rows, rng):
             rng.integers(2 ** 63, 2 ** 64, size=rows, dtype=np.uint64),
             np.where(rng.random(rows) < 0.5, b"true", b"false"),
             np.where(rng.random(rows) < 0.5, b"good", b"bad"),
-            range(rows), range(-rows, 3 * rows, 4))
+            range(rows), np.arange(-rows, 3 * rows, 4))
 
 
 # at the first and the second block boundary
@@ -716,13 +717,14 @@ EDGE_COLUMNS = {
     "range_stop_below_int64": range(-2 ** 63 + 2 ** 17, -2 ** 63 - 1, -1),
     "range_past_int64": range(2 ** 63 - 2 ** 16 - 4, 2 ** 63 + 4),
 }
-# The writer converts only ranges within int64 and int, float and
-# byte-string arrays; a NUL byte inside a byte-string cell would be
-# dropped as padding.
+# The writer takes step-1 ranges from 0 or above (of any size) and int,
+# float and byte-string arrays; a NUL byte inside a byte-string cell would
+# be dropped as padding.
 REJECTED_COLUMNS = {
     "non_ascii_str": TypeError, "empty_str": TypeError, "nul_str": TypeError,
     "nul_list": TypeError, "bytes_list": TypeError, "bool": TypeError,
-    "nul_bytes": ValueError, "range_past_int64": ValueError,
+    "nul_bytes": ValueError, "range_negative_step": TypeError,
+    "range_int64_span": TypeError, "range_stop_below_int64": TypeError,
 }
 
 
@@ -852,6 +854,84 @@ def test_python_formats_under_one_percent_of_bec_k20_lanes(monkeypatch):
     assert sum(lanes) < 0.01 * len(z)
 
 
+def test_constant_lanes_and_range_segments_skip_the_kernels(monkeypatch):
+    # 57.9% of these z values are exactly 0.0 or 1.0, and every block's
+    # index column is a slice of range(n)
+    z = polarize(build_classical_channel({"kind": "bec", "epsilon": 0.3}),
+                 20).z
+    lanes, ints = [], []
+    words = cli._float_words
+    monkeypatch.setattr(cli, "_float_words", lambda v, out: (
+        lanes.append(v.size) or words(v, out)))
+    monkeypatch.setattr(cli, "_int_cells", lambda values, cells: (
+        ints.append(len(values))))
+    for start in range(0, len(z), CSV_BLOCK_ROWS):
+        cli._csv_block([range(len(z))[start:start + CSV_BLOCK_ROWS],
+                        z[start:start + CSV_BLOCK_ROWS]])
+    assert sum(lanes) <= 0.43 * len(z)
+    assert ints == []
+
+
+def test_digit_tables_match_numpy_construction():
+    quads, zeros = digit_tables_oracle()
+    assert cli._DIGIT_QUADS.dtype == quads.dtype
+    assert np.array_equal(cli._DIGIT_QUADS, quads)
+    assert cli._TRAILING_ZEROS.dtype == zeros.dtype
+    assert np.array_equal(cli._TRAILING_ZEROS, zeros)
+
+
+# a quad's edges, the step into a third quad and the top of int64, each
+# over one row, a 10^4-row segment boundary and a CSV block boundary
+@pytest.mark.parametrize("start", [0, 9_999, 10_000, 99_999_990,
+                                   2 ** 63 - 2 ** 17])
+@pytest.mark.parametrize("rows", [1, 10_002, CSV_BLOCK_ROWS + 3])
+def test_range_segments_match_row_oracle(tmp_path, start, rows):
+    columns = (range(start, start + rows), np.arange(rows) % 3 / 2,
+               range(rows))
+    path = tmp_path / "range.csv"
+    digest = _write_csv(path, ("i", "f", "j"), columns)
+    want = csv_bytes_from_columns(("i", "f", "j"), columns)
+    assert path.read_bytes() == want
+    assert digest == hashlib.sha256(want).hexdigest()
+
+
+ONE_ULP = (math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0))
+
+
+def _constant_lane_columns(name, rows, rng):
+    if name == "all_zero_one":
+        return [np.where(rng.random(rows) < 0.5, 0.0, 1.0)]
+    if name == "no_zero_one":
+        return [rng.random(rows) * 10.0 ** rng.integers(-9, 9, size=rows),
+                rng.choice([-0.0, *ONE_ULP, 5e-324, math.nan], size=rows)]
+    # exact 0/1 among their neighbours, in a share that rises along the
+    # rows: in one column from none to a quarter, so that the first kernel
+    # pass has less than an eighth and the second more; in three columns
+    # with a third all 0/1
+    mixed = rng.choice([0.0, -0.0, 1.0, *ONE_ULP, 5e-324, math.nan, 0.5],
+                       size=rows)
+    rising = rng.random(rows) < np.linspace(0.0, 1.0, rows)
+    mixed[~rising & ((mixed == 0.0) | (mixed == 1.0))] = 0.25
+    if name == "mixed":
+        return [mixed]
+    return [mixed, mixed[::-1].copy(), _constant_lane_columns(
+        "all_zero_one", rows, rng)[0]]
+
+
+@pytest.mark.parametrize("name", ["all_zero_one", "no_zero_one", "mixed",
+                                  "mixed_three"])
+@pytest.mark.parametrize("rows", [1, 7, CSV_BLOCK_ROWS + 5])
+def test_constant_float_lanes_match_row_oracle(tmp_path, name, rows):
+    floats = _constant_lane_columns(name, rows, np.random.default_rng(rows))
+    columns = (range(rows), *floats)
+    header = tuple(f"c{i}" for i in range(len(columns)))
+    path = tmp_path / "lanes.csv"
+    digest = _write_csv(path, header, columns)
+    want = csv_bytes_from_columns(header, columns)
+    assert path.read_bytes() == want
+    assert digest == hashlib.sha256(want).hexdigest()
+
+
 def test_sweep_shaped_block_makes_one_kernel_pass(monkeypatch):
     # nine float columns of 99 rows, as in sweep.csv, and an int column
     rng = np.random.default_rng(0)
@@ -870,10 +950,11 @@ def test_sweep_shaped_block_makes_one_kernel_pass(monkeypatch):
 
 
 def _three_block_columns(rng):
-    """Range, int64, uint64 >= 2^63, float and byte-string columns of 2 *
+    """Int64, uint64 >= 2^63, float and byte-string columns of 2 *
     CSV_BLOCK_ROWS + 1 rows: two blocks go to the background thread."""
     rows = 2 * CSV_BLOCK_ROWS + 1
-    return (range(-5, rows - 5), rng.integers(-2 ** 63, 2 ** 63, size=rows),
+    return (np.arange(-5, rows - 5),
+            rng.integers(-2 ** 63, 2 ** 63, size=rows),
             rng.integers(2 ** 63, 2 ** 64, size=rows, dtype=np.uint64),
             rng.random(rows) * 10.0 ** rng.integers(-9, 9, size=rows),
             np.where(rng.random(rows) < 0.5, b"S_in", b"B"))
