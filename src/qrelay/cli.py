@@ -333,17 +333,16 @@ def load_config(path, command: Optional[str] = None,
 
 def _digit_quads():
     """The four ASCII digits of 0..9999 as one uint32 word each: indices
-    0..9999 zero-padded (a quad below a value's leading one), 10000..19999
-    NUL-padded (the leading quad) and 20000 all NUL (a quad above it).
-    Built from Python strings, as numpy arithmetic would page in more of
-    its own code than the table holds."""
+    0..9999 zero-padded (a quad below a value's leading one) and
+    10000..19999 NUL-padded (the leading quad). Built from Python
+    strings, as numpy arithmetic would page in more of its own code than
+    the table holds."""
     values = tuple(range(10000))
     leading = ("%4d" * 10000 % values).replace(" ", "\0")
-    text = "%04d" * 10000 % values + leading + "\0" * 4
+    text = "%04d" * 10000 % values + leading
     return np.frombuffer(text.encode("ascii"), dtype=np.uint32)
 
 
-_QUAD = np.uint64(10000)
 _DIGIT_QUADS = _digit_quads()
 
 # A float cell is three little-endian uint64 words with NUL gaps: the sign
@@ -397,43 +396,22 @@ def _float_tables():
  _TRAILING_ZEROS) = _float_tables()
 
 
-def _int_cells(values, cells):
-    """Decimal digits of an int array into ``cells``, the zeroed (rows, 4 +
-    4 * quads) bytes of its slot, by numpy arithmetic four at a time from
-    ``_DIGIT_QUADS`` on uint64 magnitudes: right-aligned and NUL-padded,
-    with a '-' before the first digit of negative values."""
-    signed = values.dtype.kind == "i"
-    magnitude = (np.abs(values.astype(np.int64, copy=False)).view(np.uint64)
-                 if signed else values.astype(np.uint64, copy=False))
-    words = cells.view(np.uint32)   # word 0 holds only the sign byte
-    quads = words.shape[1] - 1
-    for quad in range(quads, 0, -1):
-        high = magnitude // _QUAD    # far faster than np.divmod
-        index = magnitude - high * _QUAD + _QUAD * (high == 0)
-        if quad < quads:   # above the units quad, a used-up value is blank
-            index += _QUAD * (magnitude == 0)
-        words[:, quad] = _DIGIT_QUADS.take(index)
-        magnitude = high
-    if signed:
-        rows = np.flatnonzero(values < 0)
-        cells[rows, (cells[rows] != 0).argmax(axis=1) - 1] = ord("-")
-
-
 def _range_cells(column, cells):
-    """A step-1 range of ints >= 0 into ``cells`` as ``_int_cells`` would
-    write it, one segment of values with equal v // 10^4 at a time: the
+    """The decimal digits of a step-1 range of ints >= 0 into ``cells``,
+    the zeroed (rows, 4 * quads) bytes of its slot, right-aligned and
+    NUL-padded, one segment of values with equal v // 10^4 at a time: the
     units quads are a slice of ``_DIGIT_QUADS`` and each quad above them
     is one word, written down its column."""
     words = cells.view(np.uint32)
-    quads = words.shape[1] - 1
+    last = words.shape[1] - 1   # the units quad
     row = 0
     for high in range(column.start // 10000, column[-1] // 10000 + 1):
         low = max(column.start - high * 10000, 0)
         stop = min(column.stop - high * 10000, 10000)
         rows = slice(row, row + stop - low)
         units = 0 if high else 10000   # NUL-padded below 10^4
-        words[rows, quads] = _DIGIT_QUADS[units + low:units + stop]
-        quad, rest = quads - 1, high
+        words[rows, last] = _DIGIT_QUADS[units + low:units + stop]
+        quad, rest = last - 1, high
         while rest:   # the quads above the leading one stay NUL
             rest, index = divmod(rest, 10000)
             words[rows, quad] = _DIGIT_QUADS[index if rest else index + 10000]
@@ -544,7 +522,7 @@ def _byte_cells(column, cells):
 
 def _csv_block(columns) -> bytearray:
     """One block of rows as CSV bytes from step-1 ranges of ints >= 0 (the
-    index columns) and int, float and byte-string arrays. Each column's
+    only int columns) and float and byte-string arrays. Each column's
     kernel fills its slot of one zeroed (rows, width) uint8 array in
     place, and one ``translate`` drops the NUL padding. Adjacent float
     slots lie 32 bytes apart, so a run of float columns takes one
@@ -557,17 +535,15 @@ def _csv_block(columns) -> bytearray:
             if column.step != 1 or column.start < 0:
                 raise TypeError(f"cannot write {column}: only step-1 ranges "
                                 f"from 0 or above")
-            kind, top = "r", column[-1]
+            kind = "r"
         else:
             kind = getattr(column, "dtype", np.dtype(object)).kind
         if kind == "f":
             start, size = -(-end // 8) * 8, _FLOAT_WIDTH
         elif kind == "S":
             start, size = end, column.itemsize
-        elif kind in "iur":
-            if kind != "r":
-                top = max(int(column.max()), -int(column.min()))
-            start, size = -(-end // 4) * 4, 4 + 4 * -(-len(str(top)) // 4)
+        elif kind == "r":
+            start, size = -(-end // 4) * 4, 4 * -(-len(str(column[-1])) // 4)
         else:
             raise TypeError(f"cannot write a {type(column).__name__} column "
                             f"of kind {kind!r}")
@@ -587,7 +563,7 @@ def _csv_block(columns) -> bytearray:
             for i in range(0, rows, step):
                 _float_cells(v[i:i + step], out[i:i + step])
         else:
-            cells = {"S": _byte_cells, "r": _range_cells}.get(kind, _int_cells)
+            cells = _range_cells if kind == "r" else _byte_cells
             for _, column, start, size in run:
                 cells(column, block[:, start:start + size])
     return buf.translate(None, b"\0")
@@ -676,10 +652,17 @@ RELAY_SIM_HEADER = ("p_e2", "trials", "successes", "rate",
                     "expected_throughput", "b_star_throughput")
 
 
+def _row_columns(row):
+    """The columns of a one-row table: a Python int as the range of that
+    one value, a float as a one-element float64 array."""
+    return [range(v, v + 1) if isinstance(v, int) else np.array([v])
+            for v in row]
+
+
 def _cmd_capacity(cfg: ExperimentConfig):
     row = rate_report(_partition_from_config(cfg))
     return ([("capacity.csv", CAPACITY_HEADER,
-              [np.array([row[key]]) for key in CAPACITY_HEADER])], row)
+              _row_columns(row[key] for key in CAPACITY_HEADER))], row)
 
 
 def _cmd_relay_sim(cfg: ExperimentConfig):
@@ -688,8 +671,7 @@ def _cmd_relay_sim(cfg: ExperimentConfig):
     comparison = compare_assisted(cfg.p_e2, part)
     row = (cfg.p_e2, cfg.trials, successes, successes / cfg.trials,
            comparison.b, comparison.b_star)
-    return ([("relay_sim.csv", RELAY_SIM_HEADER,
-              [np.array([v]) for v in row])],
+    return ([("relay_sim.csv", RELAY_SIM_HEADER, _row_columns(row))],
             {**class_sizes(part), **dict(zip(RELAY_SIM_HEADER, row))})
 
 

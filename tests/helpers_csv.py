@@ -30,11 +30,11 @@ def csv_bytes_from_columns(header, columns) -> bytes:
 
 def digit_tables_oracle():
     """The CSV writer's digit tables by numpy arithmetic: the four ASCII
-    digits of 0..9999 as uint32 words, zero-padded, then NUL-padded, then
-    one all-NUL word; and the trailing zeros of 0..9999 as four digits."""
+    digits of 0..9999 as uint32 words, zero-padded, then NUL-padded; and
+    the trailing zeros of 0..9999 as four digits."""
     n = np.arange(10000)[:, None]
     digits = n // [1000, 100, 10, 1] % 10 + ord("0")
     leading = np.where(n >= [1000, 100, 10, 0], digits, 0)
-    quads = np.concatenate([digits, leading, np.zeros((1, 4), dtype=int)])
+    quads = np.concatenate([digits, leading])
     zeros = sum(n[:, 0] % 10 ** p == 0 for p in range(1, 5))
     return quads.astype(np.uint8).view(np.uint32).ravel(), zeros

@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_csv import (csv_bytes_from_columns, digit_tables_oracle,
-                         format_cell)
+from helpers_csv import (csv_bytes_from_columns, csv_bytes_from_rows,
+                         digit_tables_oracle, format_cell)
 from qrelay import cli
 from qrelay.polar_core import polarize
 from qrelay.cli import (COMMANDS, CSV_BLOCK_ROWS, ConfigError,
@@ -239,7 +239,7 @@ def test_run_polarize_row_count(tmp_path):
                       output_dir=str(tmp_path / "run"))
     manifest = run(cfg)
     csv_path = manifest.outputs[0]["path"]
-    lines = open(csv_path, encoding="utf-8").read().strip().split("\n")
+    lines = Path(csv_path).read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "index,z,set"
     assert len(lines) == 1025
     report = render_report(manifest)
@@ -260,7 +260,8 @@ def test_run_sets_and_capacity(tmp_path):
                        command="capacity", output_dir=str(tmp_path / "cap"))
     with pytest.warns(UserWarning, match=NEGATIVE_P_SYM):
         manifest2 = run(cfg2)
-    header, rows = open(manifest2.outputs[0]["path"]).read().strip().split("\n")
+    header, rows = (Path(manifest2.outputs[0]["path"]).read_text()
+                    .strip().split("\n"))
     assert header.startswith("n,size_s_in")
     values = rows.split(",")
     assert int(values[0]) == 64
@@ -312,7 +313,7 @@ def test_run_sweep_advantage_flip(tmp_path):
                        main_channel={"kind": "identity"})
     cfg = load_config(path, command="sweep", output_dir=str(tmp_path / "sw"))
     manifest = run(cfg)
-    lines = open(manifest.outputs[0]["path"]).read().strip().split("\n")
+    lines = Path(manifest.outputs[0]["path"]).read_text().strip().split("\n")
     assert len(lines) == 100  # header + 99 grid points
     rows = [line.split(",") for line in lines[1:]]
     for row in rows:
@@ -402,7 +403,7 @@ def test_manifest_output_sizes(tmp_path, command, payload):
                                    output_dir=str(tmp_path / "o")))
     on_disk = json.loads((tmp_path / "o" / "manifest.json").read_text())
     for entry in on_disk["outputs"]:
-        data = open(entry["path"], "rb").read()
+        data = Path(entry["path"]).read_bytes()
         assert entry["rows"] == data.count(b"\n") - 1   # minus the header
         assert entry["bytes"] == len(data)
     assert on_disk["outputs"] == manifest.outputs
@@ -410,7 +411,7 @@ def test_manifest_output_sizes(tmp_path, command, payload):
 
 def _csv_counts(path, column):
     labels = [line.split(",")[column] for line in
-              open(path, encoding="utf-8").read().strip().split("\n")[1:]]
+              Path(path).read_text(encoding="utf-8").strip().split("\n")[1:]]
     return {label: labels.count(label) for label in set(labels)}
 
 
@@ -465,8 +466,8 @@ def test_manifest_counters_match_outputs(tmp_path):
                                                 "q": 0.2}),
                       command="sweep", output_dir=str(tmp_path / "w"))
     manifest = run(cfg)
-    rows = [line.split(",") for line in open(
-        manifest.outputs[0]["path"], encoding="utf-8").read().split("\n")[1:-1]]
+    rows = [line.split(",") for line in Path(manifest.outputs[0]["path"])
+            .read_text(encoding="utf-8").split("\n")[1:-1]]
     mid = [r for r in rows if r[0] == "0.5"]
     bound = manifest.counters.pop("bound_2p1p_at_half")
     assert manifest.counters == {
@@ -665,13 +666,13 @@ SPECIAL_FLOATS = [0.0, 1.0, 5e-324, 1e-300, 0.1 + 0.2, 1.0 - 2.0 ** -53,
 def _writer_columns(rows, rng):
     floats = rng.random(rows) * 10.0 ** rng.integers(-320, 300, size=rows)
     floats[:min(rows, len(SPECIAL_FLOATS))] = SPECIAL_FLOATS[:rows]
-    return (np.arange(rows), rng.integers(-2 ** 62, 2 ** 62, size=rows),
-            np.arange(rows, dtype=np.uint8), floats, rng.random(rows),
-            rng.random(rows).astype(np.float32),
-            rng.integers(2 ** 63, 2 ** 64, size=rows, dtype=np.uint64),
+    # ranges from 0, into a third quad at 10^8 and up to 2^64 - 1
+    return (range(rows), range(99_995_000, 99_995_000 + rows), floats,
+            rng.random(rows), rng.random(rows).astype(np.float32),
+            range(2 ** 64 - rows, 2 ** 64),
             np.where(rng.random(rows) < 0.5, b"true", b"false"),
             np.where(rng.random(rows) < 0.5, b"good", b"bad"),
-            range(rows), np.arange(-rows, 3 * rows, 4))
+            range(rows), range(3 * rows, 4 * rows))
 
 
 # at the first and the second block boundary
@@ -717,12 +718,13 @@ EDGE_COLUMNS = {
     "range_stop_below_int64": range(-2 ** 63 + 2 ** 17, -2 ** 63 - 1, -1),
     "range_past_int64": range(2 ** 63 - 2 ** 16 - 4, 2 ** 63 + 4),
 }
-# The writer takes step-1 ranges from 0 or above (of any size) and int,
-# float and byte-string arrays; a NUL byte inside a byte-string cell would
-# be dropped as padding.
+# The writer takes step-1 ranges from 0 or above (of any size), its only
+# int columns, and float and byte-string arrays; a NUL byte inside a
+# byte-string cell would be dropped as padding.
 REJECTED_COLUMNS = {
     "non_ascii_str": TypeError, "empty_str": TypeError, "nul_str": TypeError,
     "nul_list": TypeError, "bytes_list": TypeError, "bool": TypeError,
+    "uint64_high": TypeError, "int64_extremes": TypeError, "int8": TypeError,
     "nul_bytes": ValueError, "range_negative_step": TypeError,
     "range_int64_span": TypeError, "range_stop_below_int64": TypeError,
 }
@@ -742,7 +744,7 @@ def test_write_csv_edge_columns_match_row_oracle(tmp_path, name, rows):
         column = np.array(tiled, dtype=base.dtype)
     else:
         column = tiled
-    columns = (column, np.arange(rows))
+    columns = (column, range(rows))
     path = tmp_path / "edge.csv"
     if name in REJECTED_COLUMNS:
         with pytest.raises(REJECTED_COLUMNS[name]):
@@ -755,14 +757,14 @@ def test_write_csv_edge_columns_match_row_oracle(tmp_path, name, rows):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(
-    st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1),
+@given(st.integers(min_value=0, max_value=2 ** 64 - 1), st.lists(st.tuples(
     st.floats(width=64),
     st.text(alphabet=st.characters(max_codepoint=127), max_size=6)),
     min_size=1, max_size=40))
-def test_write_csv_matches_row_oracle_property(tmp_path_factory, rows):
-    ints, floats, strs = zip(*rows)
-    columns = (np.array(ints, dtype=np.int64),
+def test_write_csv_matches_row_oracle_property(tmp_path_factory, start,
+                                               rows):
+    floats, strs = zip(*rows)
+    columns = (range(start, start + len(rows)),
                np.array(floats, dtype=np.float64),
                np.array([s.encode() for s in strs], dtype="S"))
     path = tmp_path_factory.getbasetemp() / "property.csv"
@@ -859,17 +861,14 @@ def test_constant_lanes_and_range_segments_skip_the_kernels(monkeypatch):
     # index column is a slice of range(n)
     z = polarize(build_classical_channel({"kind": "bec", "epsilon": 0.3}),
                  20).z
-    lanes, ints = [], []
+    lanes = []
     words = cli._float_words
     monkeypatch.setattr(cli, "_float_words", lambda v, out: (
         lanes.append(v.size) or words(v, out)))
-    monkeypatch.setattr(cli, "_int_cells", lambda values, cells: (
-        ints.append(len(values))))
     for start in range(0, len(z), CSV_BLOCK_ROWS):
         cli._csv_block([range(len(z))[start:start + CSV_BLOCK_ROWS],
                         z[start:start + CSV_BLOCK_ROWS]])
     assert sum(lanes) <= 0.43 * len(z)
-    assert ints == []
 
 
 def test_digit_tables_match_numpy_construction():
@@ -893,6 +892,36 @@ def test_range_segments_match_row_oracle(tmp_path, start, rows):
     want = csv_bytes_from_columns(("i", "f", "j"), columns)
     assert path.read_bytes() == want
     assert digest == hashlib.sha256(want).hexdigest()
+
+
+# counts at a quad's edges, 2^63 and 2^64 - 1 (the largest trials), among
+# floats, as capacity.csv and relay_sim.csv write their one row
+COUNT_ROW = (0, 0.5, 9_999, 10_000, -0.0, 2 ** 63, 1e-300, 2 ** 64 - 1, 7)
+
+
+def test_count_cells_match_row_oracle(tmp_path):
+    header = tuple(f"c{i}" for i in range(len(COUNT_ROW)))
+    columns = cli._row_columns(COUNT_ROW)
+    path = tmp_path / "row.csv"
+    digest = _write_csv(path, header, columns)
+    want = csv_bytes_from_columns(header, columns)
+    assert want == csv_bytes_from_rows(header, [COUNT_ROW])
+    assert path.read_bytes() == want
+    assert digest == hashlib.sha256(want).hexdigest()
+
+
+def test_block_row_widths_of_partition_and_polarization(monkeypatch):
+    # a range slot is only its digits' quads: 8 bytes for a 7-digit index,
+    # so a partition row is 16 bytes; a polarization row stays 48, as its
+    # float slot starts at the next multiple of 8
+    sizes = []
+    monkeypatch.setattr(cli, "bytearray", lambda size: (
+        sizes.append(size) or bytearray(size)), raising=False)
+    index = range(2 ** 20)[-CSV_BLOCK_ROWS:]
+    labels = np.full(CSV_BLOCK_ROWS, b"S_in")
+    cli._csv_block([index, labels])
+    cli._csv_block([index, np.linspace(0.0, 1.0, CSV_BLOCK_ROWS), labels])
+    assert sizes == [16 * CSV_BLOCK_ROWS, 48 * CSV_BLOCK_ROWS]
 
 
 ONE_ULP = (math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0))
@@ -933,11 +962,11 @@ def test_constant_float_lanes_match_row_oracle(tmp_path, name, rows):
 
 
 def test_sweep_shaped_block_makes_one_kernel_pass(monkeypatch):
-    # nine float columns of 99 rows, as in sweep.csv, and an int column
+    # nine float columns of 99 rows, as in sweep.csv, and an index range
     rng = np.random.default_rng(0)
     columns = [np.linspace(0.01, 0.99, 99)] + [
         rng.random(99) * 10.0 ** rng.integers(-8, 3, 99) for _ in range(8)]
-    columns.append(np.arange(99))
+    columns.append(range(99))
     calls = []
     original = cli._float_words
     monkeypatch.setattr(cli, "_float_words", lambda v, out: (
@@ -950,12 +979,12 @@ def test_sweep_shaped_block_makes_one_kernel_pass(monkeypatch):
 
 
 def _three_block_columns(rng):
-    """Int64, uint64 >= 2^63, float and byte-string columns of 2 *
-    CSV_BLOCK_ROWS + 1 rows: two blocks go to the background thread."""
+    """Three ranges (from 0, across 10^4 and up to 2^64 - 1), a float and a
+    byte-string column of 2 * CSV_BLOCK_ROWS + 1 rows: two blocks go to the
+    background thread."""
     rows = 2 * CSV_BLOCK_ROWS + 1
-    return (np.arange(-5, rows - 5),
-            rng.integers(-2 ** 63, 2 ** 63, size=rows),
-            rng.integers(2 ** 63, 2 ** 64, size=rows, dtype=np.uint64),
+    return (range(rows), range(9_995, 9_995 + rows),
+            range(2 ** 64 - rows, 2 ** 64),
             rng.random(rows) * 10.0 ** rng.integers(-9, 9, size=rows),
             np.where(rng.random(rows) < 0.5, b"S_in", b"B"))
 
