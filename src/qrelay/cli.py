@@ -28,7 +28,8 @@ from .codeword_sets import (build_partition, class_sizes, partition_rows,
 from .density_ops import (KrausChannel, bit_flip_channel, compose_channels,
                           dephasing_channel, depolarizing_channel,
                           erasure_channel, identity_channel)
-from .polar_core import BDMC, polarization_rows, polarize, select_sets
+from .polar_core import (BDMC, _erasure_like, polarization_rows, polarize,
+                         select_sets)
 from .relay import simulate_relay
 from .superactivation import (BRANCH_KEYS, MAX_BRANCH_BYTES, P_GRID,
                               branch_bytes, branch_terms, compare_assisted,
@@ -630,11 +631,13 @@ def _partition_from_config(cfg: ExperimentConfig):
 
 
 def _cmd_polarize(cfg: ExperimentConfig):
-    pr = polarize(build_classical_channel(cfg.channel), cfg.k)
+    w = build_classical_channel(cfg.channel)
+    pr = polarize(w, cfg.k)
     size = set_size(select_sets(pr, cfg.beta))
     return ([("polarization.csv", ("index", "z", "set"),
               polarization_rows(pr, cfg.beta))],
-            {"n": pr.n, "size_good": size, "size_bad": pr.n - size})
+            {"n": pr.n, "size_good": size, "size_bad": pr.n - size,
+             "polarization": "closed form" if _erasure_like(w) else "tables"})
 
 
 def _cmd_sets(cfg: ExperimentConfig):

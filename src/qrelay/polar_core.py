@@ -24,6 +24,7 @@ import numpy as np
 ROW_SUM_TOL = 1e-12
 LLR_CLIP = 700.0
 ALPHABET_CAP = 4096  # largest post-merge output alphabet polarize tracks
+_PAIR_BLOCK = 2 ** 16  # output pairs per block of the last level's sum
 MC_BATCH, MC_BATCH_LLRS = 2048, 2 ** 21  # trials and LLRs per decoding pass
 _ROOT_CHUNK = 2 ** 14  # root LLRs read through the codes per boxplus or g
 
@@ -177,8 +178,9 @@ def polarize(w: BDMC, k: int) -> PolarizationResult:
 
     Erasure-like channels use the exact closed-form recursion
     z -> (2z - z^2, z^2); general channels track full transition tables,
-    pooling exactly-equal likelihood-ratio outputs at every level. A
-    post-merge alphabet beyond ``ALPHABET_CAP`` raises.
+    pooling exactly-equal likelihood-ratio outputs, up to the last level,
+    which is closed form. A post-merge alphabet beyond ``ALPHABET_CAP``
+    raises.
 
     The output ordering follows the module convention: entry i applies the
     splits named by the bits of i, most significant first, 0 = bad.
@@ -208,10 +210,12 @@ def _polarize_erasure(w: BDMC, k: int) -> np.ndarray:
 
 
 def _polarize_tables(w: BDMC, k: int) -> np.ndarray:
-    """z vector from the merged transition tables of every synthesized
-    channel, clipped to [0, 1]."""
+    """z vector, clipped to [0, 1], from the merged transition tables of
+    levels 1..k-1. Each level-(k-1) table (w0, w1) gives Z(W+) = Z(W)^2
+    and Z(W-) = 1/2 sum over output pairs (a, b) of sqrt((w0a w0b + w1a w1b)
+    (w1a w0b + w0a w1b)), summed in blocks of at most _PAIR_BLOCK pairs."""
     channels = [w]
-    for _ in range(k):
+    for _ in range(k - 1):
         nxt = []
         for ch in channels:
             for split in (combine_bad(ch), combine_good(ch)):
@@ -222,7 +226,16 @@ def _polarize_tables(w: BDMC, k: int) -> np.ndarray:
                         f"cap {ALPHABET_CAP}")
                 nxt.append(split)
         channels = nxt
-    return np.clip([bhattacharyya(ch) for ch in channels], 0.0, 1.0)
+    z = np.zeros(2 ** k)
+    for i, ch in enumerate(channels):
+        (w0, w1), rows = ch.w, max(1, _PAIR_BLOCK // ch.output_alphabet_size)
+        for lo in range(0, len(w0), rows):
+            a0, a1 = w0[lo:lo + rows, None], w1[lo:lo + rows, None]
+            z[2 * i] += np.sum(np.sqrt((a0 * w0 + a1 * w1)
+                                       * (a1 * w0 + a0 * w1)))
+        z[2 * i + 1] = bhattacharyya(ch) ** 2
+    z[0::2] *= 0.5
+    return np.clip(z, 0.0, 1.0, out=z)
 
 
 def _threshold(n: int, beta: float) -> float:

@@ -6,13 +6,16 @@ wrappers around the batched runtime kernels, the plain recursive SC
 decoder and the float-rooted layout decoder that the runtime decoder must
 match bit for bit, the whole-batch sampler that the streamed one must
 match, the level-by-level erasure recursion that the in-place one must
-match bit for bit, and the symmetric capacity of a binary-input channel."""
+match bit for bit, the all-levels table recursion that the one with a
+closed-form last level must match, and the symmetric capacity of a
+binary-input channel."""
 
 import numpy as np
 
 from qrelay.polar_core import (LLR_CLIP, _boxplus, _encode_in_place,
                                _guide_index, _sc_decode_block, bhattacharyya,
-                               trial_words)
+                               combine_bad, combine_good,
+                               merge_equal_likelihood_outputs, trial_words)
 
 KERNEL = np.array([[1, 1], [0, 1]], dtype=np.uint8)
 
@@ -209,6 +212,17 @@ def polarize_erasure_oracle(w, k):
         np.subtract(bad, good, out=bad)
         z = nxt
     return np.clip(z, 0.0, 1.0, out=z)
+
+
+def polarize_tables_oracle(w, k):
+    """z vector, clipped to [0, 1], from the merged transition tables of
+    every synthesized channel, the last level's included, with no cap on
+    the output alphabet."""
+    channels = [w]
+    for _ in range(k):
+        channels = [merge_equal_likelihood_outputs(split) for ch in channels
+                    for split in (combine_bad(ch), combine_good(ch))]
+    return np.clip([bhattacharyya(ch) for ch in channels], 0.0, 1.0)
 
 
 def symmetric_capacity(w):

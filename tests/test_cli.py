@@ -417,15 +417,21 @@ def _csv_counts(path, column):
 
 def test_manifest_counters_match_outputs(tmp_path):
     # the report renders from these counts instead of re-reading the CSV
-    cfg = load_config(polarize_config(tmp_path, k=8), command="polarize",
-                      output_dir=str(tmp_path / "p"))
-    manifest = run(cfg)
-    counts = _csv_counts(manifest.outputs[0]["path"], 2)
-    assert manifest.counters == {"n": 256, "size_good": counts["good"],
-                                 "size_bad": counts["bad"]}
-    assert (f"n = 256, |good| = {counts['good']}, |bad| = {counts['bad']}, "
-            f"capacity estimate = {counts['good'] / 256:.6g}"
-            in render_report(manifest))
+    # and name the polarization algorithm that ran
+    for channel, k, path in (
+            ({"kind": "bec", "epsilon": 0.5}, 8, "closed form"),
+            ({"kind": "bsc", "p": 0.11}, 5, "tables")):
+        cfg = load_config(polarize_config(tmp_path, k=k, channel=channel),
+                          command="polarize", output_dir=str(tmp_path / "p"))
+        manifest = run(cfg)
+        counts = _csv_counts(manifest.outputs[0]["path"], 2)
+        assert manifest.counters == {"n": 2 ** k, "size_good": counts["good"],
+                                     "size_bad": counts["bad"],
+                                     "polarization": path}
+        assert (f"n = {2 ** k}, |good| = {counts['good']}, "
+                f"|bad| = {counts['bad']}, "
+                f"capacity estimate = {counts['good'] / 2 ** k:.6g}"
+                in render_report(manifest))
 
     cfg = load_config(dual_config(tmp_path, k=8), command="sets",
                       output_dir=str(tmp_path / "s"))
@@ -1096,6 +1102,19 @@ def test_main_success_and_exit_codes(tmp_path, capsys):
     rc = main(["polarize", "--config", path, "--out", str(tmp_path / "ok")])
     assert rc == 0
     assert "qrelay polarize" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p, k, rc",
+                         [(0.11, 6, 0), (0.05, 5, 0), (0.11, 7, 3)])
+def test_main_bsc_table_envelope(tmp_path, capsys, p, k, rc):
+    # the cap bounds the merged tables of levels 1..k-1 only: the last
+    # level is closed form, and BSC(0.11)'s level-6 tables exceed it
+    path = polarize_config(tmp_path, channel={"kind": "bsc", "p": p}, k=k)
+    assert main(["polarize", "--config", path,
+                 "--out", str(tmp_path / "o")]) == rc
+    if rc:
+        assert ("runtime error: output alphabet 9987 exceeds cap 4096"
+                in capsys.readouterr().err)
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):

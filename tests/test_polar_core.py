@@ -14,7 +14,8 @@ import qrelay.polar_core
 from helpers_polar import (bit_reversal, boxplus_oracle, decode_llrs,
                            encode_block_oracle, generator_matrix,
                            mc_batch_oracle, polar_encode,
-                           polarize_erasure_oracle, sc_decode,
+                           polarize_erasure_oracle, polarize_tables_oracle,
+                           sc_decode,
                            sc_decode_block_oracle, sc_decode_oracle,
                            symmetric_capacity)
 from helpers_quantum import index_mask, random_bdmc
@@ -354,6 +355,64 @@ def test_polarize_detects_relabeled_erasure_channel():
     assert np.max(np.abs(auto.z - tables)) < 1e-12
     oracle = bec_recursion_oracle(0.3, 4)
     assert np.max(np.abs(auto.z - oracle)) < 1e-12
+
+
+def _table_cases():
+    rng = np.random.default_rng(67)
+    return (list(MERGE_CASES)
+            + [(BDMC.bsc(0.11), k) for k in range(1, 6)]
+            + [(BDMC.bsc(0.05), 5), (BDMC.bsc(0.3), 5)]
+            + [(random_bdmc(int(rng.integers(2, 6)), rng),
+                int(rng.integers(1, 4))) for _ in range(50)])
+
+
+def test_polarize_tables_match_all_levels_oracle():
+    # the closed-form last level against merged tables at every level,
+    # down to the CSV digits and the good mask
+    for w, k in _table_cases():
+        z, want = _polarize_tables(w, k), polarize_tables_oracle(w, k)
+        assert np.max(np.abs(z - want)) < 1e-12
+        assert ["%.12g" % v for v in z] == ["%.12g" % v for v in want]
+        assert np.array_equal(
+            select_sets(PolarizationResult(z), 0.35),
+            select_sets(PolarizationResult(want), 0.35))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_polarize_tables_merge_no_last_level(monkeypatch, k):
+    # levels 1..k-1 hold 2 + 4 + ... + 2^(k-1) merged tables
+    calls = []
+
+    def spy(w):
+        calls.append(w.output_alphabet_size)
+        return merge_equal_likelihood_outputs(w)
+
+    monkeypatch.setattr(qrelay.polar_core, "merge_equal_likelihood_outputs",
+                        spy)
+    polarize(BDMC.bsc(0.11), k)
+    assert len(calls) == 2 ** k - 2
+
+
+def test_polarize_bsc_k6_pair_sum_is_blocked():
+    # BSC(0.11) level-5 alphabets reach 3058: one 3058^2 pair grid holds
+    # 75 MB per float array, the blocked sum stays near 5 MB (traced)
+    tracemalloc.start()
+    try:
+        polarize(BDMC.bsc(0.11), 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_polarize_bsc_k6_extends_k5():
+    # Arikan 2009, Prop. 4 and 5: Z(W+) = Z(W)^2 and
+    # Z(W) <= Z(W-) <= 2 Z(W) - Z(W)^2
+    w = BDMC.bsc(0.11)
+    z5, z6 = polarize(w, 5).z, polarize(w, 6).z
+    assert np.max(np.abs(z6[1::2] - z5 ** 2)) <= 1e-15
+    assert np.all(z6[0::2] >= z5 - 1e-12)
+    assert np.all(z6[0::2] <= 2 * z5 - z5 ** 2 + 1e-12)
 
 
 def test_polarize_one_level_ordering_random_channels():
