@@ -2,9 +2,10 @@
 
 ``qrelay <command> --config <path> [--seed N] [--out DIR]`` reads a JSON
 config, runs one experiment, writes CSV outputs plus a manifest with
-content digests, and prints a plain-text summary. Exit codes: 0 success,
-2 config error, 3 runtime error. Identical config and seed reproduce
-byte-identical CSV payloads.
+content digests, and prints a plain-text summary, each warning of the run
+as one ``warning:`` line on stderr. Exit codes: 0 success, 2 config error,
+3 runtime error. Identical config and seed reproduce byte-identical CSV
+payloads.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import sys
 import threading
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -822,6 +824,10 @@ def render_report(manifest: RunManifest) -> str:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _print_warning(message, *args):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qrelay",
@@ -840,7 +846,10 @@ def main(argv=None) -> int:
             print(f"config error: {violation}", file=sys.stderr)
         return 2
     try:
-        manifest = run(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = _print_warning
+            manifest = run(cfg)
     except Exception as exc:  # runtime failure after a valid config
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

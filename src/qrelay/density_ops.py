@@ -1,13 +1,13 @@
 """Finite-dimensional quantum states, channels, and information quantities.
 
-States are dense complex density matrices, channels are explicit Kraus
-operator lists, and every entropic quantity is computed from exact
-eigendecompositions. All logarithms are base 2, so entropies and coherent
-information are in bits. Coherent information works from the Kraus
-operators alone: the output state is sum_i K_i rho K_i^dag and the
-environment state is the complementary-channel output
-[tr(K_i rho K_j^dag)]_ij, so no dilation of size (out * env)^2 is ever
-formed.
+States are dense complex density matrices, a channel is one complex
+(r, out, in) array of its r Kraus operators, and every entropic quantity
+is computed from exact eigendecompositions. All logarithms are base 2, so
+entropies and coherent information are in bits. Coherent information
+works from the Kraus operators alone: the output state is
+sum_i K_i rho K_i^dag and the environment state is the complementary-
+channel output [tr(K_i rho K_j^dag)]_ij, so no dilation of size
+(out * env)^2 is ever formed.
 
 Numerical conventions: structural validation (Hermiticity, unit trace,
 positivity, Kraus completeness) uses an absolute tolerance of 1e-9;
@@ -39,6 +39,8 @@ class DensityMatrix:
         m = np.array(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix entries must be finite")
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
         if herm_dev > VALIDATION_TOL:
             raise ValueError(f"not Hermitian: max deviation {herm_dev:.3e}")
@@ -66,27 +68,25 @@ class DensityMatrix:
 
 
 class KrausChannel:
-    """A CPTP map given by Kraus operators {N_i}, each out_dim x in_dim.
+    """A CPTP map given by Kraus operators {N_i}, held as one complex
+    (r, out_dim, in_dim) array ``kraus_ops``.
 
-    Completeness (sum_i N_i^dag N_i = I on the input space) is enforced to
-    1e-9 at construction.
+    Finite entries and completeness (sum_i N_i^dag N_i = I on the input
+    space, to 1e-9) are enforced at construction.
     """
 
-    def __init__(self, kraus_ops: Sequence):
-        ops = [np.array(k, dtype=complex) for k in kraus_ops]
-        if not ops:
-            raise ValueError("need at least one Kraus operator")
-        out_dim, in_dim = ops[0].shape
-        for k in ops:
-            if k.shape != (out_dim, in_dim):
-                raise ValueError("Kraus operators must share one shape")
-        total = sum(k.conj().T @ k for k in ops)
-        dev = float(np.max(np.abs(total - np.eye(in_dim))))
+    def __init__(self, kraus_ops):
+        k = np.array(kraus_ops, dtype=complex)
+        if k.ndim != 3 or 0 in k.shape:
+            raise ValueError(f"need a nonempty (r, out, in) Kraus array, got shape {k.shape}")
+        if not np.isfinite(k).all():
+            raise ValueError("Kraus operators must be finite")
+        total = (k.conj().transpose(0, 2, 1) @ k).sum(axis=0)
+        dev = float(np.max(np.abs(total - np.eye(k.shape[2]))))
         if dev > VALIDATION_TOL:
             raise ValueError(f"Kraus completeness violated: deviation {dev:.3e}")
-        self.kraus_ops = ops
-        self.in_dim = int(in_dim)
-        self.out_dim = int(out_dim)
+        self.kraus_ops = k
+        _, self.out_dim, self.in_dim = k.shape
 
     def __repr__(self):
         return (f"KrausChannel(in={self.in_dim}, out={self.out_dim}, "
@@ -98,42 +98,37 @@ class KrausChannel:
 # ---------------------------------------------------------------------------
 
 def identity_channel(dim: int = 2) -> KrausChannel:
-    return KrausChannel([np.eye(dim)])
+    return KrausChannel(np.eye(dim)[None])
+
+
+# The Pauli matrices I, X, Y, Z.
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                    [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _pauli_channel(q: float, keep: float, flip: float, paulis) -> KrausChannel:
+    """Kraus set sqrt(keep) I, then sqrt(flip) _PAULIS[paulis] if q > 0."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
+    ops = math.sqrt(keep) * _PAULIS[:1]
+    if q > 0.0:
+        ops = np.concatenate((ops, math.sqrt(flip) * _PAULIS[paulis]))
+    return KrausChannel(ops)
 
 
 def dephasing_channel(q: float) -> KrausChannel:
     """Qubit dephasing: rho -> (1-q) rho + q Z rho Z."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    z = np.diag([1.0, -1.0])
-    ops = [math.sqrt(1.0 - q) * np.eye(2)]
-    if q > 0.0:
-        ops.append(math.sqrt(q) * z)
-    return KrausChannel(ops)
+    return _pauli_channel(q, 1.0 - q, q, slice(3, 4))
 
 
 def bit_flip_channel(q: float) -> KrausChannel:
     """Qubit bit flip: rho -> (1-q) rho + q X rho X."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    ops = [math.sqrt(1.0 - q) * np.eye(2)]
-    if q > 0.0:
-        ops.append(math.sqrt(q) * x)
-    return KrausChannel(ops)
+    return _pauli_channel(q, 1.0 - q, q, slice(1, 2))
 
 
 def depolarizing_channel(q: float) -> KrausChannel:
     """Qubit depolarizing: rho -> (1-q) rho + q I/2."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    z = np.diag([1.0, -1.0])
-    ops = [math.sqrt(1.0 - 0.75 * q) * np.eye(2)]
-    if q > 0.0:
-        ops += [math.sqrt(q / 4.0) * p for p in (x, y, z)]
-    return KrausChannel(ops)
+    return _pauli_channel(q, 1.0 - 0.75 * q, q / 4.0, slice(1, 4))
 
 
 def erasure_channel(epsilon: float, in_dim: int = 2) -> KrausChannel:
@@ -141,19 +136,14 @@ def erasure_channel(epsilon: float, in_dim: int = 2) -> KrausChannel:
     replace it with an orthogonal erasure flag.
 
     Output dimension is in_dim + 1 with the flag on the last basis vector.
-    Kraus set: sqrt(1-eps) * embed plus sqrt(eps) |e><k| for each input
+    Kraus set: sqrt(1-eps) * embed, then sqrt(eps) |e><k| for each input
     basis vector k.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    out_dim = in_dim + 1
-    embed = np.zeros((out_dim, in_dim), dtype=complex)
-    embed[:in_dim, :] = np.eye(in_dim)
-    ops = [math.sqrt(1.0 - epsilon) * embed]
-    for k in range(in_dim):
-        flag = np.zeros((out_dim, in_dim), dtype=complex)
-        flag[in_dim, k] = math.sqrt(epsilon)
-        ops.append(flag)
+    ops = np.zeros((in_dim + 1, in_dim + 1, in_dim), dtype=complex)
+    ops[0, :in_dim] = math.sqrt(1.0 - epsilon) * np.eye(in_dim)
+    ops[1:, in_dim] = math.sqrt(epsilon) * np.eye(in_dim)
     return KrausChannel(ops)
 
 
@@ -163,8 +153,8 @@ def compose_channels(first: KrausChannel, second: KrausChannel) -> KrausChannel:
         raise ValueError(
             f"cannot compose: first yields dim {first.out_dim}, "
             f"second expects dim {second.in_dim}")
-    ops = [b @ a for b in second.kraus_ops for a in first.kraus_ops]
-    return KrausChannel(ops)
+    ops = second.kraus_ops[:, None] @ first.kraus_ops[None]  # b-major
+    return KrausChannel(ops.reshape(-1, second.out_dim, first.in_dim))
 
 
 def tensor_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:
@@ -173,19 +163,15 @@ def tensor_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     Operator a_i (x) b_j sits at index i * len(b.kraus_ops) + j, the order
     of ``[np.kron(x, y) for x in a.kraus_ops for y in b.kraus_ops]``.
     """
-    ka = np.stack(a.kraus_ops)[:, None, :, None, :, None]
-    kb = np.stack(b.kraus_ops)[None, :, None, :, None, :]
-    ops = (ka * kb).reshape(len(a.kraus_ops) * len(b.kraus_ops),
-                            a.out_dim * b.out_dim, a.in_dim * b.in_dim)
-    return KrausChannel(ops)
+    ka = a.kraus_ops[:, None, :, None, :, None]
+    kb = b.kraus_ops[None, :, None, :, None, :]
+    return KrausChannel((ka * kb).reshape(-1, a.out_dim * b.out_dim,
+                                          a.in_dim * b.in_dim))
 
 
 def bell_pair(dim: int = 2) -> DensityMatrix:
     """Maximally entangled state (1/sqrt(d)) sum_i |ii> on dim (x) dim."""
-    v = np.zeros(dim * dim, dtype=complex)
-    for i in range(dim):
-        v[i * dim + i] = 1.0
-    return DensityMatrix.from_pure(v)
+    return DensityMatrix.from_pure(np.eye(dim).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +240,7 @@ def coherent_information(channel: KrausChannel, rho: DensityMatrix) -> float:
     if rho.dim != channel.in_dim:
         raise ValueError(
             f"state dim {rho.dim} does not match channel input {channel.in_dim}")
-    k = np.stack(channel.kraus_ops)                     # (r, out, in)
+    k = channel.kraus_ops
     r, out_dim, in_dim = k.shape
     a = k @ rho.entries
     # [A_0 ... A_{r-1}] (out x r*in) times [K_0^dag; ...; K_{r-1}^dag]

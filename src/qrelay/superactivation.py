@@ -45,8 +45,7 @@ Probability = Union[float, np.ndarray]
 
 # Bound on branch_bytes of the main channel, checked from its config spec
 # before the channel is built. The runtime's peak memory is a small
-# multiple of it (the Kraus stack is copied a few times inside
-# coherent_information).
+# multiple of it: coherent_information holds up to four stack-sized arrays.
 MAX_BRANCH_BYTES = 2 ** 26
 
 
@@ -107,31 +106,24 @@ class AssistedComparison(NamedTuple):
     advantage: Union[bool, np.ndarray]
 
 
-def _embed(out_dim: int, target_dim: int) -> np.ndarray:
-    e = np.zeros((target_dim, out_dim), dtype=complex)
-    e[:out_dim, :] = np.eye(out_dim)
-    return e
-
-
 def build_switch_channel(p: float, main: KrausChannel) -> SwitchChannel:
     """Assemble the flagged mixture of ``main`` and the 50% erasure channel.
 
-    Kraus set: sqrt(p) N_j (x) |0>_flag together with sqrt(1-p) A_k (x)
-    |1>_flag, each branch embedded into a common output space first.
+    Kraus set: sqrt(p) N_j (x) |0>_flag, then sqrt(1-p) A_k (x) |1>_flag,
+    each branch embedded into the leading rows of a common output space.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"branch probability must lie in [0, 1], got {p}")
     erasure = erasure_channel(0.5, in_dim=main.in_dim)
+    r_main = len(main.kraus_ops)
     branch_dim = max(main.out_dim, erasure.out_dim)
-    flag0 = np.array([[1.0], [0.0]], dtype=complex)
-    flag1 = np.array([[0.0], [1.0]], dtype=complex)
-    embed_main = _embed(main.out_dim, branch_dim)
-    embed_er = _embed(erasure.out_dim, branch_dim)
-    ops = [np.kron(math.sqrt(p) * (embed_main @ k), flag0)
-           for k in main.kraus_ops]
-    ops += [np.kron(math.sqrt(1.0 - p) * (embed_er @ k), flag1)
-            for k in erasure.kraus_ops]
-    return SwitchChannel(p=p, channel=KrausChannel(ops))
+    # axes (operator, branch output, flag, input)
+    ops = np.zeros((r_main + len(erasure.kraus_ops), branch_dim, 2,
+                    main.in_dim), dtype=complex)
+    ops[:r_main, :main.out_dim, 0] = math.sqrt(p) * main.kraus_ops
+    ops[r_main:, :erasure.out_dim, 1] = math.sqrt(1.0 - p) * erasure.kraus_ops
+    return SwitchChannel(p=p, channel=KrausChannel(
+        ops.reshape(-1, 2 * branch_dim, main.in_dim)))
 
 
 def make_rho_ac(mode: str, variant: Optional[str] = None) -> JointInputState:

@@ -1,7 +1,11 @@
 """Seeded random states, channels, and tables, index-mask builders, the
-capacity row in the paper's literal set forms, and the dense reference
-routes (channel action, dilation, joint channel) that the Kraus-form
-runtime is checked against, shared across test modules."""
+capacity row in the paper's literal set forms, the dense reference routes
+(channel action, dilation, joint channel) that the Kraus-form runtime is
+checked against, and the one-operator-at-a-time Kraus lists that the
+stacked channel constructors are checked against, shared across test
+modules."""
+
+import math
 
 import numpy as np
 
@@ -126,3 +130,57 @@ def joint_report(p, main, state):
     """The runtime report at one p: branch terms, then their weighted sum."""
     return joint_coherent_info(build_switch_channel(p, main),
                                branch_terms(main, state))
+
+
+# ---------------------------------------------------------------------------
+# Kraus lists built one operator at a time
+# ---------------------------------------------------------------------------
+
+def erasure_kraus_oracle(epsilon, in_dim):
+    """sqrt(1-eps) times the embedding of the input, then sqrt(eps) |e><k|
+    for each input basis vector k, each operator filled on its own."""
+    out_dim = in_dim + 1
+    embed = np.zeros((out_dim, in_dim), dtype=complex)
+    embed[:in_dim, :] = np.eye(in_dim)
+    ops = [math.sqrt(1.0 - epsilon) * embed]
+    for k in range(in_dim):
+        flag = np.zeros((out_dim, in_dim), dtype=complex)
+        flag[in_dim, k] = math.sqrt(epsilon)
+        ops.append(flag)
+    return ops
+
+
+def _embed(out_dim, target_dim):
+    e = np.zeros((target_dim, out_dim), dtype=complex)
+    e[:out_dim, :] = np.eye(out_dim)
+    return e
+
+
+def switch_kraus_oracle(p, main):
+    """The switch channel's Kraus list: each operator of ``main`` and of the
+    50% erasure channel embedded into a common output space, weighted by
+    sqrt(p) or sqrt(1-p), then tensored with its flag vector by np.kron."""
+    erasure_ops = erasure_kraus_oracle(0.5, main.in_dim)
+    branch_dim = max(main.out_dim, main.in_dim + 1)
+    flag0 = np.array([[1.0], [0.0]], dtype=complex)
+    flag1 = np.array([[0.0], [1.0]], dtype=complex)
+    embed_main = _embed(main.out_dim, branch_dim)
+    embed_er = _embed(main.in_dim + 1, branch_dim)
+    ops = [np.kron(math.sqrt(p) * (embed_main @ k), flag0)
+           for k in main.kraus_ops]
+    ops += [np.kron(math.sqrt(1.0 - p) * (embed_er @ k), flag1)
+            for k in erasure_ops]
+    return ops
+
+
+def compose_kraus_oracle(first, second):
+    """Kraus list of ``first`` then ``second``, b-major."""
+    return [b @ a for b in second.kraus_ops for a in first.kraus_ops]
+
+
+def bell_vector_oracle(dim):
+    """The unnormalized vector sum_i |ii>, one entry at a time."""
+    v = np.zeros(dim * dim, dtype=complex)
+    for i in range(dim):
+        v[i * dim + i] = 1.0
+    return v

@@ -1155,6 +1155,18 @@ def test_main_rejects_unknown_keys_and_non_object_input_state(
     assert fragment in capsys.readouterr().err
 
 
+def test_main_prints_run_warnings_as_lines(tmp_path, capsys):
+    # BEC(0.3)/BEC(0.4) at k = 6 warns; the line names no file, line
+    # number or source line of the warning's origin
+    rc = main(["capacity", "--config", dual_config(tmp_path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: p_sym_nondegraded is negative "
+                            "(-0.40625); reporting as-is\n")
+    assert "p_sym_nondegraded = -0.40625" in captured.out
+
+
 @pytest.mark.parametrize("output_dir", [5, ["out"]], ids=["int", "list"])
 def test_main_rejects_non_string_output_dir(tmp_path, capsys, output_dir):
     # passed validation and exited 3 when the run made the directory

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers_quantum import (apply_kraus, coherent_info_oracle,
-                             isometric_extension, random_density_matrix,
-                             random_kraus_channel)
+from helpers_quantum import (apply_kraus, bell_vector_oracle,
+                             coherent_info_oracle, compose_kraus_oracle,
+                             erasure_kraus_oracle, isometric_extension,
+                             random_density_matrix, random_kraus_channel)
 from qrelay.density_ops import (DensityMatrix, KrausChannel, _entropy_bits,
                                 bell_pair, bit_flip_channel,
                                 coherent_information, compose_channels,
@@ -53,6 +54,20 @@ def test_kraus_rejects_incomplete_set():
 def test_kraus_rejects_mixed_shapes():
     with pytest.raises(ValueError, match="shape"):
         KrausChannel([np.eye(2), np.eye(3)])
+
+
+def test_constructors_reject_non_finite_and_malformed_input():
+    # NaN fails every comparison, so the completeness and state checks
+    # alone pass a NaN entry, and an inf one that turns them into NaN
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            KrausChannel([[[bad, 0.0], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix([[bad, 0.0], [0.0, 1.0]])
+    # ragged, empty, and a single 2-D operator without its Kraus axis
+    for ops in ([np.eye(2), np.eye(2)[:1]], [], np.eye(2)):
+        with pytest.raises(ValueError):
+            KrausChannel(ops)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +276,27 @@ def test_compose_channels_dims():
 def test_tensor_channels_dims():
     joint = tensor_channels(erasure_channel(0.5), identity_channel(2))
     assert joint.in_dim == 4 and joint.out_dim == 6
+
+
+def test_stacked_constructors_match_operator_lists():
+    for epsilon in (0.0, 0.3, 1.0):
+        for in_dim in (1, 2, 4):
+            np.testing.assert_array_equal(
+                erasure_channel(epsilon, in_dim).kraus_ops,
+                erasure_kraus_oracle(epsilon, in_dim))
+    rng = np.random.default_rng(13)
+    pairs = [(bit_flip_channel(0.1), depolarizing_channel(0.3)),
+             (random_kraus_channel(2, 3, 3, rng),
+              random_kraus_channel(3, 4, 2, rng)),
+             (erasure_channel(0.5), random_kraus_channel(3, 2, 5, rng))]
+    for first, second in pairs:
+        np.testing.assert_array_equal(
+            compose_channels(first, second).kraus_ops,
+            compose_kraus_oracle(first, second))
+    for dim in (1, 2, 3, 4):
+        np.testing.assert_array_equal(
+            bell_pair(dim).entries,
+            DensityMatrix.from_pure(bell_vector_oracle(dim)).entries)
 
 
 def test_tensor_channels_matches_kron_list():

@@ -13,13 +13,13 @@ import qrelay.superactivation
 from helpers_quantum import (apply_kraus, coherent_info_oracle,
                              joint_coherent_info_oracle, joint_report,
                              make_partition, random_density_matrix,
-                             random_kraus_channel)
+                             random_kraus_channel, switch_kraus_oracle)
 from qrelay.cli import ConfigError, load_config, run
 from qrelay.codeword_sets import set_size
 from qrelay.density_ops import (DensityMatrix, bit_flip_channel,
                                 coherent_information, compose_channels,
-                                dephasing_channel, identity_channel,
-                                tensor_channels, trace_out)
+                                dephasing_channel, erasure_channel,
+                                identity_channel, tensor_channels, trace_out)
 from qrelay.superactivation import (BRANCH_KEYS, P_GRID, BranchTerms,
                                     branch_terms, branch_weights,
                                     build_switch_channel, compare_assisted,
@@ -62,6 +62,17 @@ def test_switch_channel_flag_marginal():
     assert abs(np.trace(out.entries) - 1.0) < 1e-9
     flag = trace_out(out, [3, 2], keep={1})
     assert np.allclose(flag.entries, np.eye(2) / 2, atol=1e-9)
+
+
+def test_switch_channel_matches_embedded_kron_list():
+    rng = np.random.default_rng(109)
+    mains = (dephasing_channel(0.2), identity_channel(4),
+             erasure_channel(0.3, 4), random_kraus_channel(2, 5, 3, rng))
+    for main in mains:
+        for p in (0.0, 0.3, 0.5, 1.0):
+            np.testing.assert_array_equal(
+                build_switch_channel(p, main).channel.kraus_ops,
+                switch_kraus_oracle(p, main))
 
 
 def test_switch_channel_probability_validation():
@@ -332,6 +343,99 @@ def test_sweep_and_superactivate_build_no_switch_channel(tmp_path,
     (entry,) = run(load_config(path, command="superactivate",
                                output_dir=str(tmp_path / "sa"))).outputs
     assert entry["rows"] == 1
+
+
+# SHA-256 of sweep.csv and superactivate.csv (p = 0.37) across the quantum
+# channel constructors, pinned from the Kraus-list channels that the
+# (r, out, in) arrays replaced. Two-qubit mains run sweep only, with each
+# entangled_flagged variant.
+_QUBIT_MAINS = [
+    ("identity", {"kind": "identity"},
+     "35a8b38dfcbe8a22106b4a199e0db267820db12557d5cc978b6f198e5e2e6051",
+     "0e1dd8fae7e0a0775a872fa8ef0b33079d62729aeb956ece21af6a3352576ede"),
+    ("dephasing-0", {"kind": "dephasing", "q": 0},
+     "35a8b38dfcbe8a22106b4a199e0db267820db12557d5cc978b6f198e5e2e6051",
+     "0e1dd8fae7e0a0775a872fa8ef0b33079d62729aeb956ece21af6a3352576ede"),
+    ("dephasing-0.2", {"kind": "dephasing", "q": 0.2},
+     "03bca815a87ea7685f773f0612aedd3769ddc94623adf698c207a179e25223e0",
+     "56c04fde0aa512878c4367398af559e27f431a797f9f295039a24c7335ed4b77"),
+    ("dephasing-1", {"kind": "dephasing", "q": 1},
+     "35a8b38dfcbe8a22106b4a199e0db267820db12557d5cc978b6f198e5e2e6051",
+     "0e1dd8fae7e0a0775a872fa8ef0b33079d62729aeb956ece21af6a3352576ede"),
+    ("bit_flip-0", {"kind": "bit_flip", "q": 0},
+     "35a8b38dfcbe8a22106b4a199e0db267820db12557d5cc978b6f198e5e2e6051",
+     "0e1dd8fae7e0a0775a872fa8ef0b33079d62729aeb956ece21af6a3352576ede"),
+    ("bit_flip-0.2", {"kind": "bit_flip", "q": 0.2},
+     "d9dfacc704b420c4c5dc95c3e2c6f80a43968e3e7c28ed836f0769f0fdc1b33b",
+     "1ef3fd86e1d6c83cbb46717d9a0858caca2e22711320c2b04f377bb09ab25be9"),
+    ("bit_flip-1", {"kind": "bit_flip", "q": 1},
+     "35a8b38dfcbe8a22106b4a199e0db267820db12557d5cc978b6f198e5e2e6051",
+     "0e1dd8fae7e0a0775a872fa8ef0b33079d62729aeb956ece21af6a3352576ede"),
+    ("depolarizing-0", {"kind": "depolarizing", "q": 0},
+     "35a8b38dfcbe8a22106b4a199e0db267820db12557d5cc978b6f198e5e2e6051",
+     "0e1dd8fae7e0a0775a872fa8ef0b33079d62729aeb956ece21af6a3352576ede"),
+    ("depolarizing-0.2", {"kind": "depolarizing", "q": 0.2},
+     "f6112009556766800ad22835dfd67a282c954d6c38f63a183d00940d29e15d58",
+     "7fc88f699e370d59d39a9ba021c1d3b7f7e7bc7c636f34f6e291c0d638963b3f"),
+    ("depolarizing-1", {"kind": "depolarizing", "q": 1},
+     "6885d389d77246682acacba338266a51e804ced79d6adb632141961bd986c240",
+     "80e43719903a87b33b93dcb1403576e10d4c0fe43e8a30ab4496630c35ed8b3c"),
+    ("erasure-0", {"kind": "erasure", "epsilon": 0},
+     "35a8b38dfcbe8a22106b4a199e0db267820db12557d5cc978b6f198e5e2e6051",
+     "0e1dd8fae7e0a0775a872fa8ef0b33079d62729aeb956ece21af6a3352576ede"),
+    ("erasure-0.5", {"kind": "erasure", "epsilon": 0.5},
+     "b150fd4b279fcfb9563a0c06efdcd68af5bf66e97e6b29f30f2964ea6f79e990",
+     "fc372640c17fd7231d26b053ad2c2cdb6df1b68f651d34be2ff14dd3b1d833b2"),
+    ("compose-qubit", {"kind": "compose", "stages": [
+         {"kind": "dephasing", "q": 0.2}, {"kind": "bit_flip", "q": 0.3},
+         {"kind": "depolarizing", "q": 0.1}]},
+     "875f6e91eb784e8fca3bed947c10dd0d4b2dc17c0e3dd0d6189b107626355f7c",
+     "a1ecfc2d04dbf81174962306bdff118b770efa66d575fe92e9e0286a8018c233"),
+    ("compose-erasure", {"kind": "compose", "stages": [
+         {"kind": "depolarizing", "q": 0.15},
+         {"kind": "erasure", "epsilon": 0.25}]},
+     "a84f068378c56ede655e60a5f2ec5f8c9666bee0e03e4dafa4127dd89a6e6ce2",
+     "8f8d1e14979fd8345abeee8b0b59074c755dd3d0060a1aef9cf4d4fcfe8ea176"),
+]
+_TWO_QUBIT_MAINS = [
+    ("identity4", {"kind": "identity", "dim": 4},
+     "35a8b38dfcbe8a22106b4a199e0db267820db12557d5cc978b6f198e5e2e6051",
+     "ea99776efc960b8cb3df1b4bfa7049c0490db13c36c0db203ee149ba740628ab"),
+    ("erasure4", {"kind": "erasure", "epsilon": 0.3, "in_dim": 4},
+     "f3042ad14e099bc80948952b5f6a05d106efa3d8ca30069b374b2856d749ab3e",
+     "57927d3dc2436f0f3af1198ab9337ae0d64bb1aecfb0373f1818d8afc85b6a40"),
+    ("compose4", {"kind": "compose", "stages": [
+         {"kind": "erasure", "epsilon": 0.1, "in_dim": 4},
+         {"kind": "erasure", "epsilon": 0.2, "in_dim": 5}]},
+     "7a0191d7f93ed0850949a1f3fdb7223b967e03e7c53e5d7f18b2cf4841e0f437",
+     "b97c372fd26b4e20fe2f271a9f99a55a5851fe0f269be9c1725f03e043e8544b"),
+]
+PINNED_QUANTUM_CSVS = (
+    [pytest.param("sweep", {"main_channel": main}, sweep, id=f"sweep-{name}")
+     for name, main, sweep, _ in _QUBIT_MAINS]
+    + [pytest.param("superactivate", {"main_channel": main, "p": 0.37},
+                    superactivate, id=f"superactivate-{name}")
+       for name, main, _, superactivate in _QUBIT_MAINS]
+    + [pytest.param("sweep", {"main_channel": main, "input_state": {
+                        "mode": "entangled_flagged", "variant": variant}},
+                    sha, id=f"sweep-{name}-{variant}")
+       for name, main, *shas in _TWO_QUBIT_MAINS
+       for variant, sha in zip(("literal", "alternating"), shas)])
+
+
+@pytest.mark.parametrize("command, fields, sha256", PINNED_QUANTUM_CSVS)
+def test_quantum_csvs_match_pinned_digests(tmp_path, command, fields,
+                                           sha256):
+    path = tmp_path / "pin.json"
+    path.write_text(json.dumps({
+        "amp_channel": {"kind": "bec", "epsilon": 0.3},
+        "phase_channel": {"kind": "bec", "epsilon": 0.4}, "k": 4,
+        "beta": 0.3, **fields}), encoding="utf-8")
+    (entry,) = run(load_config(path, command=command,
+                               output_dir=str(tmp_path / "out"))).outputs
+    with open(entry["path"], "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == sha256
+    assert entry["sha256"] == sha256
 
 
 def test_branch_weights_sum_to_one_on_unit_interval():
