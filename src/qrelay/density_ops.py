@@ -72,11 +72,14 @@ class KrausChannel:
     (r, out_dim, in_dim) array ``kraus_ops``.
 
     Finite entries and completeness (sum_i N_i^dag N_i = I on the input
-    space, to 1e-9) are enforced at construction.
+    space, to 1e-9) are enforced at construction. A complex array is held
+    as given, not copied, so it must not change afterwards; every
+    constructor here passes a stack it has just built and does not touch
+    it again.
     """
 
     def __init__(self, kraus_ops):
-        k = np.array(kraus_ops, dtype=complex)
+        k = np.asarray(kraus_ops, dtype=complex)
         if k.ndim != 3 or 0 in k.shape:
             raise ValueError(f"need a nonempty (r, out, in) Kraus array, got shape {k.shape}")
         if not np.isfinite(k).all():

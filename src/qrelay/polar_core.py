@@ -270,11 +270,21 @@ def error_bound(n: int, beta: float) -> float:
 _EXP_ZERO = 746.0
 
 
-def _log1p_exp_neg(t: np.ndarray, mask: np.ndarray) -> np.ndarray:
+# min(|a|, |b|) from which boxplus's smaller log term drops below half an
+# ulp of the result, and the most lanes it gathers to evaluate both terms
+_ONE_TERM = 20.0
+_GATHER = 2 ** 11
+
+
+def _log1p_exp_neg(t: np.ndarray, mask: np.ndarray,
+                   keep=None) -> np.ndarray:
     """log1p(exp(-t)) in place, bit for bit, for every t including +-inf;
-    ``mask`` is a bool array of t's shape that this overwrites."""
+    ``mask`` is a bool array of t's shape that this overwrites. Lanes
+    where ``keep`` (if given) is zero read +0.0 instead."""
     np.minimum(t, _EXP_ZERO, out=t)  # +inf -> 746: t * mask stays finite
     np.less(t, _EXP_ZERO, out=mask)
+    if keep is not None:
+        np.logical_and(mask, keep, out=mask)
     np.multiply(t, mask, out=t)
     np.negative(t, out=t)
     np.exp(t, out=t)
@@ -282,25 +292,60 @@ def _log1p_exp_neg(t: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.multiply(t, mask, out=t)
 
 
-def _boxplus(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """Exact log-domain combination for the unknown-first-input recursion:
-    log((1 + e^(a+b)) / (e^a + e^b)), computed stably as
-    sign(a) sign(b) min(|a|, |b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|).
-
-    The result array (``out`` if given) holds the first term and one
-    scratch array takes the two log1p terms in turn. The first term is
-    copysign(min, a*b); it can differ from the sign product only in the
-    sign of a zero, which adding the second term (>= +0.0) erases.
-    """
-    out = np.abs(a, out=out)
-    tmp = np.abs(b)
-    np.minimum(out, tmp, out=out)
-    np.copysign(out, np.multiply(a, b, out=tmp), out=out)
-    mask = np.empty(out.shape, dtype=bool)
+def _add_log_terms(a, b, out, tmp, mask):
+    """out + log1p(e^-|a+b|) - log1p(e^-|a-b|) into ``out``, in this
+    order; ``tmp`` and ``mask`` are float and bool scratch."""
     np.abs(np.add(a, b, out=tmp), out=tmp)
     np.add(out, _log1p_exp_neg(tmp, mask), out=out)
     np.abs(np.subtract(a, b, out=tmp), out=tmp)
     return np.subtract(out, _log1p_exp_neg(tmp, mask), out=out)
+
+
+def _boxplus(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Exact log-domain combination for the unknown-first-input recursion:
+    log((1 + e^(a+b)) / (e^a + e^b)), computed stably as
+    (c + log1p(e^-|a+b|)) - log1p(e^-|a-b|) with c = copysign(m, a*b),
+    m = min(|a|, |b|) and M = max(|a|, |b|); c differs from the sign
+    product only in the sign of a zero, which the terms (>= +0.0) erase.
+
+    One of |a+b| and |a-b| is d = |a - copysign(b, a)| = fl(M - m), the
+    other fl(M + m). Write L(t) = log1p(e^-t). Lanes of three kinds give
+    the formula's bits with fewer terms:
+    - m >= 20: L(fl(M + m)) <= e^-40 (4.3e-18) is below half an ulp of
+      m (same signs) and of -m + L(d) (opposite signs, magnitude at
+      least 19.3), so the result is c - copysign(L(d), c), which is
+      copysign(m - L(d), a*b);
+    - m = 0: both terms are L(M) and the formula gives +0.0; with the
+      lane's L(d) masked to +0.0, copysign(m - L(d), a*b) is +-0.0 and
+      adding +0.0 gives +0.0;
+    - 0 < m < 20: both terms, evaluated on these lanes only, gathered
+      by one index array when at most 2^11 of them; with more, the whole
+      array takes both terms.
+    The result array (``out`` if given) and one scratch array of a's
+    shape hold the floats, plus one bool mask.
+    """
+    out = np.abs(a, out=out)
+    tmp = np.abs(b)
+    np.minimum(out, tmp, out=out)
+    mask = np.less(out, _ONE_TERM)
+    np.logical_and(mask, out, out=mask)  # 0 < m < 20: both terms count
+    both = np.count_nonzero(mask)
+    if both > _GATHER:
+        np.copysign(out, np.multiply(a, b, out=tmp), out=out)
+        return _add_log_terms(a, b, out, tmp, mask)
+    lanes = np.flatnonzero(mask)
+    m = np.take(out, lanes)
+    np.subtract(a, np.copysign(b, a, out=tmp), out=tmp)
+    _log1p_exp_neg(np.abs(tmp, out=tmp), mask, keep=out)
+    np.subtract(out, tmp, out=out)
+    np.copysign(out, np.multiply(a, b, out=tmp), out=out)
+    np.add(out, 0.0, out=out)  # -0.0 to +0.0 where m = 0
+    if both:
+        a, b = np.take(a, lanes), np.take(b, lanes)
+        np.put(out, lanes, _add_log_terms(
+            a, b, np.copysign(m, a * b, out=m), np.empty(both),
+            np.empty(both, dtype=bool)))
+    return out
 
 
 def _encode_in_place(x: np.ndarray) -> np.ndarray:

@@ -709,18 +709,87 @@ def test_log1p_exp_neg_is_bit_identical_to_formula(t):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _two_term_count(a, b):
+    """Lanes with 0 < min(|a|, |b|) < 20, where boxplus needs both terms."""
+    m = np.minimum(np.abs(a), np.abs(b))
+    return np.count_nonzero((m > 0.0) & (m < 20.0))
+
+
+def _plant_two_term_lanes(rng, a, b, count):
+    """Overwrite ``count`` lanes of a and b with nonzero LLRs below 20."""
+    lanes = rng.choice(a.size, count, replace=False)
+    for x in (a, b):
+        x.flat[lanes] = (rng.uniform(0.5, 19.5, count)
+                         * rng.choice([-1.0, 1.0], count))
+
+
+def _adversarial_boxplus_pairs():
+    """(a, b) lanes at the edges of the one-term cuts, in both orders and
+    all four sign pairings: m = +-0 against M from 0 to 1e308, m at 20
+    and one ulp either side, subnormal m, and a + b or a - b overflowing."""
+    below, above = np.nextafter(20.0, 0.0), np.nextafter(20.0, np.inf)
+    pairs = [(0.0, big) for big in (0.0, 5e-324, 745.99, 746.0, 1e308)]
+    pairs += [(m, big) for m in (below, 20.0, above)
+              for big in (m, 20.5, 40.0, 745.99, 746.0, 1e308)]
+    pairs += [(m, big) for m in (5e-324, 1e-310, 2.2250738585072014e-308)
+              for big in (m, 1.0, below, 746.0, 1e308)]
+    pairs += [(1e308, 1e308), (1.7976931348623157e308, 1e308)]
+    a, b = [], []
+    for m, big in pairs:
+        for sm in (1.0, -1.0):
+            for sbig in (1.0, -1.0):
+                a += [sm * m, sbig * big]
+                b += [sbig * big, sm * m]
+    return np.array(a), np.array(b)
+
+
+@pytest.mark.parametrize("two_term", [2 ** 11, 2 ** 12 + 1])
+def test_boxplus_is_bit_identical_to_formula_on_large_arrays(two_term):
+    # one gather of the largest size, and more two-term lanes than it
+    # takes; the one-term lanes are saturated BEC LLRs, |x| >= 20 and the
+    # adversarial lanes, all shuffled into one array
+    rng = np.random.default_rng(two_term)
+    edge_a, edge_b = _adversarial_boxplus_pairs()
+    a, b = _random_llrs(rng, "bec", (2, 2 ** 15 - edge_a.size))
+    a[:2 ** 13] = rng.uniform(20.0, 1e3, 2 ** 13) * rng.choice([-1.0, 1.0],
+                                                               2 ** 13)
+    a, b = np.concatenate([a, edge_a]), np.concatenate([b, edge_b])
+    extra = two_term - _two_term_count(edge_a, edge_b)
+    _plant_two_term_lanes(rng, a[:2 ** 15 - edge_a.size],
+                          b[:2 ** 15 - edge_b.size], extra)
+    order = rng.permutation(a.size)
+    a, b = a[order].reshape(64, -1), b[order].reshape(64, -1)
+    assert _two_term_count(a, b) == two_term
+    with np.errstate(all="ignore"):  # a + b, a - b or a * b may overflow
+        want = boxplus_oracle(a, b)
+        got = _boxplus(a, b)
+        into = np.full((66, a.shape[1]), np.nan)
+        _boxplus(a, b, out=into[1:-1])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(into[1:-1].view(np.int64), want.view(np.int64))
+
+
 def test_boxplus_scratch_is_two_floats_and_a_mask():
+    # mixed LLRs, saturated BEC LLRs, and BEC LLRs with the most two-term
+    # lanes one gather takes and with one more
     rng = np.random.default_rng(137)
-    a, b = _random_llrs(rng, "mixed", (2, 2048, 128))
-    tracemalloc.start()
-    try:
-        _boxplus(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the result, one scratch array, the mask and numpy's 64 kB cast
-    # buffer for the float-by-mask products
-    assert peak <= 2 * a.nbytes + a.size + 2 ** 17
+    shape = (2, 2048, 128)
+    pairs = [_random_llrs(rng, "mixed", shape), _random_llrs(rng, "bec", shape)]
+    for count in (2 ** 11, 2 ** 11 + 1):
+        a, b = _random_llrs(rng, "bec", shape)
+        _plant_two_term_lanes(rng, a, b, count)
+        assert _two_term_count(a, b) == count
+        pairs.append((a, b))
+    for a, b in pairs:
+        tracemalloc.start()
+        try:
+            _boxplus(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result, one scratch array, the mask and numpy's 64 kB cast
+        # buffer for the float-by-mask products
+        assert peak <= 2 * a.nbytes + a.size + 2 ** 17
 
 
 # ---------------------------------------------------------------------------
