@@ -15,7 +15,6 @@ import hashlib
 import itertools
 import json
 import sys
-import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -583,45 +582,27 @@ def _create(path: Path, mode: str, **kwargs):
 
 def _write_csv(path: Path, header, columns) -> str:
     """Write a CSV from equal-length columns, sliced CSV_BLOCK_ROWS rows
-    at a time, and return the SHA-256 of its bytes; on failure no file is
-    left. Each block but the last is hashed and written on a background
-    thread (both release the GIL) while the next is built."""
+    at a time, and return the SHA-256 of its bytes. Each block is built,
+    hashed and written in turn; on any failure the file is removed and the
+    exception raised again, so no partial table is left."""
     rows = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(len(c) != rows for c in columns):
         raise ValueError("need one equal-length column per header field")
-    digest, failed, writer = hashlib.sha256(), [], None
-
-    def sink(data):
-        try:
-            digest.update(data)
-            fh.write(data)
-        except BaseException as exc:   # raised again below
-            failed.append(exc)
-
-    with _create(path, "wb") as fh:
-        sink((",".join(header) + "\n").encode("utf-8"))
-        try:
+    head = (",".join(header) + "\n").encode("utf-8")
+    digest = hashlib.sha256(head)
+    fh = _create(path, "wb")   # a failed open has no file to remove
+    try:
+        with fh:
+            fh.write(head)
             for start in range(0, rows, CSV_BLOCK_ROWS):
                 data = _csv_block([c[start:start + CSV_BLOCK_ROWS]
                                    for c in columns])
-                if writer:   # one block in flight keeps the bytes in order
-                    writer.join()
-                if failed:
-                    break
-                if start + CSV_BLOCK_ROWS < rows:
-                    writer = threading.Thread(target=sink, args=(data,))
-                    writer.start()
-                else:
-                    sink(data)
-                del data   # the thread's reference alone keeps the block
-        except BaseException as exc:   # a block that cannot be built
-            failed.append(exc)
-        finally:
-            if writer:
-                writer.join()
-    if failed:
-        path.unlink(missing_ok=True)   # no partial table is left at path
-        raise failed[0]
+                digest.update(data)
+                fh.write(data)
+                del data   # freed before the next block is built
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return digest.hexdigest()
 
 

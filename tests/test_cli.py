@@ -637,10 +637,9 @@ def test_partition_runs_match_pinned_outputs(tmp_path, command, payload,
             == json.dumps(counters, sort_keys=True))
 
 
-# about 1 MB over the peaks: 10.0 MB for sets and capacity, and for
-# polarize 12.6-13.7 MB, the most when the previous block is still being
-# written while a float pass runs
-K20_TRACED_PEAK_MB = {"polarize": 15, "sets": 11, "capacity": 11}
+# about 1 MB over the peaks: 10.0 MB for sets and capacity, and 12.13 MB
+# for polarize, where a float pass runs while one block is being built
+K20_TRACED_PEAK_MB = {"polarize": 13, "sets": 11, "capacity": 11}
 
 
 @pytest.mark.parametrize("command", ["polarize", "sets", "capacity"])
@@ -986,8 +985,8 @@ def test_sweep_shaped_block_makes_one_kernel_pass(monkeypatch):
 
 def _three_block_columns(rng):
     """Three ranges (from 0, across 10^4 and up to 2^64 - 1), a float and a
-    byte-string column of 2 * CSV_BLOCK_ROWS + 1 rows: two blocks go to the
-    background thread."""
+    byte-string column of 2 * CSV_BLOCK_ROWS + 1 rows: three blocks, the
+    last of one row."""
     rows = 2 * CSV_BLOCK_ROWS + 1
     return (range(rows), range(9_995, 9_995 + rows),
             range(2 ** 64 - rows, 2 ** 64),
@@ -1000,29 +999,29 @@ def test_write_csv_multi_block_table_matches_row_oracle(tmp_path):
     header = tuple(f"c{i}" for i in range(len(columns)))
     threads = threading.active_count()
     path = tmp_path / "three.csv"
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)   # switch threads as often as possible
-    try:
-        digest = _write_csv(path, header, columns)
-    finally:
-        sys.setswitchinterval(interval)
+    digest = _write_csv(path, header, columns)
     assert threading.active_count() == threads
     data = path.read_bytes()
     assert data == csv_bytes_from_columns(header, columns)
     assert digest == hashlib.sha256(data).hexdigest()
 
 
-def test_write_csv_one_block_table_starts_no_thread(tmp_path, monkeypatch):
-    started = []
-    thread = threading.Thread
+def test_write_csv_starts_no_thread(tmp_path, monkeypatch):
+    # tables of one block, of one full block and of two and three blocks
+    # (the last of one row): every block is written on the calling thread
+    constructed = []
     monkeypatch.setattr(threading, "Thread", lambda *args, **kwargs: (
-        started.append(kwargs) or thread(*args, **kwargs)))
-    for rows, threads in ((1, 0), (CSV_BLOCK_ROWS, 0),
-                          (CSV_BLOCK_ROWS + 1, 1)):
-        _write_csv(tmp_path / "t.csv", ("i", "f"),
-                   (range(rows), np.arange(rows) / 7))
-        assert len(started) == threads
-        started.clear()
+        constructed.append(kwargs)))
+    threads = threading.active_count()
+    for rows in (1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                 2 * CSV_BLOCK_ROWS + 1):
+        columns = (range(rows), np.arange(rows) / 7)
+        digest = _write_csv(tmp_path / "t.csv", ("i", "f"), columns)
+        data = (tmp_path / "t.csv").read_bytes()
+        assert data == csv_bytes_from_columns(("i", "f"), columns)
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert constructed == []
+        assert threading.active_count() == threads
 
 
 class _DiskFullAfter:
@@ -1044,7 +1043,7 @@ class _DiskFullAfter:
         return self.fh.write(data)
 
 
-# the header, then blocks 1 and 2 on the background thread, block 3 inline
+# the header, then each of the three blocks
 @pytest.mark.parametrize("writes", [0, 1, 2, 3])
 def test_write_csv_raises_a_failed_write(tmp_path, monkeypatch, writes):
     monkeypatch.setattr(cli, "_create", lambda path, mode: _DiskFullAfter(
@@ -1055,6 +1054,24 @@ def test_write_csv_raises_a_failed_write(tmp_path, monkeypatch, writes):
         _write_csv(tmp_path / "full.csv", tuple("abcde"), columns)
     assert err.value.errno == errno.ENOSPC
     assert threading.active_count() == threads
+    assert not (tmp_path / "full.csv").exists()
+
+
+class _DiskFullAtClose(_DiskFullAfter):
+    """An open file whose buffered tail fails to reach the disk at close."""
+
+    def __exit__(self, *exc):
+        super().__exit__(*exc)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_write_csv_removes_the_table_when_close_fails(tmp_path, monkeypatch):
+    # the header and the one row are both written before the close fails
+    monkeypatch.setattr(cli, "_create", lambda path, mode: _DiskFullAtClose(
+        open(path, mode), 2))
+    with pytest.raises(OSError) as err:
+        _write_csv(tmp_path / "full.csv", ("i",), (range(1),))
+    assert err.value.errno == errno.ENOSPC
     assert not (tmp_path / "full.csv").exists()
 
 
@@ -1071,9 +1088,38 @@ def test_write_csv_removes_a_partial_table(tmp_path):
     assert threading.active_count() == threads
 
 
-def test_main_exits_3_on_a_failed_background_write(tmp_path, capsys,
-                                                   monkeypatch):
-    # polarize at k = 17 writes several blocks, the first on the thread
+class _InterruptOnSecondSlice:
+    """A column whose second slice, taken for the second block, raises
+    KeyboardInterrupt."""
+
+    def __init__(self, values):
+        self.values, self.slices = values, 0
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, key):
+        self.slices += 1
+        if self.slices == 2:
+            raise KeyboardInterrupt
+        return self.values[key]
+
+
+def test_write_csv_raises_an_interrupt_and_removes_the_table(tmp_path):
+    # the first block is written before the second one is interrupted
+    rows = 2 * CSV_BLOCK_ROWS + 1
+    column = _InterruptOnSecondSlice(np.arange(rows) / 7)
+    path = tmp_path / "interrupted.csv"
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        _write_csv(path, ("i", "f"), (range(rows), column))
+    assert column.slices == 2
+    assert not path.exists()
+    assert threading.active_count() == threads
+
+
+def test_main_exits_3_on_a_failed_write(tmp_path, capsys, monkeypatch):
+    # polarize at k = 17 writes several blocks; the first one's write fails
     monkeypatch.setattr(cli, "_create", lambda path, mode, **kwargs: (
         _DiskFullAfter(open(path, mode, **kwargs), 1)))
     threads = threading.active_count()
