@@ -644,8 +644,8 @@ K20_TRACED_PEAK_MB = {"polarize": 13, "sets": 11, "capacity": 11}
 
 @pytest.mark.parametrize("command", ["polarize", "sets", "capacity"])
 def test_run_k20_traced_peak_stays_small(tmp_path, command):
-    # one z vector at a time (8 MB), the good masks and one CSV block in
-    # flight: no index, mask-sized label or recursion temporaries
+    # one z vector at a time (8 MB), the good masks and one CSV block at a
+    # time: no index, mask-sized label or recursion temporaries
     path = (polarize_config(tmp_path, channel={"kind": "bec", "epsilon": 0.3},
                             k=20, beta=0.35) if command == "polarize"
             else dual_config(tmp_path, k=20, beta=0.35))
