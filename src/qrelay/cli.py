@@ -762,39 +762,13 @@ def _report_value(v) -> str:
 
 
 def render_report(manifest: RunManifest) -> str:
-    """Plain-text summary of a finished run."""
+    """Plain-text summary of a finished run: the title, one line per
+    manifest counter in the order the command recorded them, and the data
+    files."""
     lines = [f"qrelay {manifest.command} (v{manifest.version}, "
              f"{manifest.duration_seconds:.3f}s)"]
-    if not manifest.outputs:
-        lines.append("no outputs were produced")
-        return "\n".join(lines)
-    for entry in manifest.outputs:
-        path = Path(entry["path"])
-        if not path.exists():
-            raise ValueError(f"missing output file {path}")
-    counts = manifest.counters
-    if manifest.command == "polarize":
-        n, good = counts["n"], counts["size_good"]
-        lines.append(f"  n = {n}, |good| = {good}, "
-                     f"|bad| = {counts['size_bad']}, "
-                     f"capacity estimate = {good / n:.6g}")
-    elif manifest.command == "sets":
-        lines.append("  " + ", ".join(
-            f"|{name}| = {counts['size_' + name.lower()]}"
-            for name in ("S_in", "P1", "P2", "B")))
-    elif manifest.command in ("capacity", "relay-sim"):
-        header = (CAPACITY_HEADER if manifest.command == "capacity"
-                  else RELAY_SIM_HEADER)
-        lines += [f"  {key} = {_report_value(counts[key])}" for key in header]
-    elif manifest.command in ("superactivate", "sweep"):
-        if counts["bound_2p1p_at_half"] is not None:
-            lines.append(f"  at p = 0.5: bound_2p1p = "
-                         f"{_report_value(counts['bound_2p1p_at_half'])} "
-                         f"(half the main coherent information)")
-        if counts["advantage_flip_p"] is not None:
-            lines.append(f"  advantage flips at p = "
-                         f"{_report_value(counts['advantage_flip_p'])}")
-        lines.append(f"  rows = {counts['p_points']}")
+    lines += [f"  {key} = {_report_value(value)}"
+              for key, value in manifest.counters.items()]
     lines.append("data files:")
     for entry in manifest.outputs:
         lines.append(f"  {entry['path']}  sha256 {entry['sha256'][:12]}")

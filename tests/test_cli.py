@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -242,8 +243,9 @@ def test_run_polarize_row_count(tmp_path):
     lines = Path(csv_path).read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "index,z,set"
     assert len(lines) == 1025
-    report = render_report(manifest)
-    assert "n = 1024" in report and "|good|" in report
+    counters = render_report(manifest).split("\n")[1:5]
+    assert counters[0] == "  n = 1024"
+    assert counters[1].startswith("  size_good = ")
 
 
 # the capacity rows of the small BEC configs below are negative, and say so
@@ -254,8 +256,7 @@ def test_run_sets_and_capacity(tmp_path):
     cfg = load_config(dual_config(tmp_path), command="sets",
                       output_dir=str(tmp_path / "sets"))
     manifest = run(cfg)
-    report = render_report(manifest)
-    assert "|S_in|" in report
+    assert render_report(manifest).split("\n")[2].startswith("  size_s_in = ")
     cfg2 = load_config(dual_config(tmp_path, name="cap.json"),
                        command="capacity", output_dir=str(tmp_path / "cap"))
     with pytest.warns(UserWarning, match=NEGATIVE_P_SYM):
@@ -276,8 +277,9 @@ def test_run_relay_sim_deterministic(tmp_path):
         manifest = run(cfg)
         digests.append(manifest.outputs[0]["sha256"])
     assert digests[0] == digests[1]
-    report = render_report(manifest)
-    assert "rate = " in report and "expected_throughput" in report
+    counters = render_report(manifest).split("\n")[6:12]
+    assert counters[3].startswith("  rate = ")
+    assert counters[4].startswith("  expected_throughput = ")
 
 
 def test_run_relay_sim_reproducible_across_runs(tmp_path):
@@ -319,8 +321,7 @@ def test_run_sweep_advantage_flip(tmp_path):
     for row in rows:
         p = float(row[0])
         assert row[9] == ("true" if p < 0.5 else "false")
-    report = render_report(manifest)
-    assert "advantage flips at p = 0.5" in report
+    assert "  advantage_flip_p = 0.5" in render_report(manifest).split("\n")
 
 
 def test_run_superactivate_bound_report(tmp_path):
@@ -329,27 +330,8 @@ def test_run_superactivate_bound_report(tmp_path):
     cfg = load_config(path, command="superactivate",
                       output_dir=str(tmp_path / "sup"))
     manifest = run(cfg)
-    report = render_report(manifest)
-    assert "bound_2p1p = 0.5" in report
-
-
-def test_render_report_empty_manifest():
-    from qrelay.cli import RunManifest
-    manifest = RunManifest(command="polarize", config={}, version="0",
-                           duration_seconds=0.0, outputs=[], output_dir=".",
-                           counters={})
-    assert "no outputs" in render_report(manifest)
-
-
-def test_render_report_missing_file(tmp_path):
-    from qrelay.cli import RunManifest
-    manifest = RunManifest(command="polarize", config={}, version="0",
-                           duration_seconds=0.0,
-                           outputs=[{"path": str(tmp_path / "gone.csv"),
-                                     "sha256": "0"}],
-                           output_dir=str(tmp_path), counters={})
-    with pytest.raises(ValueError, match="missing output"):
-        render_report(manifest)
+    assert ("  bound_2p1p_at_half = 0.5"
+            in render_report(manifest).split("\n"))
 
 
 def test_manifest_written(tmp_path):
@@ -416,8 +398,8 @@ def _csv_counts(path, column):
 
 
 def test_manifest_counters_match_outputs(tmp_path):
-    # the report renders from these counts instead of re-reading the CSV
-    # and name the polarization algorithm that ran
+    # the report prints these counts, one line each, instead of re-reading
+    # the CSV; polarize's name the polarization algorithm that ran
     for channel, k, path in (
             ({"kind": "bec", "epsilon": 0.5}, 8, "closed form"),
             ({"kind": "bsc", "p": 0.11}, 5, "tables")):
@@ -428,10 +410,9 @@ def test_manifest_counters_match_outputs(tmp_path):
         assert manifest.counters == {"n": 2 ** k, "size_good": counts["good"],
                                      "size_bad": counts["bad"],
                                      "polarization": path}
-        assert (f"n = {2 ** k}, |good| = {counts['good']}, "
-                f"|bad| = {counts['bad']}, "
-                f"capacity estimate = {counts['good'] / 2 ** k:.6g}"
-                in render_report(manifest))
+        assert render_report(manifest).split("\n")[1:5] == [
+            f"  n = {2 ** k}", f"  size_good = {counts['good']}",
+            f"  size_bad = {counts['bad']}", f"  polarization = {path}"]
 
     cfg = load_config(dual_config(tmp_path, k=8), command="sets",
                       output_dir=str(tmp_path / "s"))
@@ -440,9 +421,8 @@ def test_manifest_counters_match_outputs(tmp_path):
     sizes = {f"size_{name.lower()}": counts.get(name, 0)
              for name in ("S_in", "P1", "P2", "B")}
     assert manifest.counters == {"n": 256, **sizes}
-    assert ", ".join(f"|{name}| = {counts.get(name, 0)}"
-                     for name in ("S_in", "P1", "P2", "B")) \
-        in render_report(manifest)
+    assert render_report(manifest).split("\n")[1:6] == ["  n = 256"] + [
+        f"  {key} = {value}" for key, value in sizes.items()]
 
     # capacity and relay-sim counters hold their CSV row, which the
     # report prints from them
@@ -489,47 +469,67 @@ def _csv_row(path):
     return header.split(","), row.split(",")
 
 
-# Summary lines printed between the title and "data files:" by the
-# CSV-reading report that the counter-based one replaced, and the SHA-256
-# of each case's CSV, pinned from the per-point sweep code that the array
+# Summary lines printed between the title and "data files:", one per
+# manifest counter in the order the command records them, and the SHA-256
+# of each case's CSV. The capacity lines are those of the CSV-reading
+# report that the counter-based one replaced; the sweep and superactivate
+# digests were pinned from the per-point sweep code that the array
 # evaluation replaced.
 _BASE = {"amp_channel": {"kind": "bec", "epsilon": 0.3},
          "phase_channel": {"kind": "bec", "epsilon": 0.4}, "k": 6,
          "beta": 0.3}
+_SIZES_BASE = ["  n = 64", "  size_s_in = 16", "  size_p1 = 6",
+               "  size_p2 = 0", "  size_b = 42"]
 PINNED_REPORTS = [
-    ("capacity", dict(_BASE), [
-        "  n = 64", "  size_s_in = 16", "  size_p1 = 6", "  size_p2 = 0",
-        "  size_b = 42", "  p_sym_degraded = 0.25",
+    ("polarize", {"channel": {"kind": "bec", "epsilon": 0.3}, "k": 5,
+                  "beta": 0.35},
+     ["  n = 32", "  size_good = 10", "  size_bad = 22",
+      "  polarization = closed form"],
+     "260c74e37c58cd97af0285ec4c6b8e9fff3f71890838f6310691643e613bfdd8"),
+    ("polarize", {"channel": {"kind": "bsc", "p": 0.11}, "k": 5,
+                  "beta": 0.35},
+     ["  n = 32", "  size_good = 3", "  size_bad = 29",
+      "  polarization = tables"],
+     POLARIZATION_BSC_K5_SHA256),
+    ("sets", dict(_BASE), _SIZES_BASE,
+     "5df039f0208ed28bcb7bc85d67874d7ad4970686fa9805258f6cf576c6c2c89d"),
+    ("capacity", dict(_BASE), _SIZES_BASE + [
+        "  p_sym_degraded = 0.25",
         "  p_sym_nondegraded = -0.40625", "  r_sym = 0.25",
         "  c_bob = 0.90625", "  c_eve_total = 0.09375",
         "  c_eve_p1 = 0.09375", "  eve_section_e1e2 = 0.25",
         "  eve_section_e2d = 0.25", "  relay_private_capacity = 0.25",
         "  relay_capacity_min = 0.25"],
      "5f9d12d04aa658b9092311015676568a666db54651bf7ba53a6c6326d67ec2f6"),
-    ("relay-sim", dict(_BASE, p_e2=0.3, trials=2000, seed=5), [
+    ("relay-sim", dict(_BASE, p_e2=0.3, trials=2000, seed=5), _SIZES_BASE + [
         "  p_e2 = 0.3", "  trials = 2000", "  successes = 560",
         "  rate = 0.28", "  expected_throughput = 4.8",
         "  b_star_throughput = 8"],
      "5a3998e3744e6f1aa7c9607f4ca3c385af022d757d90c7a6c76e86da1dd34f4b"),
     ("sweep", dict(_BASE, k=4, main_channel={"kind": "dephasing", "q": 0.2}),
-     ["  at p = 0.5: bound_2p1p = 0.139035952556 (half the main coherent "
-      "information)", "  advantage flips at p = 0.5", "  rows = 99"],
+     ["  p_points = 99", "  main_kraus = 2", "  main_in_dim = 2",
+      "  main_out_dim = 2", "  coherent_information_calls = 5",
+      "  bound_2p1p_at_half = 0.139035952556", "  advantage_flip_p = 0.5"],
      "03bca815a87ea7685f773f0612aedd3769ddc94623adf698c207a179e25223e0"),
     ("superactivate", dict(_BASE, k=4, p=0.5,
                            main_channel={"kind": "identity", "dim": 4}),
-     ["  at p = 0.5: bound_2p1p = 1 (half the main coherent information)",
-      "  rows = 1"],
+     ["  p_points = 1", "  main_kraus = 1", "  main_in_dim = 4",
+      "  main_out_dim = 4", "  coherent_information_calls = 5",
+      "  bound_2p1p_at_half = 1", "  advantage_flip_p = None"],
      "3913aa734eabb40175e8d8934f06af1b3827f23f37148c076ac7e79c98982f1a"),
     ("superactivate", dict(_BASE, k=4, p=0.3,
                            main_channel={"kind": "identity"}),
-     ["  rows = 1"],
+     ["  p_points = 1", "  main_kraus = 1", "  main_in_dim = 2",
+      "  main_out_dim = 2", "  coherent_information_calls = 5",
+      "  bound_2p1p_at_half = None", "  advantage_flip_p = None"],
      "26eb3b568c378a40a2b92034763a679e970d0fb77fe913f8777b8e1a48850e48"),
 ]
 
 
 @pytest.mark.filterwarnings("ignore:p_sym_nondegraded is negative")
 @pytest.mark.parametrize("command, payload, body, sha256", PINNED_REPORTS,
-                         ids=["capacity", "relay-sim", "sweep",
+                         ids=["polarize-bec", "polarize-bsc", "sets",
+                              "capacity", "relay-sim", "sweep",
                               "superactivate", "superactivate-p0.3"])
 def test_render_report_pinned_text(tmp_path, command, payload, body, sha256):
     path = write_config(tmp_path, "pin.json", payload)
@@ -1143,6 +1143,85 @@ def test_write_csv_rejects_ragged_columns(tmp_path):
 # Entry point and exit codes
 # ---------------------------------------------------------------------------
 
+def checked_main(argv):
+    """Run main() on ``argv`` and check its exit contract: 0 with the
+    summary on stdout and only warning lines on stderr, 2 with only config
+    error lines, or 3 with exactly one runtime error line; never a
+    traceback. Returns the exit code and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    err = err.getvalue()
+    lines = err.splitlines()
+    assert "Traceback" not in err
+    if rc == 0:
+        assert out.getvalue().startswith(f"qrelay {argv[0]} (v")
+        assert all(line.startswith("warning: ") for line in lines)
+    elif rc == 2:
+        assert lines and all(line.startswith("config error: ")
+                             for line in lines)
+    else:
+        assert rc == 3
+        assert len(lines) == 1 and lines[0].startswith("runtime error: ")
+    return rc, err
+
+
+def _bounded(raw):
+    """``raw`` with an integer k above 6 or trials above 10^3 lowered to
+    that bound, so that every run it reaches finishes quickly."""
+    bounds = {"k": 6, "trials": 10 ** 3}
+    return {key: min(value, bounds[key])
+            if key in bounds and type(value) is int else value
+            for key, value in raw.items()}
+
+
+OPEN_UNIT = st.floats(0, 1, exclude_min=True, exclude_max=True)
+CLASSICAL_SPECS = (
+    st.builds(lambda e: {"kind": "bec", "epsilon": e}, st.floats(0, 1))
+    | st.builds(lambda p: {"kind": "bsc", "p": p}, st.floats(0, 0.5)))
+# Each field a command reads, drawn valid on its own, with k <= 6 and at
+# most 10^3 trials; a main channel and input state may still mismatch.
+VALID_FIELDS = {
+    "channel": CLASSICAL_SPECS, "amp_channel": CLASSICAL_SPECS,
+    "phase_channel": CLASSICAL_SPECS,
+    "main_channel": st.sampled_from([
+        {"kind": "identity"}, {"kind": "identity", "dim": 4},
+        {"kind": "dephasing", "q": 0.2}, {"kind": "depolarizing", "q": 0.1},
+        {"kind": "erasure", "epsilon": 0.5, "in_dim": 4},
+        {"kind": "compose", "stages": [{"kind": "bit_flip", "q": 0.1},
+                                       {"kind": "dephasing", "q": 0.2}]}]),
+    "input_state": st.sampled_from([
+        {"mode": "bell"}, {"mode": "entangled_flagged", "variant": "literal"},
+        {"mode": "entangled_flagged", "variant": "alternating"}]),
+    "k": st.integers(1, 6), "trials": st.integers(1, 10 ** 3),
+    "beta": st.floats(0, 0.5, exclude_min=True, exclude_max=True),
+    "p_e2": OPEN_UNIT, "p": OPEN_UNIT}
+
+
+def command_configs(command):
+    """``command`` and a config of valid fields for it, overlaid half the
+    time by an arbitrary config bounded as above."""
+    entry = cli._COMMANDS[command]
+    valid = st.fixed_dictionaries(
+        {key: VALID_FIELDS[key] for key in entry.required},
+        optional={key: VALID_FIELDS[key] for key in entry.optional})
+    return st.tuples(st.just(command), st.builds(
+        lambda fields, overlay: {**fields, **overlay}, valid,
+        either(st.just({}), ARBITRARY_CONFIGS.map(_bounded))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(COMMANDS).flatmap(command_configs))
+def test_main_exit_contract_on_arbitrary_configs(tmp_path_factory, case):
+    # past load_config as well: every config either runs, is rejected
+    # line by line, or fails its run with one line
+    command, raw = case
+    base = tmp_path_factory.getbasetemp()
+    path = base / "arbitrary.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    checked_main([command, "--config", str(path), "--out", str(base / "o")])
+
+
 def test_main_success_and_exit_codes(tmp_path, capsys):
     path = polarize_config(tmp_path)
     rc = main(["polarize", "--config", path, "--out", str(tmp_path / "ok")])
@@ -1150,17 +1229,17 @@ def test_main_success_and_exit_codes(tmp_path, capsys):
     assert "qrelay polarize" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("p, k, rc",
+@pytest.mark.parametrize("p, k, code",
                          [(0.11, 6, 0), (0.05, 5, 0), (0.11, 7, 3)])
-def test_main_bsc_table_envelope(tmp_path, capsys, p, k, rc):
+def test_main_bsc_table_envelope(tmp_path, p, k, code):
     # the cap bounds the merged tables of levels 1..k-1 only: the last
     # level is closed form, and BSC(0.11)'s level-6 tables exceed it
     path = polarize_config(tmp_path, channel={"kind": "bsc", "p": p}, k=k)
-    assert main(["polarize", "--config", path,
-                 "--out", str(tmp_path / "o")]) == rc
+    rc, err = checked_main(["polarize", "--config", path,
+                            "--out", str(tmp_path / "o")])
+    assert rc == code
     if rc:
-        assert ("runtime error: output alphabet 9987 exceeds cap 4096"
-                in capsys.readouterr().err)
+        assert err == "runtime error: output alphabet 9987 exceeds cap 4096\n"
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):
@@ -1391,7 +1470,7 @@ def test_main_superactivate_on_erasure_main_with_two_qubit_input(
     rc = main(["superactivate", "--config", path,
                "--out", str(tmp_path / "o")])
     assert rc == 0, capsys.readouterr().err
-    assert "rows = 1" in capsys.readouterr().out
+    assert "  p_points = 1" in capsys.readouterr().out.split("\n")
 
 
 def test_main_rejects_main_channel_over_branch_bound(tmp_path, capsys):
