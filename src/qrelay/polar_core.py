@@ -26,7 +26,6 @@ LLR_CLIP = 700.0
 ALPHABET_CAP = 4096  # largest post-merge output alphabet polarize tracks
 _PAIR_BLOCK = 2 ** 16  # output pairs per block of the last level's sum
 MC_BATCH, MC_BATCH_LLRS = 2048, 2 ** 21  # trials and LLRs per decoding pass
-_ROOT_CHUNK = 2 ** 14  # root LLRs read through the codes per boxplus or g
 
 
 class BDMC:
@@ -368,22 +367,35 @@ def _signed(lam: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return np.multiply(lam, out, out=out)
 
 
-def _sc_decode_block(codes, table, info):
-    """SC decoding of the (n, batch) channel LLRs table[codes], row r at
-    codeword position rev(r), with every bit outside the ``info`` mask
-    frozen to 0; returns the (n, batch) uint8 message bits.
+def _code_table(values: np.ndarray):
+    """The distinct values of the child LLRs ``values``, clipped to
+    +-LLR_CLIP in place and told apart by their bits (so -0.0 and +0.0
+    stay apart), and each entry's code in the smallest unsigned type."""
+    np.clip(values, -LLR_CLIP, LLR_CLIP, out=values)
+    bits, codes = np.unique(values.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), codes.astype(np.min_scalar_type(bits.size))
 
-    The root reads its halves through the codes, ``_ROOT_CHUNK`` LLRs at a
-    time, into one (n/2, batch) float array that takes the first child's
-    boxplus and then the second child's g, so no (n, batch) float array
-    exists. Below the root, a node's halves are the row blocks lam[:h]
-    and lam[h:] of its input, which it clips to +-LLR_CLIP (it reads only
+
+def _sc_decode_block(codes, table, info):
+    """SC decoding of the (n, batch) channel LLRs table[codes], unsigned
+    codes with row r at codeword position rev(r), with every bit outside
+    the ``info`` mask frozen to 0; returns the (n, batch) uint8 message
+    bits.
+
+    Near the root a node holds its LLRs as codes into a table of their
+    values, for as long as 8 |T|^2 + 2^12 is at most the lanes of one of
+    its halves. The f child's table is the boxplus of every pair
+    (T[i], T[j]) and the g child's the g of every (T[i], T[j], u): each
+    entry is the lane's LLR bit for bit, as the same kernel makes it. A
+    lane's pair code i |T| + j, doubled plus u for g, indexes the
+    child's codes. Past the switch a node reads table[codes] as floats.
+    A float node's halves are the row blocks lam[:h] and lam[h:] of its
+    input, which it clips to +-LLR_CLIP below the root (it reads only
     their sign), and g overwrites lam[h:]. Rows lo..hi-1 of x take the
-    codeword of bits lo..hi-1, except at the root; the butterflies, their
-    own inverse, turn each half back into bits. An all-frozen subtree
-    takes no LLR work: SC never reads its LLRs."""
-    n, batch = codes.shape
-    h = n // 2
+    codeword of bits lo..hi-1; the butterflies, their own inverse, turn
+    it back into bits. An all-frozen subtree takes no LLR work: SC never
+    reads its LLRs."""
+    n = codes.shape[0]
     x = np.zeros(codes.shape, dtype=np.uint8)
     info_before = [0] + np.cumsum(info).tolist()
 
@@ -392,7 +404,8 @@ def _sc_decode_block(codes, table, info):
         if hi - lo == 1:
             np.less(lam, 0.0, out=x[lo:hi])  # L >= 1 decides 0
             return
-        np.clip(lam, -LLR_CLIP, LLR_CLIP, out=lam)
+        if hi - lo < n:
+            np.clip(lam, -LLR_CLIP, LLR_CLIP, out=lam)
         mid = (lo + hi) // 2
         first, second = lam[:mid - lo], lam[mid - lo:]
         if info_before[mid] > info_before[lo]:
@@ -402,27 +415,31 @@ def _sc_decode_block(codes, table, info):
             decode(second, mid, hi)
             x[lo:mid] ^= x[mid:hi]
 
-    if n == 1 and info[0]:
-        np.less(np.take(table, codes), 0.0, out=x)
-    elif n > 1 and info_before[n]:
-        lam = np.empty((h, batch))
-        first, second, bits = codes[:h], codes[h:], x[:h]
-        step = max(1, _ROOT_CHUNK // batch)
-        chunks = [slice(r, r + step) for r in range(0, h, step)]
-        if info_before[h]:
-            for c in chunks:
-                _boxplus(np.take(table, first[c]), np.take(table, second[c]),
-                         out=lam[c])
-            decode(lam, 0, h)
-        if info_before[n] > info_before[h]:
-            for c in chunks:
-                np.add(np.take(table, second[c]),
-                       _signed(np.take(table, first[c]), bits[c]), out=lam[c])
-            decode(lam, h, n)
-    del decode  # it refers to itself: the cycle would hold x until a gc pass
-    _encode_in_place(x[:h])
-    _encode_in_place(x[h:])
-    return x
+    def decode_codes(codes, table, lo, hi):
+        """``decode`` of the LLRs table[codes]."""
+        t = table.size
+        if hi - lo == 1 or 8 * t * t + 2 ** 12 > codes.size // 2:
+            return decode(table[codes], lo, hi)
+        mid = (lo + hi) // 2
+        first, second = np.repeat(table, t), np.tile(table, t)  # T[i], T[j]
+        pairs = np.multiply(codes[:mid - lo], t,
+                            dtype=np.min_scalar_type(2 * t * t))
+        pairs += codes[mid - lo:]
+        if info_before[mid] > info_before[lo]:
+            f, f_codes = _code_table(_boxplus(first, second))
+            decode_codes(f_codes.take(pairs), f, lo, mid)
+        if info_before[hi] > info_before[mid]:
+            g, g_codes = _code_table(np.add(np.repeat(second, 2), _signed(
+                np.repeat(first, 2), np.tile([0, 1], t * t))))
+            np.left_shift(pairs, 1, out=pairs)
+            decode_codes(g_codes.take(np.add(pairs, x[lo:mid], out=pairs)),
+                         g, mid, hi)
+            x[lo:mid] ^= x[mid:hi]
+
+    if info_before[n]:
+        decode_codes(codes, table, 0, n)
+    del decode, decode_codes  # a cycle: it would hold x until a gc pass
+    return _encode_in_place(x)
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +650,9 @@ def monte_carlo_block_error(w: BDMC, n: int, info_set, trials: int,
     trial_index) stream, so estimates are reproducible and independent of
     batching (passes of ``MC_BATCH`` trials and at most ``MC_BATCH_LLRS``
     LLRs) or execution order. A pass holds its trials' messages, sampler
-    codes and decoded bits as (n, batch) uint8 arrays and at most
-    n/2 + n/4 + ... float LLRs a trial in the decoder; raw words and root
-    LLRs exist one slice or chunk at a time.
+    codes and decoded bits as (n, batch) uint8 arrays; the decoder holds
+    small unsigned codes near the root and float LLRs below its switch
+    (at most 2n a trial), and raw words exist one slice at a time.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -3,12 +3,12 @@ the butterfly encoder must equal, the bit-reversal permutation and the
 recursive even/odd encoder that the in-place one must match once
 bit-reversed, one-block encode and decode
 wrappers around the batched runtime kernels, the plain recursive SC
-decoder and the float-rooted layout decoder that the runtime decoder must
-match bit for bit, the whole-batch sampler that the streamed one must
-match, the level-by-level erasure recursion that the in-place one must
-match bit for bit, the all-levels table recursion that the one with a
-closed-form last level must match, and the symmetric capacity of a
-binary-input channel."""
+decoder and the float-rooted layout decoder that the runtime decoder, in
+code space and in floats, must match bit for bit, the whole-batch
+sampler that the streamed one must match, the level-by-level erasure
+recursion that the in-place one must match bit for bit, the all-levels
+table recursion that the one with a closed-form last level must match,
+and the symmetric capacity of a binary-input channel."""
 
 import numpy as np
 
@@ -106,7 +106,8 @@ def sc_decode(likelihoods, good):
 def decode_llrs(lam, info):
     """``_sc_decode_block`` on (n, batch) float LLRs in the bit-reversed
     layout, read through the codes arange(lam.size) of the table
-    lam.ravel()."""
+    lam.ravel(): a table as large as its lanes is past the switch to
+    floats at the root, so the decoder reads the whole float root array."""
     codes = np.arange(lam.size).reshape(lam.shape)
     return _sc_decode_block(codes, np.ravel(lam), info)
 

@@ -192,19 +192,6 @@ ARBITRARY_CONFIGS = st.builds(
     st.dictionaries(st.text(max_size=8), SHALLOW_VALUES, max_size=2))
 
 
-@settings(max_examples=300, deadline=None)
-@given(ARBITRARY_CONFIGS, st.sampled_from(COMMANDS + (None,)))
-def test_load_config_returns_config_or_config_error(tmp_path_factory, raw,
-                                                    command):
-    path = tmp_path_factory.getbasetemp() / "arbitrary.json"
-    path.write_text(json.dumps(raw), encoding="utf-8")
-    try:
-        cfg = load_config(str(path), command=command)
-    except ConfigError:
-        return
-    assert isinstance(cfg, ExperimentConfig)
-
-
 def test_channel_builders_reject_unknown_kinds():
     with pytest.raises(ValueError, match="classical"):
         build_classical_channel({"kind": "awgn"})
@@ -1210,6 +1197,28 @@ def command_configs(command):
         either(st.just({}), ARBITRARY_CONFIGS.map(_bounded))))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from(COMMANDS + (None,)), ARBITRARY_CONFIGS),
+    st.sampled_from(COMMANDS).flatmap(command_configs)))
+def test_load_config_returns_config_or_config_error(tmp_path_factory, case):
+    # half the examples are arbitrary configs, half valid fields for the
+    # command, so that the success path is reached too: a loaded config
+    # holds each field's JSON value, and the default of each absent one
+    command, raw = case
+    path = tmp_path_factory.getbasetemp() / "arbitrary.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    try:
+        cfg = load_config(str(path), command=command)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+    assert cfg.command == (command or raw["command"]) and cfg.raw == raw
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name not in ("command", "raw"):
+            assert getattr(cfg, f.name) == raw.get(f.name, f.default)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(COMMANDS).flatmap(command_configs))
 def test_main_exit_contract_on_arbitrary_configs(tmp_path_factory, case):
@@ -1229,17 +1238,24 @@ def test_main_success_and_exit_codes(tmp_path, capsys):
     assert "qrelay polarize" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("p, k, code",
-                         [(0.11, 6, 0), (0.05, 5, 0), (0.11, 7, 3)])
+# the merged output alphabet at which each failing BSC run stops
+BSC_ALPHABETS = {(0.11, 7): 9987, (0.3, 6): 4423}
+
+
+@pytest.mark.parametrize("p, k, code", [(0.11, 6, 0), (0.05, 5, 0),
+                                        (0.11, 7, 3), (0.3, 6, 3)])
 def test_main_bsc_table_envelope(tmp_path, p, k, code):
     # the cap bounds the merged tables of levels 1..k-1 only: the last
-    # level is closed form, and BSC(0.11)'s level-6 tables exceed it
+    # level is closed form, and BSC(0.11)'s level-6 tables exceed it.
+    # The k = 6 limit depends on the exact p: BSC(0.3)'s level-5 tables
+    # exceed the cap where BSC(0.11)'s do not
     path = polarize_config(tmp_path, channel={"kind": "bsc", "p": p}, k=k)
     rc, err = checked_main(["polarize", "--config", path,
                             "--out", str(tmp_path / "o")])
     assert rc == code
     if rc:
-        assert err == "runtime error: output alphabet 9987 exceeds cap 4096\n"
+        assert err == ("runtime error: output alphabet "
+                       f"{BSC_ALPHABETS[p, k]} exceeds cap 4096\n")
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):

@@ -24,7 +24,7 @@ from qrelay.polar_core import (BDMC, LLR_CLIP, PolarizationResult,
                                _boxplus, _encode_in_place, _guide_index,
                                _log1p_exp_neg,
                                _output_llr_sampler, _polarize_erasure,
-                               _mc_batch, _polarize_tables,
+                               _mc_batch, _polarize_tables, _sc_decode_block,
                                bhattacharyya, combine_bad, combine_good,
                                error_bound, merge_equal_likelihood_outputs,
                                monte_carlo_block_error, polarization_rows,
@@ -653,30 +653,76 @@ def test_sc_decode_block_matches_recursive_oracle():
     assert checked > 400
 
 
-def test_sc_decode_block_matches_float_rooted_oracle(monkeypatch):
-    # the root read through codes, a few rows at a time, decodes bit for
-    # bit as the decoder that holds the whole float root array, for
-    # n = 1..256 and batches of 1, 7 and 2048, with frozen subtrees at
-    # every depth, LLRs at the underflow edge of exp, subnormals and both
-    # zeros; root chunks of one row, of three rows (the last one short)
-    # and of the default size
+def test_sc_decode_block_matches_float_rooted_oracle():
+    # a table as large as its lanes, as ``decode_llrs`` gives, puts the
+    # root past the switch to floats: the (n, batch) float root array then
+    # decodes bit for bit as the oracle's, for n = 1..256 and batches of
+    # 1, 7 and 2048, with frozen subtrees at every depth, LLRs at the
+    # underflow edge of exp, subnormals and both zeros
     rng = np.random.default_rng(139)
-    default = qrelay.polar_core._ROOT_CHUNK
-    assert default // 2048 < 128  # n = 256, 2048 trials: several chunks
     checked = 0
-    for chunk_rows in (1, 3, None):
-        for k in range(9):
-            n = 2 ** k
-            for i, mask in enumerate(_frozen_masks(rng, n)):
-                for batch in (1, 7, 2048) if i < 3 else (7,):
-                    monkeypatch.setattr(
-                        qrelay.polar_core, "_ROOT_CHUNK",
-                        chunk_rows * batch if chunk_rows else default)
-                    lam = _random_llrs(rng, "mixed", (n, batch))
-                    want = sc_decode_block_oracle(lam, ~mask)
-                    assert np.array_equal(decode_llrs(lam, ~mask), want)
-                    checked += 1
-    assert checked > 300
+    for k in range(9):
+        n = 2 ** k
+        for i, mask in enumerate(_frozen_masks(rng, n)):
+            for batch in (1, 7, 2048) if i < 3 else (7,):
+                lam = _random_llrs(rng, "mixed", (n, batch))
+                want = sc_decode_block_oracle(lam, ~mask)
+                assert np.array_equal(decode_llrs(lam, ~mask), want)
+                checked += 1
+    assert checked > 150
+
+
+# small LLR tables for codes: erasure-like, BSC(0.11)-like, and every kind
+# of edge value, both zeros, subnormals, +-700 and values near 746
+BSC_LLR = math.log(0.89 / 0.11)
+CODE_TABLES = {
+    "bec": np.array([700.0, -700.0, 0.0, -0.0, 700.0, 0.0]),
+    "bsc": np.array([BSC_LLR, -BSC_LLR, 0.0]),
+    "mixed": np.concatenate([EDGE_LLRS, [BSC_LLR, -BSC_LLR, -0.0]]),
+}
+
+
+def _code_case(rng, kind, shape):
+    """uint8 codes of the given shape into a table of the kind: one of
+    ``CODE_TABLES``, 2 to 8 of the mixed values ("subset"), or 40
+    Gaussian LLRs ("gauss"), whose children's tables outgrow code space
+    at once."""
+    if kind == "subset":
+        table = rng.choice(CODE_TABLES["mixed"], int(rng.integers(2, 9)),
+                           replace=False)
+    elif kind == "gauss":
+        table = rng.normal(2.0, 40.0, 40)
+    else:
+        table = CODE_TABLES[kind]
+    codes = rng.integers(0, table.size, size=shape).astype(np.uint8)
+    return codes, table
+
+
+def test_sc_decode_block_code_space_matches_float_rooted_oracle():
+    # LLRs given as codes into a small table decode bit for bit as the
+    # oracle on table[codes], for n = 1..256 and batches of 1, 7, 2048
+    # and (n <= 8) 2^13, with frozen subtrees at every depth. The tables
+    # grow at different speeds down the tree, so the switch from codes to
+    # floats comes at every depth, at the leaves of 2^13-trial blocks too
+    rng = np.random.default_rng(149)
+    kinds = ("mixed", "bec", "bsc", "subset", "gauss")
+    checked = 0
+    for k in range(9):
+        n = 2 ** k
+        for i, mask in enumerate(_frozen_masks(rng, n)):
+            large = kinds if i < 3 else [kinds[1 + i % 4]]
+            cases = [(1, kinds[i % 5]), (7, kinds[(i + 1) % 5])]
+            cases += [(2048, kind) for kind in large]
+            if n <= 8:
+                cases += [(2 ** 13, kind) for kind in large]
+            for batch, kind in cases:
+                codes, table = _code_case(rng, kind, (n, batch))
+                got = _sc_decode_block(codes, table, ~mask)
+                want = sc_decode_block_oracle(table[codes], ~mask)
+                assert got.dtype == np.uint8 and got.shape == (n, batch)
+                assert np.array_equal(got, want)
+                checked += 1
+    assert checked > 400
 
 
 _BOXPLUS_FLOATS = st.one_of(
@@ -862,8 +908,9 @@ def test_monte_carlo_bench_op_count_and_peak():
     # 2048 trials at seed 31337. Its traced peak was 13.8 MB when each
     # node decoded through temporaries and the uniforms overlapped the
     # raw words, 9.75 MB with an n-wide float uniforms array and a
-    # separate array of decoded bits, and 9.38 MB with a whole-batch
-    # raw-word array and a float root array; it is 5.77 MB without them.
+    # separate array of decoded bits, 9.38 MB with a whole-batch
+    # raw-word array and a float root array, 5.77 MB with an (n/2, batch)
+    # float root array, and 4.33 MB with codes near the root.
     w = BDMC.bec(0.4)
     pr = polarize(w, 8)
     info = np.argsort(pr.z, kind="stable")[:128]
@@ -875,6 +922,24 @@ def test_monte_carlo_bench_op_count_and_peak():
         tracemalloc.stop()
     assert res.errors == 721
     assert peak <= 6.3 * 2 ** 20
+
+
+def test_monte_carlo_bench_op_combines_codes_near_the_root(monkeypatch):
+    # with float LLRs all the way down, the benchmark's op passed 1.44M
+    # lanes through boxplus; with codes near the root fewer than half,
+    # the tables' lanes included, and the same error count
+    lanes = []
+
+    def counted(a, b, out=None):
+        lanes.append(a.size)
+        return _boxplus(a, b, out=out)
+
+    monkeypatch.setattr(qrelay.polar_core, "_boxplus", counted)
+    w = BDMC.bec(0.4)
+    info = np.argsort(polarize(w, 8).z, kind="stable")[:128]
+    res = monte_carlo_block_error(w, 256, info, trials=2048, seed=31337)
+    assert res.errors == 721
+    assert sum(lanes) < 1441792 // 2
 
 
 def test_monte_carlo_independent_of_batching(monkeypatch):
@@ -895,7 +960,8 @@ def test_monte_carlo_llr_bound_keeps_large_blocks_small(monkeypatch):
     # n = 2^12: 512-trial passes of 2^21 LLRs, where 2048-trial passes
     # traced about 150 MB, and the same errors as those. The peak was
     # 39.2 MB with a whole-batch raw-word array and a float root array per
-    # pass; it is 24.8 MB without them.
+    # pass, 24.8 MB with an (n/2, batch) float root array, and 19.2 MB
+    # with codes near the root.
     w = BDMC.bec(0.5)
     pr = polarize(w, 12)
     info = np.argsort(pr.z, kind="stable")[:1700]
