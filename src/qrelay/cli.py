@@ -526,10 +526,10 @@ def _csv_block(columns) -> bytearray:
     """One block of rows as CSV bytes from step-1 ranges of ints >= 0 (the
     only int columns) and float and byte-string arrays. Each column's
     kernel fills its slot of one zeroed (rows, width) uint8 array in
-    place, and one ``translate`` drops the NUL padding. Adjacent float
-    slots lie 32 bytes apart, so a run of float columns takes one
-    ``_float_cells`` call per ``_FLOAT_ROWS`` values, as the float
-    kernel's fixed cost is that of a small table's column."""
+    place, each slot right after the previous slot's ',', and one
+    ``translate`` drops the NUL padding. A run of float columns is one
+    strided view, one ``_float_cells`` call per ``_FLOAT_ROWS`` values,
+    as the float kernel's fixed cost is that of a small table's column."""
     rows = len(columns[0])
     slots, end = [], 0
     for column in columns:
@@ -541,18 +541,18 @@ def _csv_block(columns) -> bytearray:
         else:
             kind = getattr(column, "dtype", np.dtype(object)).kind
         if kind == "f":
-            start, size = -(-end // 8) * 8, _FLOAT_WIDTH
+            size = _FLOAT_WIDTH
         elif kind == "S":
-            start, size = end, column.itemsize
+            size = column.itemsize
         elif kind == "r":
-            start, size = -(-end // 4) * 4, 4 * -(-len(str(column[-1])) // 4)
+            size = 4 * -(-len(str(column[-1])) // 4)
         else:
             raise TypeError(f"cannot write a {type(column).__name__} column "
                             f"of kind {kind!r}")
-        slots.append((kind, column, start, size))
-        end = start + size + 1
-    buf = bytearray(rows * -(-end // 8) * 8)   # translated with no copy
-    block = np.frombuffer(buf, dtype=np.uint8).reshape(rows, -1)
+        slots.append((kind, column, end, size))
+        end += size + 1
+    buf = bytearray(rows * end)   # translated with no copy
+    block = np.frombuffer(buf, dtype=np.uint8).reshape(rows, end)
     block[:, [start + size for *_, start, size in slots]] = ord(",")
     block[:, end - 1] = ord("\n")
     for kind, run in itertools.groupby(slots, key=lambda slot: slot[0]):
@@ -560,8 +560,8 @@ def _csv_block(columns) -> bytearray:
         if kind == "f":
             v = np.stack([slot[1] for slot in run], axis=1, dtype=np.float64)
             first, step = run[0][2], max(1, _FLOAT_ROWS // len(run))
-            out = block[:, first:first + 32 * len(run)].view(
-                np.uint64).reshape(rows, len(run), 4)[..., :3]
+            out = np.ndarray((rows, len(run), 3), np.uint64, buf, first,
+                             (end, _FLOAT_WIDTH + 1, 8))
             for i in range(0, rows, step):
                 _float_cells(v[i:i + step], out[i:i + step])
         else:

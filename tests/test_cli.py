@@ -624,9 +624,9 @@ def test_partition_runs_match_pinned_outputs(tmp_path, command, payload,
             == json.dumps(counters, sort_keys=True))
 
 
-# about 1 MB over the peaks: 10.0 MB for sets and capacity, and 12.13 MB
-# for polarize, where a float pass runs while one block is being built
-K20_TRACED_PEAK_MB = {"polarize": 13, "sets": 11, "capacity": 11}
+# over the peaks: 10.0 MB for sets and capacity, and 11.85 MB for
+# polarize, where a float pass runs while one block is being built
+K20_TRACED_PEAK_MB = {"polarize": 12, "sets": 11, "capacity": 11}
 
 
 @pytest.mark.parametrize("command", ["polarize", "sets", "capacity"])
@@ -903,9 +903,11 @@ def test_count_cells_match_row_oracle(tmp_path):
 
 
 def test_block_row_widths_of_partition_and_polarization(monkeypatch):
-    # a range slot is only its digits' quads: 8 bytes for a 7-digit index,
-    # so a partition row is 16 bytes; a polarization row stays 48, as its
-    # float slot starts at the next multiple of 8
+    # a row is the sum of its slot widths plus one separator byte per
+    # column, with no byte between slots: a 7-digit index takes two quads
+    # (8 bytes), a float 24 and an S4 label 4, so a partition row is
+    # 8 + 1 + 4 + 1 = 14 bytes and a polarization row 8 + 1 + 24 + 1 +
+    # 4 + 1 = 39
     sizes = []
     monkeypatch.setattr(cli, "bytearray", lambda size: (
         sizes.append(size) or bytearray(size)), raising=False)
@@ -913,7 +915,80 @@ def test_block_row_widths_of_partition_and_polarization(monkeypatch):
     labels = np.full(CSV_BLOCK_ROWS, b"S_in")
     cli._csv_block([index, labels])
     cli._csv_block([index, np.linspace(0.0, 1.0, CSV_BLOCK_ROWS), labels])
-    assert sizes == [16 * CSV_BLOCK_ROWS, 48 * CSV_BLOCK_ROWS]
+    assert sizes == [14 * CSV_BLOCK_ROWS, 39 * CSV_BLOCK_ROWS]
+
+
+def _block_oracle(columns):
+    """The row oracle's bytes for ``columns``, without the header line."""
+    values = [c.tolist() if isinstance(c, np.ndarray) else list(c)
+              for c in columns]
+    want = csv_bytes_from_rows(["c"] * len(columns), list(zip(*values)))
+    return want[want.index(b"\n") + 1:]
+
+
+def _spy_float_offsets(monkeypatch):
+    """Record, for each ``_float_cells`` call, the byte offset of its first
+    cell in the block's buffer."""
+    buffers, offsets = [], []
+    monkeypatch.setattr(cli, "bytearray", lambda size: (
+        buffers.append(bytearray(size)) or buffers[-1]), raising=False)
+    cells = cli._float_cells
+    monkeypatch.setattr(cli, "_float_cells", lambda v, out: offsets.append(
+        out.ctypes.data - np.frombuffer(buffers[-1], np.uint8).ctypes.data)
+        or cells(v, out))
+    return offsets
+
+
+def test_float_slot_at_every_byte_offset_matches_row_oracle(monkeypatch):
+    # after an S column of itemsize 1-8 a float slot starts at bytes 2-9,
+    # after a range of 1-8 digits (one or two quads) at byte 5 or 9
+    offsets = _spy_float_offsets(monkeypatch)
+    rng = np.random.default_rng(8)
+    rows = 9
+    for width in range(1, 9):
+        labels = np.resize(np.array([b"x" * width, b"", b"y"]), rows)
+        start = 10 ** (width - 1) if width > 1 else 0   # width digits
+        index = range(start, start + rows)
+        for prefix in (labels, index):
+            floats = rng.random(rows) * 10.0 ** rng.integers(-12, 14, rows)
+            columns = [prefix, floats, range(rows)]
+            assert cli._csv_block(columns) == _block_oracle(columns)
+    assert sorted({offset % 8 for offset in offsets}) == list(range(8))
+
+
+@pytest.mark.parametrize("count", range(2, 10))
+def test_adjacent_float_columns_match_row_oracle(monkeypatch, count):
+    # 2-9 float slots 25 bytes apart (sweep.csv has 9) after a 3-byte
+    # label, over more than one kernel pass of _FLOAT_ROWS // count rows
+    offsets = _spy_float_offsets(monkeypatch)
+    rng = np.random.default_rng(count)
+    rows = 2 * (cli._FLOAT_ROWS // count) + 3
+    floats = [rng.random(rows) * 10.0 ** rng.integers(-12, 14, rows)
+              for _ in range(count)]
+    columns = [np.resize(np.array([b"S_in", b"B"]), rows), *floats,
+               range(rows)]
+    assert cli._csv_block(columns) == _block_oracle(columns)
+    assert offsets[0] == 5 and len(offsets) == 3
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("width", range(1, 9))
+def test_special_floats_in_unaligned_slots_match_row_oracle(monkeypatch,
+                                                            split, width):
+    # SPECIAL_FLOATS (-0.0, NaN, infinities, 5e-324, a tie) in a run of two
+    # float slots at byte width + 1, padded with lanes that are all +0.0
+    # and 1.0 or none of them, so that the constant-lane split is taken
+    # (more than an eighth of the lanes) or not
+    lanes = []
+    words = cli._float_words
+    monkeypatch.setattr(cli, "_float_words", lambda v, out: (
+        lanes.append(v.size) or words(v, out)))
+    fill = [0.0, 1.0] if split else [0.5, 3e-7]
+    floats = np.array(SPECIAL_FLOATS + fill * 20)
+    labels = np.resize(np.array([b"z" * width, b"w"]), len(floats))
+    columns = [labels, floats, floats[::-1].copy(), range(len(floats))]
+    assert cli._csv_block(columns) == _block_oracle(columns)
+    assert (sum(lanes) < 2 * len(floats)) == split
 
 
 ONE_ULP = (math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0))

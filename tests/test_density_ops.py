@@ -1,12 +1,14 @@
 """Tests for density matrices, Kraus channels, and entropic quantities,
 and for the dense reference routes they are checked against."""
 
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from helpers_polar import generator_matrix
 from helpers_quantum import (apply_kraus, bell_vector_oracle,
                              coherent_info_oracle, compose_kraus_oracle,
                              erasure_kraus_oracle, isometric_extension,
@@ -345,3 +347,43 @@ def test_channel_parameter_validation():
     with pytest.raises(ValueError):
         erasure_channel(-0.1)
 
+
+
+# ---------------------------------------------------------------------------
+# Phase order of the dual polar code
+# ---------------------------------------------------------------------------
+
+def _polar_unitary(k):
+    """The permutation unitary |u> -> |G u mod 2> of generator_matrix(k),
+    qubit 0 the most significant bit of a basis index."""
+    g = generator_matrix(k).astype(np.int64)
+    n = len(g)
+    weights = 1 << np.arange(n - 1, -1, -1)
+    bits = (np.arange(2 ** n)[:, None] & weights) != 0
+    u = np.zeros((2 ** n, 2 ** n))
+    u[bits @ g.T % 2 @ weights, np.arange(2 ** n)] = 1.0
+    return u
+
+
+@pytest.mark.parametrize("epsilon", [0.2, 0.3, 0.45])
+def test_message_qubit_phase_sees_the_reversed_erasure_channel(epsilon):
+    # the n = 4 encoder, then four erasures. Message qubit i is maximally
+    # entangled with a reference, the qubits decoded before it are in |0>
+    # (known amplitude) and those after it in |+> (known phase). Its
+    # amplitude sees synthetic channel i and its phase channel n - 1 - i,
+    # as G^T = J G J with J the reversal, so on the BEC the coherent
+    # information is 1 - z_i - z_(n-1-i), not the same-index 1 - 2 z_i
+    n = 4
+    erasures = functools.reduce(tensor_channels, [erasure_channel(epsilon)] * n)
+    channel = compose_channels(KrausChannel(_polar_unitary(2)[None]), erasures)
+    bad, good = 2 * epsilon - epsilon ** 2, epsilon ** 2   # z at level 1
+    z = [2 * bad - bad ** 2, bad ** 2, 2 * good - good ** 2, good ** 2]
+    ket = np.eye(2)
+    for i in range(n):
+        psi = sum(functools.reduce(np.kron, [ket[b], *[ket[0]] * i, ket[b],
+                                             *[PLUS] * (n - 1 - i)])
+                  for b in (0, 1))
+        rho = trace_out(DensityMatrix.from_pure(psi), [2] * (n + 1),
+                        range(1, n + 1))
+        assert coherent_information(channel, rho) == pytest.approx(
+            1.0 - z[i] - z[n - 1 - i], rel=0.0, abs=1e-12)
