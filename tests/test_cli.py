@@ -920,9 +920,7 @@ def test_block_row_widths_of_partition_and_polarization(monkeypatch):
 
 def _block_oracle(columns):
     """The row oracle's bytes for ``columns``, without the header line."""
-    values = [c.tolist() if isinstance(c, np.ndarray) else list(c)
-              for c in columns]
-    want = csv_bytes_from_rows(["c"] * len(columns), list(zip(*values)))
+    want = csv_bytes_from_columns(["c"] * len(columns), columns)
     return want[want.index(b"\n") + 1:]
 
 
