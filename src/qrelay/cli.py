@@ -29,14 +29,15 @@ from .codeword_sets import (build_partition, class_sizes, partition_rows,
 from .density_ops import (KrausChannel, bit_flip_channel, compose_channels,
                           dephasing_channel, depolarizing_channel,
                           erasure_channel, identity_channel)
-from .polar_core import (BDMC, _erasure_like, polarization_rows, polarize,
-                         select_sets)
+from .polar_core import (BDMC, LabelColumn, _erasure_like, polarization_rows,
+                         polarize_walk, select_sets)
 from .relay import simulate_relay
 from .superactivation import (BRANCH_KEYS, MAX_BRANCH_BYTES, P_GRID,
                               branch_bytes, branch_terms, compare_assisted,
                               make_rho_ac, switch_report)
 # Not called here: bound for the span names of the benchmark's TRACE_POINTS.
 from .codeword_sets import from_polarizations  # noqa: F401
+from .polar_core import polarize  # noqa: F401
 from .superactivation import (build_switch_channel,  # noqa: F401
                               joint_coherent_info)
 
@@ -522,14 +523,19 @@ def _byte_cells(column, cells):
         raise ValueError("a byte-string cell holds a NUL byte")
 
 
-def _csv_block(columns) -> bytearray:
+def _csv_block(columns, reuse=None) -> bytearray:
     """One block of rows as CSV bytes from step-1 ranges of ints >= 0 (the
     only int columns) and float and byte-string arrays. Each column's
     kernel fills its slot of one zeroed (rows, width) uint8 array in
     place, each slot right after the previous slot's ',', and one
     ``translate`` drops the NUL padding. A run of float columns is one
     strided view, one ``_float_cells`` call per ``_FLOAT_ROWS`` values,
-    as the float kernel's fixed cost is that of a small table's column."""
+    as the float kernel's fixed cost is that of a small table's column.
+    The array is a new bytearray, or, given a writer's list ``reuse``,
+    the one it holds, zeroed, if that has the block's byte size; a new
+    one of another size replaces it there. Growing the held one in place
+    instead made the benchmark's peak RSS depend on the output path's
+    length (52.1 or 53.5 MB)."""
     rows = len(columns[0])
     slots, end = [], 0
     for column in columns:
@@ -551,8 +557,14 @@ def _csv_block(columns) -> bytearray:
                             f"of kind {kind!r}")
         slots.append((kind, column, end, size))
         end += size + 1
-    buf = bytearray(rows * end)   # translated with no copy
+    if reuse and len(reuse[0]) == rows * end:
+        buf = reuse[0]
+    else:
+        buf = bytearray(rows * end)   # translated with no copy
+        if reuse is not None:
+            reuse[:] = [buf]
     block = np.frombuffer(buf, dtype=np.uint8).reshape(rows, end)
+    block.fill(0)   # a reused buffer holds the last block
     block[:, [start + size for *_, start, size in slots]] = ord(",")
     block[:, end - 1] = ord("\n")
     for kind, run in itertools.groupby(slots, key=lambda slot: slot[0]):
@@ -582,21 +594,23 @@ def _create(path: Path, mode: str, **kwargs):
 
 def _write_csv(path: Path, header, columns) -> str:
     """Write a CSV from equal-length columns, sliced CSV_BLOCK_ROWS rows
-    at a time, and return the SHA-256 of its bytes. Each block is built,
-    hashed and written in turn; on any failure the file is removed and the
-    exception raised again, so no partial table is left."""
+    at a time, and return the SHA-256 of its bytes. Each block is built
+    in one reused buffer, hashed and written in turn; on any failure the
+    file is removed and the exception raised again, so no partial table
+    is left."""
     rows = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(len(c) != rows for c in columns):
         raise ValueError("need one equal-length column per header field")
     head = (",".join(header) + "\n").encode("utf-8")
     digest = hashlib.sha256(head)
+    reuse = []   # one block buffer for every block of one byte size
     fh = _create(path, "wb")   # a failed open has no file to remove
     try:
         with fh:
             fh.write(head)
             for start in range(0, rows, CSV_BLOCK_ROWS):
                 data = _csv_block([c[start:start + CSV_BLOCK_ROWS]
-                                   for c in columns])
+                                   for c in columns], reuse)
                 digest.update(data)
                 fh.write(data)
                 del data   # freed before the next block is built
@@ -606,21 +620,43 @@ def _write_csv(path: Path, header, columns) -> str:
     return digest.hexdigest()
 
 
+def _good_mask(spec: dict, cfg: ExperimentConfig) -> np.ndarray:
+    """A channel's good mask, filled a CSV_BLOCK_ROWS block at a time
+    from its z, so no n-length z vector is held."""
+    pr = polarize_walk(build_classical_channel(spec), cfg.k, CSV_BLOCK_ROWS)
+    good = np.empty(pr.n, dtype=bool)
+    for start in range(0, pr.n, CSV_BLOCK_ROWS):
+        rows = slice(start, start + CSV_BLOCK_ROWS)
+        good[rows] = select_sets(pr, cfg.beta, rows)
+    return good
+
+
 def _partition_from_config(cfg: ExperimentConfig):
-    # each z vector is dropped for its good mask before the next is built
-    return build_partition([select_sets(polarize(
-        build_classical_channel(spec), cfg.k), cfg.beta)
-        for spec in (cfg.amp_channel, cfg.phase_channel)])
+    return build_partition([_good_mask(spec, cfg)
+                            for spec in (cfg.amp_channel, cfg.phase_channel)])
 
 
 def _cmd_polarize(cfg: ExperimentConfig):
+    """The z table, made a block at a time as the writer asks for it.
+    Each block's labels are selected once, and its good rows counted
+    into ``size_good`` and ``size_bad`` then, so these counters are
+    final once run() has written the table."""
     w = build_classical_channel(cfg.channel)
-    pr = polarize(w, cfg.k)
-    size = set_size(select_sets(pr, cfg.beta))
+    pr = polarize_walk(w, cfg.k, CSV_BLOCK_ROWS)
+    index, z, labels = polarization_rows(pr, cfg.beta)
+    counters = {"n": pr.n, "size_good": 0, "size_bad": pr.n,
+                "polarization": "closed form" if _erasure_like(w) else "tables"}
+
+    def counted(rows):
+        good = labels.code(rows)
+        size = set_size(good)
+        counters["size_good"] += size
+        counters["size_bad"] -= size
+        return good
+
     return ([("polarization.csv", ("index", "z", "set"),
-              polarization_rows(pr, cfg.beta))],
-            {"n": pr.n, "size_good": size, "size_bad": pr.n - size,
-             "polarization": "closed form" if _erasure_like(w) else "tables"})
+              (index, z, LabelColumn(pr.n, counted, labels.labels)))],
+            counters)
 
 
 def _cmd_sets(cfg: ExperimentConfig):

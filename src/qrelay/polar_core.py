@@ -25,6 +25,9 @@ ROW_SUM_TOL = 1e-12
 LLR_CLIP = 700.0
 ALPHABET_CAP = 4096  # largest post-merge output alphabet polarize tracks
 _PAIR_BLOCK = 2 ** 16  # output pairs per block of the last level's sum
+# rows per block of the erasure walk that polarize collects: its two
+# buffers (16 KB each) are all it holds beside the z vector
+_POLARIZE_ROWS = 2 ** 11
 MC_BATCH, MC_BATCH_LLRS = 2048, 2 ** 21  # trials and LLRs per decoding pass
 
 
@@ -73,15 +76,17 @@ class BDMC:
 
 @dataclass(frozen=True)
 class PolarizationResult:
-    """Bhattacharyya parameters of the n synthesized channels."""
-    z: np.ndarray
+    """Bhattacharyya parameters of the n synthesized channels: an array,
+    or an ``ErasureWalk`` that makes them a block of rows at a time."""
+    z: np.ndarray | ErasureWalk
 
     @property
     def n(self) -> int:
         return len(self.z)
 
     def __post_init__(self):
-        if np.min(self.z) < 0.0 or np.max(self.z) > 1.0 + 1e-12:
+        if isinstance(self.z, np.ndarray) and (
+                np.min(self.z) < 0.0 or np.max(self.z) > 1.0 + 1e-12):
             raise ValueError("Bhattacharyya values must lie in [0, 1]")
 
 
@@ -176,36 +181,94 @@ def polarize(w: BDMC, k: int) -> PolarizationResult:
     """Track Bhattacharyya parameters through k levels of combining.
 
     Erasure-like channels use the exact closed-form recursion
-    z -> (2z - z^2, z^2); general channels track full transition tables,
-    pooling exactly-equal likelihood-ratio outputs, up to the last level,
-    which is closed form. A post-merge alphabet beyond ``ALPHABET_CAP``
-    raises.
+    z -> (2z - z^2, z^2), collected from an ``ErasureWalk`` of
+    ``_POLARIZE_ROWS``-index blocks into one vector; general channels
+    track full transition tables, pooling exactly-equal likelihood-ratio
+    outputs, up to the last level, which is closed form. A post-merge
+    alphabet beyond ``ALPHABET_CAP`` raises.
 
     The output ordering follows the module convention: entry i applies the
     splits named by the bits of i, most significant first, 0 = bad.
     """
+    walk = polarize_walk(w, k, _POLARIZE_ROWS).z
+    if isinstance(walk, np.ndarray):
+        return PolarizationResult(walk)
+    z = np.empty(walk.n)
+    for start in range(0, walk.n, walk.rows):
+        z[start:start + walk.rows] = walk[start:start + walk.rows]
+    return PolarizationResult(z)
+
+
+def polarize_walk(w: BDMC, k: int, rows: int) -> PolarizationResult:
+    """``polarize(w, k)`` as a reader that takes its z in blocks of
+    ``rows`` indices needs it: an erasure-like channel's z is an
+    ``ErasureWalk`` that makes each block when it is asked for, any other
+    channel's the table recursion's vector."""
     if k < 1:
         raise ValueError(f"recursion level must be >= 1, got {k}")
-    recursion = _polarize_erasure if _erasure_like(w) else _polarize_tables
-    return PolarizationResult(recursion(w, k))
+    return PolarizationResult(ErasureWalk(w, k, rows) if _erasure_like(w)
+                              else _polarize_tables(w, k))
 
 
-def _polarize_erasure(w: BDMC, k: int) -> np.ndarray:
-    """Closed-form z vector of an erasure-like channel, clipped to [0, 1],
-    in one 2^k buffer: a level's h values in [0, h) move up chunk by chunk,
-    [h/2, h) to [h, 2h) first, and the last 2^12 or fewer through a copy."""
-    z = np.empty(2 ** k)
-    z[0] = bhattacharyya(w)
-    for level in range(k):
-        lo = 2 ** level
-        while lo:   # each chunk is read before a lower one overwrites it
-            hi, lo = lo, (lo // 2 if lo > 2 ** 12 else 0)
-            src = z[lo:hi] if lo else z[:hi].copy()
-            bad, good = z[2 * lo:2 * hi].reshape(-1, 2).T
-            np.multiply(src, src, out=good)   # the same IEEE operations in
-            np.multiply(2.0, src, out=bad)    # the same order as 2z - z^2
-            np.subtract(bad, good, out=bad)   # and z^2 level by level
-    return np.clip(z, 0.0, 1.0, out=z)
+def _tree(depth: int):
+    """Two buffers of 2^depth floats and the views that grow a root in
+    them by ``depth`` levels: the root's one-element view, one (z, bad,
+    good) triple a level, each level's values read from one buffer and
+    written to the other's even (bad) and odd (good) entries, and the
+    buffer that holds the last level."""
+    buffers = np.empty(2 ** depth), np.empty(2 ** depth)
+    levels = [(buffers[d & 1][:2 ** d],
+               *buffers[~d & 1][:2 ** (d + 1)].reshape(-1, 2).T)
+              for d in range(depth)]
+    return buffers[0][:1], levels, buffers[depth & 1]
+
+
+def _grow(root: float, at: np.ndarray, levels) -> None:
+    """Grow ``root``, written to ``at``, through the views of ``_tree``
+    by the IEEE operations of 2z - z^2 and z^2 in their order."""
+    at[0] = root
+    for z, bad, good in levels:
+        np.multiply(z, z, out=good)
+        np.multiply(2.0, z, out=bad)
+        np.subtract(bad, good, out=bad)
+
+
+class ErasureWalk:
+    """The closed-form z vector of an erasure-like channel at level k,
+    clipped to [0, 1], as a column of n = 2^k rows made by a depth-first
+    walk of the polarization tree, one block of 2^b = min(``rows``, n)
+    rows at a time, ``rows`` a power of two.
+
+    The 2^(k-b) values of level k - b, unclipped, are the blocks' roots.
+    Slicing block j's rows grows root j by b levels in two reused buffers
+    and clips it: the same operations as level by level, so every value
+    is bit for bit the same. The block returned is a view that the next
+    block overwrites; asking for the last block's rows again reads it
+    without growing it again."""
+
+    def __init__(self, w: BDMC, k: int, rows: int):
+        if rows < 1 or rows & (rows - 1):
+            raise ValueError(f"rows must be a power of two, got {rows}")
+        b = min(k, rows.bit_length() - 1)
+        self.n, self.rows = 2 ** k, 2 ** b
+        at, levels, self._roots = _tree(k - b)
+        _grow(bhattacharyya(w), at, levels)
+        self._at, self._levels, self._block = _tree(b)
+        self._made = None
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, step = rows.indices(self.n)
+        j = start // self.rows
+        if (start, stop, step) != (j * self.rows, start + self.rows, 1):
+            raise IndexError(f"rows {rows} are not one block of {self.rows}")
+        if j != self._made:
+            _grow(self._roots[j], self._at, self._levels)
+            np.clip(self._block, 0.0, 1.0, out=self._block)
+            self._made = j
+        return self._block
 
 
 def _polarize_tables(w: BDMC, k: int) -> np.ndarray:

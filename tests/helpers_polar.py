@@ -6,7 +6,7 @@ wrappers around the batched runtime kernels, the plain recursive SC
 decoder and the float-rooted layout decoder that the runtime decoder, in
 code space and in floats, must match bit for bit, the whole-batch
 sampler that the streamed one must match, the level-by-level erasure
-recursion that the in-place one must match bit for bit, the all-levels
+recursion that the depth-first walk must match bit for bit, the all-levels
 table recursion that the one with a closed-form last level must match,
 and the symmetric capacity of a binary-input channel."""
 

@@ -20,15 +20,15 @@ from helpers_polar import (bit_reversal, boxplus_oracle, decode_llrs,
                            symmetric_capacity)
 from helpers_quantum import index_mask, random_bdmc
 from helpers_rng import merge_oracle, monte_carlo_oracle, table_index_oracle
-from qrelay.polar_core import (BDMC, LLR_CLIP, PolarizationResult,
+from qrelay.polar_core import (BDMC, LLR_CLIP, ErasureWalk, PolarizationResult,
                                _boxplus, _encode_in_place, _guide_index,
-                               _log1p_exp_neg,
-                               _output_llr_sampler, _polarize_erasure,
+                               _log1p_exp_neg, _output_llr_sampler,
                                _mc_batch, _polarize_tables, _sc_decode_block,
                                bhattacharyya, combine_bad, combine_good,
                                error_bound, merge_equal_likelihood_outputs,
                                monte_carlo_block_error, polarization_rows,
-                               polarize, select_sets, trial_words)
+                               polarize, polarize_walk, select_sets,
+                               trial_words)
 
 # Hand-expanded one level of the generator recursion (even/odd interleave
 # between half-size codes, kernel pairs on the outside).
@@ -166,6 +166,58 @@ def test_encode_in_place_matches_recursive_oracle():
             x = _encode_in_place(u.T.copy())
             assert x.shape == (n, batch)
             assert np.array_equal(x, encode_block_oracle(u).T[rev])
+
+
+def gf2_rank(mat):
+    """Rank over GF(2) of a 0/1 matrix, its rows read as binary numbers:
+    the largest clears its leading bit from every row until none is
+    left."""
+    rows = [int("".join(map(str, row)) or "0", 2) for row in mat.tolist()]
+    rank = 0
+    while any(rows):
+        pivot = max(rows)
+        top = pivot.bit_length() - 1
+        rows = [r ^ pivot if r >> top & 1 else r for r in rows]
+        rank += 1
+    return rank
+
+
+def erasure_loss(m, order, eps):
+    """Each message bit's probability of being lost when the codeword
+    x = m u (mod 2) goes through BEC(eps) and the bits are decoded in
+    ``order``, the bits before each one known: over every erasure
+    pattern, with unerased rows U, bit j is lost when column j of m[U]
+    lies in the span of the columns of the bits still to come."""
+    n = m.shape[0]
+    loss = np.zeros(n)
+    for pattern in range(2 ** n):
+        kept = [r for r in range(n) if not pattern >> r & 1]
+        weight = eps ** (n - len(kept)) * (1.0 - eps) ** len(kept)
+        for step, j in enumerate(order):
+            later = list(order[step + 1:])
+            if (gf2_rank(m[np.ix_(kept, [j] + later)])
+                    == gf2_rank(m[np.ix_(kept, later)])):
+                loss[j] += weight
+    return loss
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("eps", [0.3, 0.45])
+def test_phase_order_reverses_the_erasure_polarization(k, eps):
+    # ROADMAP item 1's algebra, by enumeration. Amplitude bits x = G u
+    # decoded in order 0..n-1 lose bit j with probability z[j]. Phase
+    # errors reach the message through G^T, whose SC order is n-1..0, so
+    # message i is lost with probability z[n-1-i]: the same-index mask
+    # good_phase is the wrong one wherever z[i] != z[n-1-i].
+    n, g = 2 ** k, generator_matrix(k)
+    z = polarize(BDMC.bec(eps), k).z
+    amplitude = erasure_loss(g, range(n), eps)
+    assert np.max(np.abs(amplitude - z)) <= 1e-12
+    phase = erasure_loss(g.T.copy(), range(n - 1, -1, -1), eps)
+    assert np.max(np.abs(phase - z[::-1])) <= 1e-12
+    differs = np.abs(z - z[::-1]) > 1e-12
+    assert differs.any()
+    assert np.all(np.abs(phase - z)[differs] > 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +368,105 @@ def test_polarize_bec_bits_match_recursion_oracle(eps):
                               want.view(np.int64))
 
 
+def _walk_blocks(walk):
+    """Each block of an ``ErasureWalk`` in row order, copied out of the
+    buffer that the next block reuses, with the rows it was asked for."""
+    return [(rows, walk[rows].copy()) for rows in
+            (slice(s, s + walk.rows) for s in range(0, walk.n, walk.rows))]
+
+
+def _assert_walk_matches_oracle(w, k, rows):
+    # the blocks cover range(2^k) in order, each of min(rows, 2^k) rows,
+    # and concatenated they are the per-level oracle's z bit for bit
+    blocks = _walk_blocks(ErasureWalk(w, k, rows))
+    size = min(rows, 2 ** k)
+    assert [(r.start, r.stop, len(z)) for r, z in blocks] == [
+        (s, s + size, size) for s in range(0, 2 ** k, size)]
+    want = polarize_erasure_oracle(w, k)
+    got = np.concatenate([z for _, z in blocks])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# block sizes of 2^0 .. 2^15 rows: levels below, at and above k = 1..16
+WALK_ROWS = (1, 2, 2 ** 5, 2 ** 8, 2 ** 11, 2 ** 15)
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.11, 0.3, 0.4, 0.5, 1.0])
 def test_polarize_erasure_in_place_matches_per_level_oracle(eps):
-    # one 2^k buffer, filled chunk by chunk, against a new array per level
+    # the depth-first walk, each block grown from its root in two reused
+    # buffers, and polarize(), which collects it, against a new array per
+    # level, bit for bit
     w = BDMC.bec(eps)
-    for k in range(1, 21):
+    for k in range(1, 17):
+        for rows in WALK_ROWS:
+            if 2 ** k // rows <= 2 ** 12:   # at most 4096 blocks
+                _assert_walk_matches_oracle(w, k, rows)
         want = polarize_erasure_oracle(w, k)
-        assert np.array_equal(_polarize_erasure(w, k).view(np.int64),
+        assert np.array_equal(polarize(w, k).z.view(np.int64),
                               want.view(np.int64))
+
+
+def test_erasure_walk_k20_matches_per_level_oracle():
+    w = BDMC.bec(0.3)
+    _assert_walk_matches_oracle(w, 20, 2 ** 15)
+    assert np.array_equal(polarize(w, 20).z.view(np.int64),
+                          polarize_erasure_oracle(w, 20).view(np.int64))
+
+
+@pytest.mark.parametrize("w", [
+    BDMC([[0.7, 0.3, 0.0], [0.0, 0.3, 0.7]]), BDMC.bsc(0.0), BDMC.bsc(0.5)],
+    ids=["table", "bsc0", "bsc0.5"])
+def test_erasure_like_tables_take_the_walk(w):
+    # tables that only reveal the input or erase it take the closed form
+    for k in (1, 3, 9, 16):
+        assert isinstance(polarize_walk(w, k, 2 ** 4).z, ErasureWalk)
+        for rows in (1, 2 ** 4, 2 ** 15):
+            if 2 ** k // rows <= 2 ** 12:
+                _assert_walk_matches_oracle(w, k, rows)
+        assert np.array_equal(polarize(w, k).z.view(np.int64),
+                              polarize_erasure_oracle(w, k).view(np.int64))
+
+
+def test_polarize_walk_slices_the_table_vector_of_other_channels():
+    w = BDMC.bsc(0.11)
+    z = polarize_walk(w, 5, 2 ** 3).z
+    assert isinstance(z, np.ndarray)
+    assert np.array_equal(z, _polarize_tables(w, 5))
+    assert np.array_equal(polarize(w, 5).z, z)
+    with pytest.raises(ValueError, match="recursion level"):
+        polarize_walk(w, 0, 2 ** 3)
+
+
+def test_erasure_walk_grows_each_block_once(monkeypatch):
+    # the roots are grown once; asking for a block's rows again (as the
+    # label column does after the z column) reads the block without
+    # growing it again, and any block can be asked for next
+    grown = []
+    grow = qrelay.polar_core._grow
+    monkeypatch.setattr(qrelay.polar_core, "_grow", lambda root, at, levels: (
+        grown.append(len(levels)) or grow(root, at, levels)))
+    w = BDMC.bec(0.4)
+    walk = ErasureWalk(w, 10, 2 ** 7)
+    assert grown == [3]
+    want = polarize_erasure_oracle(w, 10)
+    for j in (0, 0, 1, 1, 7, 2, 2):
+        rows = slice(j * 128, (j + 1) * 128)
+        assert np.array_equal(walk[rows], want[rows])
+    assert grown == [3] + [7] * 4
+
+
+@pytest.mark.parametrize("rows", [slice(0, 64), slice(1, 129), slice(0, 256),
+                                  slice(0, 128, 2), slice(None)])
+def test_erasure_walk_rejects_rows_that_are_not_one_block(rows):
+    walk = ErasureWalk(BDMC.bec(0.4), 10, 2 ** 7)
+    with pytest.raises(IndexError, match="not one block of 128"):
+        walk[rows]
+
+
+@pytest.mark.parametrize("rows", [0, 3, 96, -4])
+def test_erasure_walk_rejects_a_block_size_that_is_not_a_power_of_two(rows):
+    with pytest.raises(ValueError, match="power of two"):
+        ErasureWalk(BDMC.bec(0.4), 10, rows)
 
 
 def test_polarize_k20_holds_one_buffer():
@@ -341,7 +484,7 @@ def test_polarize_k20_holds_one_buffer():
 @pytest.mark.parametrize("k", range(1, 7))
 def test_polarize_tables_match_closed_form(k):
     w = BDMC.bec(0.35)
-    closed = _polarize_erasure(w, k)
+    closed = polarize(w, k).z
     tables = _polarize_tables(w, k)
     assert np.max(np.abs(closed - tables)) < 1e-12
 
