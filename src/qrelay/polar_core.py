@@ -25,8 +25,8 @@ ROW_SUM_TOL = 1e-12
 LLR_CLIP = 700.0
 ALPHABET_CAP = 4096  # largest post-merge output alphabet polarize tracks
 _PAIR_BLOCK = 2 ** 16  # output pairs per block of the last level's sum
-# rows per block of the erasure walk that polarize collects: its two
-# buffers (16 KB each) are all it holds beside the z vector
+# rows per block of the erasure walk that polarize collects: beside z
+# it holds two 16 KB block buffers and the roots (8 KB at k = 20)
 _POLARIZE_ROWS = 2 ** 11
 MC_BATCH, MC_BATCH_LLRS = 2048, 2 ** 21  # trials and LLRs per decoding pass
 
