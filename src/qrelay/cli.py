@@ -523,7 +523,7 @@ def _byte_cells(column, cells):
         raise ValueError("a byte-string cell holds a NUL byte")
 
 
-def _csv_block(columns, reuse=None) -> bytearray:
+def _csv_block(columns, reuse: list) -> bytearray:
     """One block of rows as CSV bytes from step-1 ranges of ints >= 0 (the
     only int columns) and float and byte-string arrays. Each column's
     kernel fills its slot of one zeroed (rows, width) uint8 array in
@@ -531,11 +531,11 @@ def _csv_block(columns, reuse=None) -> bytearray:
     ``translate`` drops the NUL padding. A run of float columns is one
     strided view, one ``_float_cells`` call per ``_FLOAT_ROWS`` values,
     as the float kernel's fixed cost is that of a small table's column.
-    The array is a new bytearray, or, given a writer's list ``reuse``,
-    the one it holds, zeroed, if that has the block's byte size; a new
-    one of another size replaces it there. Growing the held one in place
-    instead made the benchmark's peak RSS depend on the output path's
-    length (52.1 or 53.5 MB)."""
+    The array is the bytearray that the writer's list ``reuse`` holds,
+    zeroed, if that has the block's byte size; otherwise a new one, which
+    replaces it there. Growing the held one in place instead made the
+    benchmark's peak RSS depend on the output path's length (52.1 or
+    53.5 MB)."""
     rows = len(columns[0])
     slots, end = [], 0
     for column in columns:
@@ -557,14 +557,12 @@ def _csv_block(columns, reuse=None) -> bytearray:
                             f"of kind {kind!r}")
         slots.append((kind, column, end, size))
         end += size + 1
-    if reuse and len(reuse[0]) == rows * end:
-        buf = reuse[0]
+    if reuse and len(reuse[0]) == rows * end:   # it holds the last block
+        np.frombuffer(reuse[0], dtype=np.uint8).fill(0)
     else:
-        buf = bytearray(rows * end)   # translated with no copy
-        if reuse is not None:
-            reuse[:] = [buf]
+        reuse[:] = [bytearray(rows * end)]   # translated with no copy
+    buf = reuse[0]
     block = np.frombuffer(buf, dtype=np.uint8).reshape(rows, end)
-    block.fill(0)   # a reused buffer holds the last block
     block[:, [start + size for *_, start, size in slots]] = ord(",")
     block[:, end - 1] = ord("\n")
     for kind, run in itertools.groupby(slots, key=lambda slot: slot[0]):

@@ -725,19 +725,19 @@ def test_run_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch,
 def test_run_grows_each_z_block_once(tmp_path, monkeypatch, command, walks):
     # polarize reads each block for its z column and again for its
     # labels, and counts size_good from those labels: at k = 8 and 2^4
-    # rows a block, each walk grows its root by 4 levels to the 16 block
-    # roots, then each root by 4 levels, once
+    # rows a block, each walk grows its root to the 16 block roots, then
+    # each root to its 16 rows, once
     grown = []
     grow = qrelay.polar_core._grow
-    monkeypatch.setattr(qrelay.polar_core, "_grow", lambda root, at, levels: (
-        grown.append(len(levels)) or grow(root, at, levels)))
+    monkeypatch.setattr(qrelay.polar_core, "_grow", lambda root, tree, out: (
+        grown.append(len(out)) or grow(root, tree, out)))
     monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 2 ** 4)
     path = (polarize_config(tmp_path, k=8, beta=0.35) if command == "polarize"
             else dual_config(tmp_path, k=8, beta=0.35))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run(load_config(path, command=command, output_dir=str(tmp_path)))
-    assert grown == [4] * (1 + 16) * walks
+    assert grown == [16] * (1 + 16) * walks
 
 
 # ---------------------------------------------------------------------------
@@ -926,7 +926,7 @@ FLOAT_VOLUME_CASES = ("bit_patterns", "decimal_ties", "nearest_to_ties",
 def test_float_cells_match_oracle_in_volume(name):
     column = _float_volume_case(name)
     with np.errstate(invalid="ignore"):   # float32 signaling NaNs, cast
-        text = cli._csv_block([column]).decode("ascii")
+        text = cli._csv_block([column], []).decode("ascii")
     assert text.split("\n")[:-1] == [format_cell(v) for v in column.tolist()]
 
 
@@ -938,7 +938,7 @@ def test_python_formats_under_one_percent_of_bec_k20_lanes(monkeypatch):
     monkeypatch.setattr(cli, "_python_floats",
                         lambda v: lanes.append(len(v)) or original(v))
     for start in range(0, len(z), CSV_BLOCK_ROWS):
-        cli._csv_block([z[start:start + CSV_BLOCK_ROWS]])
+        cli._csv_block([z[start:start + CSV_BLOCK_ROWS]], [])
     assert sum(lanes) < 0.01 * len(z)
 
 
@@ -953,7 +953,7 @@ def test_constant_lanes_and_range_segments_skip_the_kernels(monkeypatch):
         lanes.append(v.size) or words(v, out)))
     for start in range(0, len(z), CSV_BLOCK_ROWS):
         cli._csv_block([range(len(z))[start:start + CSV_BLOCK_ROWS],
-                        z[start:start + CSV_BLOCK_ROWS]])
+                        z[start:start + CSV_BLOCK_ROWS]], [])
     assert sum(lanes) <= 0.43 * len(z)
 
 
@@ -1007,8 +1007,9 @@ def test_block_row_widths_of_partition_and_polarization(monkeypatch):
         sizes.append(size) or bytearray(size)), raising=False)
     index = range(2 ** 20)[-CSV_BLOCK_ROWS:]
     labels = np.full(CSV_BLOCK_ROWS, b"S_in")
-    cli._csv_block([index, labels])
-    cli._csv_block([index, np.linspace(0.0, 1.0, CSV_BLOCK_ROWS), labels])
+    cli._csv_block([index, labels], [])
+    cli._csv_block([index, np.linspace(0.0, 1.0, CSV_BLOCK_ROWS), labels],
+                   [])
     assert sizes == [14 * CSV_BLOCK_ROWS, 39 * CSV_BLOCK_ROWS]
 
 
@@ -1044,7 +1045,7 @@ def test_float_slot_at_every_byte_offset_matches_row_oracle(monkeypatch):
         for prefix in (labels, index):
             floats = rng.random(rows) * 10.0 ** rng.integers(-12, 14, rows)
             columns = [prefix, floats, range(rows)]
-            assert cli._csv_block(columns) == _block_oracle(columns)
+            assert cli._csv_block(columns, []) == _block_oracle(columns)
     assert sorted({offset % 8 for offset in offsets}) == list(range(8))
 
 
@@ -1059,7 +1060,7 @@ def test_adjacent_float_columns_match_row_oracle(monkeypatch, count):
               for _ in range(count)]
     columns = [np.resize(np.array([b"S_in", b"B"]), rows), *floats,
                range(rows)]
-    assert cli._csv_block(columns) == _block_oracle(columns)
+    assert cli._csv_block(columns, []) == _block_oracle(columns)
     assert offsets[0] == 5 and len(offsets) == 3
 
 
@@ -1079,7 +1080,7 @@ def test_special_floats_in_unaligned_slots_match_row_oracle(monkeypatch,
     floats = np.array(SPECIAL_FLOATS + fill * 20)
     labels = np.resize(np.array([b"z" * width, b"w"]), len(floats))
     columns = [labels, floats, floats[::-1].copy(), range(len(floats))]
-    assert cli._csv_block(columns) == _block_oracle(columns)
+    assert cli._csv_block(columns, []) == _block_oracle(columns)
     assert (sum(lanes) < 2 * len(floats)) == split
 
 
@@ -1130,7 +1131,7 @@ def test_sweep_shaped_block_makes_one_kernel_pass(monkeypatch):
     original = cli._float_words
     monkeypatch.setattr(cli, "_float_words", lambda v, out: (
         calls.append(v.size) or original(v, out)))
-    data = cli._csv_block(columns)
+    data = cli._csv_block(columns, [])
     assert calls == [9 * 99]
     header = tuple(f"c{i}" for i in range(len(columns)))
     want = csv_bytes_from_columns(header, columns)
@@ -1162,22 +1163,33 @@ def test_write_csv_multi_block_table_matches_row_oracle(tmp_path):
 
 def test_write_csv_builds_blocks_of_one_size_in_one_buffer(tmp_path,
                                                           monkeypatch):
-    # the two full blocks share one buffer, which the second finds
-    # holding the first block's bytes; the one-row last block takes a new
-    # one. Labels differ between the first two blocks at each row, so a
-    # byte the reused buffer kept would show in the table.
+    # the two full blocks share one buffer; the one-row last block takes a
+    # new one
     sizes = []
     monkeypatch.setattr(cli, "bytearray", lambda size: (
         sizes.append(size) or bytearray(size)), raising=False)
     rows = 2 * CSV_BLOCK_ROWS + 1
     index = range(rows)
-    labels = np.where(np.arange(rows) % 3, b"good", b"bad")
+    labels = np.where(np.arange(rows) // CSV_BLOCK_ROWS % 2, b"bad", b"good")
     path = tmp_path / "t.csv"
     digest = _write_csv(path, ("index", "set"), (index, labels))
     assert sizes == [14 * CSV_BLOCK_ROWS, 14]
     data = path.read_bytes()
     assert data == csv_bytes_from_columns(("index", "set"), (index, labels))
     assert digest == hashlib.sha256(data).hexdigest()
+
+
+def test_csv_block_zeroes_the_buffer_it_reuses():
+    # both blocks are 20 rows of two quads and a 4-byte label, so the
+    # second reuses the first's buffer. Its indices below 10^4 leave their
+    # upper quad NUL, and its labels are shorter: a byte the buffer kept
+    # from the first block would show in the second.
+    reuse = []
+    for index, label in ((range(20_000, 20_020), b"good"),
+                         (range(9_990, 10_010), b"bad")):
+        columns = [index, np.full(20, label, dtype="S4")]
+        assert cli._csv_block(columns, reuse) == _block_oracle(columns)
+    assert len(reuse) == 1 and len(reuse[0]) == 20 * 14
 
 
 def test_write_csv_starts_no_thread(tmp_path, monkeypatch):

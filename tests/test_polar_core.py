@@ -397,9 +397,9 @@ def test_polarize_erasure_in_place_matches_per_level_oracle(eps):
     # buffers, and polarize(), which collects it, against a new array per
     # level, bit for bit
     w = BDMC.bec(eps)
-    for k in range(1, 17):
+    for k in range(1, 21):
         for rows in WALK_ROWS:
-            if 2 ** k // rows <= 2 ** 12:   # at most 4096 blocks
+            if k <= 16 and 2 ** k // rows <= 2 ** 12:   # <= 4096 blocks
                 _assert_walk_matches_oracle(w, k, rows)
         want = polarize_erasure_oracle(w, k)
         assert np.array_equal(polarize(w, k).z.view(np.int64),
@@ -443,16 +443,16 @@ def test_erasure_walk_grows_each_block_once(monkeypatch):
     # growing it again, and any block can be asked for next
     grown = []
     grow = qrelay.polar_core._grow
-    monkeypatch.setattr(qrelay.polar_core, "_grow", lambda root, at, levels: (
-        grown.append(len(levels)) or grow(root, at, levels)))
+    monkeypatch.setattr(qrelay.polar_core, "_grow", lambda root, tree, out: (
+        grown.append(len(out)) or grow(root, tree, out)))
     w = BDMC.bec(0.4)
     walk = ErasureWalk(w, 10, 2 ** 7)
-    assert grown == [3]
+    assert grown == [8]
     want = polarize_erasure_oracle(w, 10)
     for j in (0, 0, 1, 1, 7, 2, 2):
         rows = slice(j * 128, (j + 1) * 128)
         assert np.array_equal(walk[rows], want[rows])
-    assert grown == [3] + [7] * 4
+    assert grown == [8] + [128] * 4
 
 
 @pytest.mark.parametrize("rows", [slice(0, 64), slice(1, 129), slice(0, 256),
