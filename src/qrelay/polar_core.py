@@ -211,34 +211,28 @@ def polarize_walk(w: BDMC, k: int, rows: int) -> PolarizationResult:
                               else _polarize_tables(w, k))
 
 
-def _tree(depth: int):
-    """The views that grow a root by ``depth`` levels in two buffers,
-    the last level written to an output of its own: the root's
-    one-element view, one (z, bad, good) triple a level before the last,
-    each level's values read from one buffer and written to the other's
-    even (bad) and odd (good) entries, and the 2^(depth-1) values that
-    the last level splits. Each buffer is as long as the widest level
-    written to it, 2^(depth-1) and 2^(depth-2) floats."""
+def _tree(out: np.ndarray):
+    """The views that grow a root into ``out``, 2^depth floats, by depth
+    levels: the root's one-element view and one (z, bad, good) triple a
+    level, each level's values read from one buffer and written to the
+    other's even (bad) and odd (good) entries, the last level's to
+    ``out``'s. Each buffer is as long as the widest level it holds,
+    2^(depth-1) and 2^(depth-2) floats."""
+    depth = len(out).bit_length() - 1
     sizes = [1, 1]
-    for d in range(depth - 1):
-        sizes[~d & 1] = 2 ** (d + 1)
+    for d in range(depth):
+        sizes[d & 1] = 2 ** d
     buffers = np.empty(sizes[0]), np.empty(sizes[1])
-    levels = [(buffers[d & 1][:2 ** d],
-               *buffers[~d & 1][:2 ** (d + 1)].reshape(-1, 2).T)
-              for d in range(depth - 1)]
-    return buffers[0][:1], levels, buffers[~depth & 1][:2 ** depth // 2]
+    values = [buffers[d & 1][:2 ** d] for d in range(depth)] + [out]
+    return values[0][:1], [(values[d], values[d + 1][::2],
+                            values[d + 1][1::2]) for d in range(depth)]
 
 
-def _grow(root: float, tree, out: np.ndarray) -> None:
-    """Write the 2^depth values that grow from ``root`` through ``tree``
-    = ``_tree(depth)`` into ``out``, each level by the IEEE operations of
-    2z - z^2 and z^2 in their order."""
-    if len(out) == 1:
-        out[0] = root
-        return
-    at, levels, last = tree
+def _grow(root: float, at: np.ndarray, levels) -> None:
+    """Grow ``root``, written to ``at``, through the views of ``_tree``
+    by the IEEE operations of 2z - z^2 and z^2 in their order."""
     at[0] = root
-    for z, bad, good in [*levels, (last, *out.reshape(-1, 2).T)]:
+    for z, bad, good in levels:
         np.multiply(z, z, out=good)
         np.multiply(2.0, z, out=bad)
         np.subtract(bad, good, out=bad)
@@ -263,8 +257,7 @@ class ErasureWalk:
         b = min(k, rows.bit_length() - 1)
         self.n, self.rows = 2 ** k, 2 ** b
         self._roots = np.empty(2 ** (k - b))
-        _grow(bhattacharyya(w), _tree(k - b), self._roots)
-        self._tree = _tree(b)
+        _grow(bhattacharyya(w), *_tree(self._roots))
         self._block, self._made = None, None
 
     def __len__(self) -> int:
@@ -278,20 +271,20 @@ class ErasureWalk:
         if j != self._made:
             if self._block is None:
                 self._block = np.empty(self.rows)
-            self._make(j, self._block)
+                self._views = _tree(self._block)
+            _grow(self._roots[j], *self._views)
+            np.clip(self._block, 0.0, 1.0, out=self._block)
             self._made = j
         return self._block
 
     def fill(self, z: np.ndarray) -> np.ndarray:
         """Grow each block into its rows of ``z``, n floats, and return
         ``z``: the whole column with no block buffer beside it."""
-        for j in range(len(self._roots)):
-            self._make(j, z[j * self.rows:(j + 1) * self.rows])
+        for j, root in enumerate(self._roots):
+            block = z[j * self.rows:(j + 1) * self.rows]
+            _grow(root, *_tree(block))
+            np.clip(block, 0.0, 1.0, out=block)
         return z
-
-    def _make(self, j: int, out: np.ndarray) -> None:
-        _grow(self._roots[j], self._tree, out)
-        np.clip(out, 0.0, 1.0, out=out)
 
 
 def _polarize_tables(w: BDMC, k: int) -> np.ndarray:

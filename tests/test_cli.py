@@ -725,19 +725,19 @@ def test_run_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch,
 def test_run_grows_each_z_block_once(tmp_path, monkeypatch, command, walks):
     # polarize reads each block for its z column and again for its
     # labels, and counts size_good from those labels: at k = 8 and 2^4
-    # rows a block, each walk grows its root to the 16 block roots, then
-    # each root to its 16 rows, once
+    # rows a block, each walk grows its root by 4 levels to the 16 block
+    # roots, then each root by 4 levels, once
     grown = []
     grow = qrelay.polar_core._grow
-    monkeypatch.setattr(qrelay.polar_core, "_grow", lambda root, tree, out: (
-        grown.append(len(out)) or grow(root, tree, out)))
+    monkeypatch.setattr(qrelay.polar_core, "_grow", lambda root, at, levels: (
+        grown.append(len(levels)) or grow(root, at, levels)))
     monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 2 ** 4)
     path = (polarize_config(tmp_path, k=8, beta=0.35) if command == "polarize"
             else dual_config(tmp_path, k=8, beta=0.35))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run(load_config(path, command=command, output_dir=str(tmp_path)))
-    assert grown == [16] * (1 + 16) * walks
+    assert grown == [4] * (1 + 16) * walks
 
 
 # ---------------------------------------------------------------------------

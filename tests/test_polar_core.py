@@ -443,16 +443,16 @@ def test_erasure_walk_grows_each_block_once(monkeypatch):
     # growing it again, and any block can be asked for next
     grown = []
     grow = qrelay.polar_core._grow
-    monkeypatch.setattr(qrelay.polar_core, "_grow", lambda root, tree, out: (
-        grown.append(len(out)) or grow(root, tree, out)))
+    monkeypatch.setattr(qrelay.polar_core, "_grow", lambda root, at, levels: (
+        grown.append(len(levels)) or grow(root, at, levels)))
     w = BDMC.bec(0.4)
     walk = ErasureWalk(w, 10, 2 ** 7)
-    assert grown == [8]
+    assert grown == [3]
     want = polarize_erasure_oracle(w, 10)
     for j in (0, 0, 1, 1, 7, 2, 2):
         rows = slice(j * 128, (j + 1) * 128)
         assert np.array_equal(walk[rows], want[rows])
-    assert grown == [8] + [128] * 4
+    assert grown == [3] + [7] * 4
 
 
 @pytest.mark.parametrize("rows", [slice(0, 64), slice(1, 129), slice(0, 256),
