@@ -183,10 +183,10 @@ def polarize(w: BDMC, k: int) -> PolarizationResult:
     Erasure-like channels use the exact closed-form recursion
     z -> (2z - z^2, z^2): an ``ErasureWalk`` grows each
     ``_POLARIZE_ROWS``-index block straight into one vector, with 48 KB
-    of buffers beside it. At k = 20 that takes about 8 ms on a 2-vCPU
-    Intel Xeon, against about 4 ms for the whole-vector in-place recursion
-    it replaced: the price of one recursion for this function and for
-    the commands, which read z a block at a time. General channels
+    of buffers beside it. At k = 20 that takes about 10 ms on a 2-vCPU
+    Intel Xeon, against about 5 ms for the whole-vector in-place
+    recursion it replaced: the price of one recursion for this function
+    and for the commands, which read z a block at a time. General channels
     track full transition tables, pooling exactly-equal likelihood-ratio
     outputs, up to the last level, which is closed form. A post-merge
     alphabet beyond ``ALPHABET_CAP`` raises.
