@@ -393,9 +393,9 @@ WALK_ROWS = (1, 2, 2 ** 5, 2 ** 8, 2 ** 11, 2 ** 15)
 
 @pytest.mark.parametrize("eps", [0.0, 0.11, 0.3, 0.4, 0.5, 1.0])
 def test_polarize_erasure_in_place_matches_per_level_oracle(eps):
-    # the depth-first walk, each block grown from its root in two reused
-    # buffers, and polarize(), which collects it, against a new array per
-    # level, bit for bit
+    # polarize(), which grows the walk's blocks into one vector, for every
+    # k to 20, and the walk's own blocks up to k = 16, against a new array
+    # per level, bit for bit
     w = BDMC.bec(eps)
     for k in range(1, 21):
         for rows in WALK_ROWS:
